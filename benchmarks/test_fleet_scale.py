@@ -119,7 +119,8 @@ def test_fleet_scale_benchmark():
     assert rows_to_json(serial.rows()) == rows_to_json(warm.rows())
     assert serial.status == "completed"
 
-    # The warm run must be served (almost) entirely from the cache.
+    # The warm run's calibrations must come from the cache (shards are
+    # recomputed on every run; they are cheaper to sample than to key).
     hit_rate = warm_hits / max(1, warm_hits + warm_misses)
     assert hit_rate > 0.9
     assert warm_seconds < serial_seconds

@@ -114,5 +114,9 @@ def test_runtime_speedup_and_cache():
         )
     from repro.reporting.bench import merge_bench_record
 
-    record = merge_bench_record(_BENCH_PATH, record)
+    # The cpu_count note is owned even when unwritten, so it goes away on a
+    # multi-CPU run instead of contradicting the cpu_count beside it.
+    record = merge_bench_record(
+        _BENCH_PATH, record, owned=(*record, "parallelism_limited_by_cpu_count")
+    )
     print(f"\nBENCH_runtime: {json.dumps(record, indent=2)}")

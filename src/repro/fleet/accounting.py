@@ -123,7 +123,7 @@ class FleetResult:
 
         Rows are a pure function of the fleet spec (wall-clock, worker count
         and cache state are deliberately excluded), so serial, parallel and
-        cache-served runs emit byte-identical output.
+        repeat runs on cached calibrations emit byte-identical output.
         """
         return [stage.row() for stage in self.stages]
 

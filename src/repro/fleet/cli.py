@@ -3,9 +3,10 @@
 Runs the canonical heterogeneous fleet (or any ``kind="fleet"`` scenario
 from the matrix catalog) through the staged-rollout simulation and prints
 per-stage accounting as a table, JSON, JSONL or CSV.  Output is a pure
-function of the spec: serial runs, ``--workers N`` runs and cache-served
-repeats emit byte-identical bytes.  ``--bundle DIR`` additionally captures
-the run as a versioned artifact bundle (:mod:`repro.reporting.bundle`).
+function of the spec: serial runs, ``--workers N`` runs and repeats on
+cached calibrations (shards are always recomputed) emit byte-identical
+bytes.  ``--bundle DIR`` additionally captures the run as a versioned
+artifact bundle (:mod:`repro.reporting.bundle`).
 """
 
 from __future__ import annotations

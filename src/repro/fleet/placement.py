@@ -18,8 +18,11 @@ input sequences yields the identical plan.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..config.schema import PlacementSpec
 from ..errors import ConfigError
@@ -92,20 +95,99 @@ class PlacementPlan:
         return placed
 
 
-def _canonical_demands(demands: Sequence[PlacementDemand]) -> List[PlacementDemand]:
-    names = [demand.name for demand in demands]
+def _require_unique(names: List[str], what: str) -> None:
     if len(set(names)) != len(names):
         duplicates = sorted({name for name in names if names.count(name) > 1})
-        raise ConfigError(f"placement job names must be unique, duplicated: {duplicates}")
-    return sorted(demands, key=lambda demand: (-demand.cores, demand.name))
+        raise ConfigError(f"{what} must be unique, duplicated: {duplicates}")
+
+
+def _by_name(names: List[str]) -> List[int]:
+    """Indices of ``names`` in name order: one sort whose key is C code."""
+    return sorted(range(len(names)), key=names.__getitem__)
+
+
+def _canonical_demands(demands: Sequence[PlacementDemand]) -> List[PlacementDemand]:
+    names = [demand.name for demand in demands]
+    _require_unique(names, "placement job names")
+    by_name = _by_name(names)
+    # A stable sort on size keeps name order among equal sizes.
+    sizes = np.array([demands[index].cores for index in by_name], dtype=np.int64)
+    return [demands[by_name[rank]] for rank in np.argsort(-sizes, kind="stable").tolist()]
 
 
 def _canonical_machines(machines: Sequence[MachineCapacity]) -> List[MachineCapacity]:
     names = [machine.machine for machine in machines]
-    if len(set(names)) != len(names):
-        duplicates = sorted({name for name in names if names.count(name) > 1})
-        raise ConfigError(f"machine names must be unique, duplicated: {duplicates}")
-    return sorted(machines, key=lambda machine: machine.machine)
+    _require_unique(names, "machine names")
+    return [machines[index] for index in _by_name(names)]
+
+
+def _first_fit(machines: List[MachineCapacity], demands: List[PlacementDemand]) -> PlacementPlan:
+    """Sequential first-fit, packed one run of equal-size demands at a time.
+
+    Within a run of size ``s``, a machine that a job skips (remaining below
+    ``s``) can never fit a later job of the same run, so job ``j`` of the run
+    lands on the first machine whose cumulative slot count (``remaining //
+    s``) exceeds ``j`` — exactly where the job-at-a-time scan puts it — and
+    jobs past the last slot stay unplaced.  Smaller runs then back-fill the
+    capacity the larger ones left.
+    """
+    if not demands:
+        return PlacementPlan(assignments=(), unplaced=())
+    names = [machine.machine for machine in machines]
+    remaining = np.array([machine.cores for machine in machines], dtype=np.int64)
+    sizes = np.array([demand.cores for demand in demands], dtype=np.int64)
+    cuts = (np.flatnonzero(np.diff(sizes)) + 1).tolist()
+    assignments: List[Assignment] = []
+    unplaced: List[PlacementDemand] = []
+    for start, stop in zip([0, *cuts], [*cuts, len(demands)]):
+        size = int(sizes[start])
+        slots = remaining // size
+        filled = np.cumsum(slots)
+        placed = min(stop - start, int(filled[-1])) if filled.size else 0
+        hosts = np.searchsorted(filled, np.arange(placed), side="right")
+        remaining -= size * np.bincount(hosts, minlength=remaining.size)
+        jobs = demands[start : start + placed]
+        assignments.extend(
+            map(
+                Assignment,
+                map(names.__getitem__, hosts.tolist()),
+                [job.name for job in jobs],
+                [job.cores for job in jobs],
+            )
+        )
+        unplaced.extend(demands[start + placed : stop])
+    return PlacementPlan(assignments=tuple(assignments), unplaced=tuple(unplaced))
+
+
+def _scan_fit(
+    machines: List[MachineCapacity], demands: List[PlacementDemand], strategy: str
+) -> PlacementPlan:
+    """Best- or worst-fit: each demand scans every machine for the fitting
+    one with the least (best) or most (worst) remaining capacity."""
+    active: List[List[object]] = [[m.machine, m.cores] for m in machines]
+    assignments: List[Assignment] = []
+    unplaced: List[PlacementDemand] = []
+    for demand in demands:
+        chosen = None
+        best_remaining = None
+        for position, (name, remaining) in enumerate(active):
+            if remaining < demand.cores:
+                continue
+            better = (
+                best_remaining is None
+                or (strategy == "best_fit" and remaining < best_remaining)
+                or (strategy == "worst_fit" and remaining > best_remaining)
+            )
+            if better:
+                best_remaining = remaining
+                chosen = position
+        if chosen is None:
+            unplaced.append(demand)
+            continue
+        slot = active[chosen]
+        assignments.append(Assignment(machine=slot[0], job=demand.name, cores=demand.cores))
+        slot[1] -= demand.cores
+    return PlacementPlan(assignments=tuple(assignments), unplaced=tuple(unplaced))
 
 
 def plan_placement(
@@ -124,56 +206,18 @@ def plan_placement(
             f"placement strategy must be one of {PlacementSpec.VALID_STRATEGIES}, "
             f"got {strategy!r}"
         )
-    ordered_demands = _canonical_demands(demands)
-    ordered_machines = _canonical_machines(machines)
-
-    # ``active`` keeps (name, remaining) in canonical order.  Machines whose
-    # remaining capacity falls below the smallest *future* demand can never
-    # host anything again (demands are processed in decreasing size), so the
-    # first-fit scan drops them as it passes — the common homogeneous-job
-    # case then packs in near-linear time instead of O(jobs x machines).
-    active: List[List[object]] = [[m.machine, m.cores] for m in ordered_machines]
-    suffix_min = [0] * len(ordered_demands)
-    smallest = None
-    for index in range(len(ordered_demands) - 1, -1, -1):
-        cores = ordered_demands[index].cores
-        smallest = cores if smallest is None else min(smallest, cores)
-        suffix_min[index] = smallest
-
-    assignments: List[Assignment] = []
-    unplaced: List[PlacementDemand] = []
-    for index, demand in enumerate(ordered_demands):
-        floor = suffix_min[index]
-        chosen = None
+    # Packing allocates a record per job and keeps every one reachable in the
+    # plan, so cyclic-GC passes while it runs are pure overhead (as in the
+    # simulation engine's run loop): suspend collection until it returns.
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        ordered_demands = _canonical_demands(demands)
+        ordered_machines = _canonical_machines(machines)
         if strategy == "first_fit":
-            scan = 0
-            while scan < len(active):
-                name, remaining = active[scan]
-                if remaining < floor:
-                    active.pop(scan)
-                    continue
-                if remaining >= demand.cores:
-                    chosen = scan
-                    break
-                scan += 1
-        else:
-            best_remaining = None
-            for position, (name, remaining) in enumerate(active):
-                if remaining < demand.cores:
-                    continue
-                better = (
-                    best_remaining is None
-                    or (strategy == "best_fit" and remaining < best_remaining)
-                    or (strategy == "worst_fit" and remaining > best_remaining)
-                )
-                if better:
-                    best_remaining = remaining
-                    chosen = position
-        if chosen is None:
-            unplaced.append(demand)
-            continue
-        slot = active[chosen]
-        assignments.append(Assignment(machine=slot[0], job=demand.name, cores=demand.cores))
-        slot[1] -= demand.cores
-
-    return PlacementPlan(assignments=tuple(assignments), unplaced=tuple(unplaced))
+            return _first_fit(ordered_machines, ordered_demands)
+        return _scan_fit(ordered_machines, ordered_demands, strategy)
+    finally:
+        if gc_was_enabled:
+            gc.enable()

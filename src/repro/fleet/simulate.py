@@ -9,20 +9,23 @@ The simulation composes the other fleet modules:
    machines under the calibrated reclaimable-capacity estimates;
 3. machine groups are cut into fixed-size shards and fanned out through
    ``ExperimentRunner.map`` — each shard draws its machines' latencies by
-   inverse-CDF sampling and returns *mergeable digests*, never raw samples;
+   inverse-CDF sampling and returns *mergeable digests*, never raw samples.
+   Shards are recomputed on every run: hashing a shard task into a cache
+   key costs more than sampling the shard;
 4. the staged rollout engine advances canary -> wave -> fleet, halting and
    rolling the Autopilot configuration back on a guardrail breach.
 
 Everything downstream of the spec is deterministic: shard boundaries and RNG
-seeds depend only on the spec, so serial runs, N-worker runs and cache-served
-repeats produce byte-identical results.
+seeds depend only on the spec, so serial runs, N-worker runs and repeats on
+cached calibrations produce byte-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import ExitStack
-from dataclasses import dataclass, field
+from contextlib import ExitStack, nullcontext
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +65,7 @@ MACHINE_SKEW_SIGMA = 0.03
 
 @dataclass(frozen=True)
 class FleetShardTask:
-    """One shard of one group for one stage — the unit of fan-out and caching."""
+    """One shard of one group for one stage — the unit of fan-out."""
 
     stage: str
     group: str
@@ -86,12 +89,8 @@ class FleetShardTask:
     #: their closed-form expected histogram instead.
     sampled: Optional[Tuple[int, ...]] = None
     #: Fault timeline for this shard's machines over this task's buckets
-    #: (``None`` = healthy).  Omitted from the spec hash while unset so
-    #: fault-free tasks keep their exact historical cache keys (the metadata
-    #: key mirrors :data:`repro.runtime.spec_hash.OMIT_IF_DEFAULT`).
-    faults: Optional[ShardFaultPlan] = field(
-        default=None, metadata={"repro_hash_omit_if_default": True}
-    )
+    #: (``None`` = healthy).
+    faults: Optional[ShardFaultPlan] = None
 
 
 @dataclass
@@ -171,12 +170,12 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
         degraded_array = np.asarray(faults.degraded, dtype=np.intp)
         degraded_bucket_set = frozenset(faults.degraded_buckets)
         any_down = any(faults.down)
-    # Per-bucket blended quantile curves, hoisted out of the sampling math
-    # (the historical loop re-converted every calibration tuple per bucket).
-    bucket_curves = tuple(
-        [blend_curve(mode_curve_matrix(calibration), calibration, qps) for qps in task.loads]
-        for calibration, _, _, _ in modes
-    )
+    # Per-bucket blended quantile curves, hoisted out of the sampling math;
+    # each mode's calibration tuples convert to an array once, not per bucket.
+    bucket_curves = []
+    for calibration, _, _, _ in modes:
+        matrix = mode_curve_matrix(calibration)
+        bucket_curves.append([blend_curve(matrix, calibration, qps) for qps in task.loads])
 
     # One flat draw covers every (bucket, mode, machine, sample) uniform; the
     # layout below slices it back bucket-major, baseline before colocated —
@@ -321,10 +320,8 @@ def build_demands(spec: FleetSpec, calibrations: Dict[str, GroupCalibration]) ->
         )
         target = int(total_reclaimable * spec.placement.demand_fraction)
         sizes = (spec.placement.job_cores_each,) * (target // spec.placement.job_cores_each)
-    return [
-        PlacementDemand(name=f"batch-{index:06d}", cores=cores)
-        for index, cores in enumerate(sizes)
-    ]
+    names = [f"batch-{index:06d}" for index in range(len(sizes))]
+    return list(map(PlacementDemand, names, sizes))
 
 
 def sampled_positions(
@@ -400,7 +397,6 @@ class FleetSimulation:
     # -------------------------------------------------------------- execution
     def run(self) -> FleetResult:
         from ..runtime.runner import default_runner
-        from ..runtime.spec_hash import versioned_namespace
 
         spec = self._spec
         runner = self._runner if self._runner is not None else default_runner()
@@ -460,7 +456,6 @@ class FleetSimulation:
         self.rollout = rollout
         rollout.begin()
 
-        namespace = versioned_namespace("fleet-shard")
         bucket_cursor = 0
         telemetry = self._telemetry
         tracer = None
@@ -498,10 +493,9 @@ class FleetSimulation:
                 )
                 calibration = calibrations[group.name]
                 sampled = sampled_positions(spec, group, names, placed_by_machine)
+                placed_cores = list(map(placed_by_machine.get, names, repeat(0)))
                 colocated_positions = [
-                    index
-                    for index, name in enumerate(names)
-                    if placed_by_machine.get(name, 0) > 0
+                    index for index, cores in enumerate(placed_cores) if cores > 0
                 ]
                 group_loads[group.name] = loads
                 colocated_counts[group.name] = len(colocated_positions)
@@ -532,9 +526,7 @@ class FleetSimulation:
                     floor = -(-spec.min_colocated_samples_per_bucket // drawn_baseline)
                     baseline_rate = max(baseline_rate, floor)
                 for shard_index, start, stop in model.shards(group):
-                    placed = tuple(
-                        placed_by_machine.get(name, 0) for name in names[start:stop]
-                    )
+                    placed = tuple(placed_cores[start:stop])
                     shard_sampled = (
                         None
                         if sampled is None
@@ -576,19 +568,13 @@ class FleetSimulation:
                             faults=shard_faults,
                         )
                     )
-            if tracer is not None:
-                with tracer.span(
-                    "fleet.shards", stage=stage, shards=len(tasks), buckets=buckets
-                ):
-                    shard_results = runner.map(
-                        _simulate_shard,
-                        [(task,) for task in tasks],
-                        cache_namespace=namespace,
-                    )
-            else:
-                shard_results = runner.map(
-                    _simulate_shard, [(task,) for task in tasks], cache_namespace=namespace
-                )
+            span = (
+                tracer.span("fleet.shards", stage=stage, shards=len(tasks), buckets=buckets)
+                if tracer is not None
+                else nullcontext()
+            )
+            with span:
+                shard_results = runner.map(_simulate_shard, [(task,) for task in tasks])
             start_bucket = bucket_cursor
             bucket_cursor += buckets
             merged: Dict[str, Dict[str, List[LatencyDigest]]] = {
@@ -666,9 +652,7 @@ class FleetSimulation:
                 machines_enabled += enabled
                 reclaimable = calibrations[group.name].reclaimable_cores(group.buffer_cores)
                 names = model.machine_names(group)[:enabled]
-                capacities.extend(
-                    MachineCapacity(machine=name, cores=reclaimable) for name in names
-                )
+                capacities.extend(map(MachineCapacity, names, repeat(reclaimable)))
             plan: PlacementPlan = plan_placement(capacities, demands, spec.placement.strategy)
             placed_by_machine = plan.placed_cores_by_machine()
 

@@ -4,7 +4,8 @@ The three benchmark records at the repository root are the canonical perf
 history every speed claim cites.  They used to be rewritten wholesale by the
 nightly benchmarks and hand-edited in between; this module makes every write
 a *merge*: existing keys keep their position, updated keys change in place,
-new keys append, and the merged record is schema-validated
+new keys append, keys the writing benchmark owns but no longer writes are
+dropped, and the merged record is schema-validated
 (:data:`repro.telemetry.schema.BENCH_SCHEMAS`) before a byte is written — so
 a partial benchmark run can no longer silently drop fields, and hand edits
 are replaced by ``python -m repro.reporting --merge-bench``.
@@ -15,17 +16,26 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, Mapping
+from typing import Dict, Iterable, Mapping
 
 from ..errors import ReportingError
 
 __all__ = ["merge_bench_record", "bench_updates_from_source"]
 
 
-def merge_bench_record(path, updates: Mapping[str, object], validate: bool = True) -> Dict:
+def merge_bench_record(
+    path,
+    updates: Mapping[str, object],
+    validate: bool = True,
+    owned: Iterable[str] = (),
+) -> Dict:
     """Merge ``updates`` into the BENCH record at ``path`` and write it back.
 
-    Returns the merged record.  When ``path``'s basename has a declared
+    Returns the merged record.  ``owned`` names every key the caller's
+    benchmark writes, including ones it writes only sometimes: an owned key
+    missing from ``updates`` is dropped (so a conditional note cannot outlive
+    its condition), while keys owned by another benchmark sharing the record
+    survive untouched.  When ``path``'s basename has a declared
     schema and ``validate`` is true, the *merged* record must satisfy it —
     an update that would leave a required key missing or non-numeric is
     rejected before the file is touched.  The on-disk rendering (indent 2,
@@ -41,6 +51,9 @@ def merge_bench_record(path, updates: Mapping[str, object], validate: bool = Tru
             raise ReportingError(f"{path}: existing record is not valid JSON ({exc})") from None
         if not isinstance(record, dict):
             raise ReportingError(f"{path}: existing record must be a JSON object")
+    for key in owned:
+        if key not in updates:
+            record.pop(key, None)
     record.update(updates)
     if validate:
         from ..telemetry.schema import BENCH_SCHEMAS, validate_bench_record

@@ -15,8 +15,8 @@ Two storage layers:
   persists calibrations across processes and CI runs.
 
 The disk layer can be bounded with ``max_entries`` (or the
-``REPRO_CACHE_MAX_ENTRIES`` environment variable): long fleet and matrix
-sweeps write thousands of shard results, and an unbounded cache directory
+``REPRO_CACHE_MAX_ENTRIES`` environment variable): long matrix and campaign
+sweeps write thousands of results, and an unbounded cache directory
 would otherwise grow without limit.  Eviction is least-recently-used — disk
 hits refresh an entry's mtime, and every store drops the stalest entries
 over the cap.  An evicted entry is simply a future miss: the caller

@@ -106,6 +106,11 @@ class ExperimentRunner:
     POOL_ATTEMPTS = 3
     POOL_BACKOFF_BASE = 0.1
     POOL_BACKOFF_CAP = 2.0
+    #: Tasks go to the pool in about this many chunks per worker, so hundreds
+    #: of short tasks (fleet shards) stop paying one round trip apiece; a
+    #: batch of at most ``workers * 8`` tasks still goes one task at a time,
+    #: and a larger one leaves any worker a tail of at most one chunk.
+    CHUNKS_PER_WORKER = 8
 
     def __init__(
         self,
@@ -165,12 +170,13 @@ class ExperimentRunner:
         if not self._parallel(len(payloads)):
             return [fn(payload) for payload in payloads]
         workers = min(self._max_workers, len(payloads))
+        chunksize = -(-len(payloads) // (workers * self.CHUNKS_PER_WORKER))
         for attempt in range(self.POOL_ATTEMPTS):
             try:
                 with ProcessPoolExecutor(
                     max_workers=workers, mp_context=self._mp_context
                 ) as pool:
-                    return list(pool.map(fn, payloads, chunksize=1))
+                    return list(pool.map(fn, payloads, chunksize=chunksize))
             except BrokenProcessPool:
                 self.pool_failures += 1
                 delay = min(
@@ -191,63 +197,56 @@ class ExperimentRunner:
 
         ``fn`` must be a module-level callable and its arguments and return
         value picklable.  Used for coarse-grained work that is not a
-        single-machine experiment (e.g. full cluster simulations).  Identical
-        ``(fn, args)`` payloads in one batch execute once.  When
-        ``cache_namespace`` is given, each call is additionally cached under
-        the hash of ``(fn, args)`` in that namespace — only sound when ``fn``
-        is a deterministic function of its arguments.
+        single-machine experiment (e.g. full cluster simulations, fleet
+        shards).  Without a ``cache_namespace`` (or on a ``use_cache=False``
+        runner) this is a plain ordered fan-out: every payload runs, no key
+        is computed, and every result is its own object.  With one, each call
+        is cached under the hash of ``(fn, args)`` in that namespace —
+        only sound when ``fn`` is a deterministic function of its arguments
+        — identical payloads in one batch execute once, and every keyed
+        result is handed out as a deep copy.
         """
         payloads = [(fn, tuple(args)) for args in items]
-        use_cache = cache_namespace is not None and self._use_cache
+        if cache_namespace is None or not self._use_cache:
+            return self._fan_out(_call, payloads)
         keys: List[Optional[str]] = []
         for _, args in payloads:
             try:
                 keys.append(
                     spec_hash(
                         [fn.__module__, fn.__qualname__, list(args)],
-                        namespace=cache_namespace or "map/dedupe",
+                        namespace=cache_namespace,
                     )
                 )
             except TypeError:
-                # Unencodable argument: run this payload as-is, no dedupe.
+                # Unencodable argument: run this payload as-is, uncached.
                 keys.append(None)
 
         results: List[Any] = [_MISS] * len(payloads)
         pending: List[int] = []
-        seen: Dict[str, int] = {}
+        first: Dict[str, int] = {}
         for index, key in enumerate(keys):
-            if key is not None and key in seen:
-                continue  # duplicate payload: computed once, fanned out below
             if key is not None:
-                seen[key] = index
-                if use_cache:
-                    hit = self._cache.get(key, default=_MISS)
-                    if hit is not _MISS:
-                        results[index] = hit
-                        continue
+                if key in first:
+                    continue  # duplicate payload: computed once, copied below
+                first[key] = index
+                hit = self._cache.get(key, default=_MISS)
+                if hit is not _MISS:
+                    results[index] = hit
+                    continue
             pending.append(index)
 
         values = self._fan_out(_call, [payloads[index] for index in pending])
         for index, value in zip(pending, values):
             results[index] = value
-            if use_cache and keys[index] is not None:
+            if keys[index] is not None:
                 self._cache.put(keys[index], value)
 
-        # Fan values out to duplicate payloads, and hand out deep copies of
-        # anything shared (cache entries or duplicated values) — no caller
-        # may receive an aliased mutable result.
-        shared = {key for key in seen if use_cache or keys.count(key) > 1}
-        by_key = {
-            keys[i]: results[i]
-            for i in range(len(payloads))
-            if keys[i] is not None and results[i] is not _MISS
-        }
-        for index, key in enumerate(keys):
-            if results[index] is _MISS and key is not None and key in by_key:
-                results[index] = by_key[key]
+        # Every keyed value is shared with the cache (and with any duplicate
+        # payloads), so no caller may receive it un-copied.
         return [
-            copy.deepcopy(value) if keys[index] in shared else value
-            for index, value in enumerate(results)
+            results[index] if key is None else copy.deepcopy(results[first[key]])
+            for index, key in enumerate(keys)
         ]
 
     # --------------------------------------------------------------- batches

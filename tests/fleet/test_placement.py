@@ -42,6 +42,20 @@ class TestFirstFit:
         plan = plan_placement(machines(0, 5), demands(5))
         assert plan.placed_cores_by_machine() == {"m001": 5}
 
+    def test_small_jobs_back_fill_earlier_machines(self):
+        plan = plan_placement(machines(5, 8), demands(4, 4, 1))
+        assert [(a.machine, a.job) for a in plan.assignments] == [
+            ("m000", "j000"),
+            ("m001", "j001"),
+            ("m000", "j002"),
+        ]
+        assert plan.placed_cores_by_machine() == {"m000": 5, "m001": 4}
+
+    def test_equal_size_run_fills_slots_in_order_then_stops(self):
+        plan = plan_placement(machines(13, 0, 7), demands(*[3] * 10))
+        assert [a.machine for a in plan.assignments] == ["m000"] * 4 + ["m002"] * 2
+        assert [d.name for d in plan.unplaced] == [f"j{i:03d}" for i in range(6, 10)]
+
 
 class TestStrategies:
     def test_best_fit_prefers_tightest_machine(self):

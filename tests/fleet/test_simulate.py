@@ -1,5 +1,7 @@
 """End-to-end fleet simulation tests: determinism, accounting, guardrails."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,9 @@ from repro.fleet.simulate import (
     build_demands,
     sampled_positions,
 )
-from repro.fleet.model import FleetModel
+from repro.fleet.model import BASELINE, COLOCATED, FleetModel
 from repro.metrics.latency import LatencyDigest
-from repro.runtime import ExperimentRunner, ResultCache
+from repro.runtime import ExperimentRunner, ResultCache, spec_hash
 
 from fleet_testing import make_tiny_fleet_spec
 
@@ -94,6 +96,30 @@ class TestDeterminism:
             == rows_to_json(repeat.rows())
         )
         assert cache.hits > hits_before  # the repeat was served from the cache
+
+    def test_only_calibrations_are_cached(self):
+        """Shards are recomputed on every run: a cold run stores exactly its
+        unique calibration specs, and a repeat stores nothing and reproduces
+        the cold run byte for byte."""
+        spec = make_tiny_fleet_spec()
+        model = FleetModel(spec)
+        calibration_keys = {
+            spec_hash(model.calibration_spec(group, mode, point))
+            for group in spec.groups
+            for mode in (BASELINE, COLOCATED)
+            for point in range(len(spec.calibration_qps))
+        }
+        cache = ResultCache()
+        runner = ExperimentRunner(max_workers=2, cache=cache)
+        cold = FleetSimulation(spec, runner=runner).run()
+        assert cache.stores == len(calibration_keys)
+        repeat = FleetSimulation(spec, runner=runner).run()
+        assert cache.stores == len(calibration_keys)
+
+        def payload(result):
+            return json.dumps({"summary": result.summary(), "rows": result.rows()}, sort_keys=True)
+
+        assert payload(repeat) == payload(cold)
 
     def test_seed_changes_the_measurement(self, fleet_runner):
         base = FleetSimulation(make_tiny_fleet_spec(), runner=fleet_runner).run()

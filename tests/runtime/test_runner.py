@@ -13,6 +13,7 @@ from repro.runtime import (
     ResultCache,
     spec_hash,
 )
+from repro.runtime import runner as runner_module
 
 
 def tiny_spec(seed=5, qps=300.0):
@@ -226,6 +227,16 @@ class TestExperimentRunner:
         # The duplicate (4,) payload was computed and stored exactly once.
         assert cache.stores == 2
 
+    def test_namespaced_map_hands_out_unaliased_copies(self):
+        cache = ResultCache()
+        runner = ExperimentRunner(max_workers=1, cache=cache)
+        first, duplicate = runner.map(_record_call, [(4,), (4,)], cache_namespace="rec/v1")
+        assert first == duplicate  # one computation, same marker
+        first.append("mutated")
+        assert len(duplicate) == 2
+        (again,) = runner.map(_record_call, [(4,)], cache_namespace="rec/v1")
+        assert again == duplicate  # the stored entry was not mutated either
+
     def test_map_serves_cached_none_without_recompute(self):
         cache = ResultCache()
         runner = ExperimentRunner(max_workers=1, cache=cache)
@@ -239,17 +250,26 @@ class TestExperimentRunner:
         results = runner.map(_first_of_pair, [((None, object()),), ((5, object()),)])
         assert results == [None, 5]
 
-    def test_map_dedupes_without_a_cache_namespace(self):
+    def test_map_without_a_namespace_never_hashes(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "spec_hash", _forbidden_hash)
         cache = ResultCache()
-        runner = ExperimentRunner(max_workers=1, cache=cache)
+        runner = ExperimentRunner(max_workers=2, cache=cache)
         results = runner.map(_record_call, [(4,), (4,), (5,)])
         assert [value for value, _ in results] == [16, 16, 25]
-        # Three results but only two computations, and nothing cached.
-        assert len({marker for _, marker in results[:2]}) == 1
-        assert cache.stores == 0
-        # Duplicates are distinct objects: mutating one leaves the other alone.
+        # Nothing touched the cache, and equal payloads came back as distinct
+        # objects: mutating one leaves the other alone.
+        assert cache.stores == cache.hits == cache.misses == 0
         results[0].append("mutated")
         assert len(results[1]) == 2
+
+    def test_use_cache_false_map_runs_every_payload_unhashed(self, monkeypatch):
+        monkeypatch.setattr(runner_module, "spec_hash", _forbidden_hash)
+        cache = ResultCache()
+        runner = ExperimentRunner(max_workers=1, cache=cache, use_cache=False)
+        results = runner.map(_record_call, [(4,), (4,)], cache_namespace="squares/v1")
+        # Two computations (distinct markers), and the namespace was ignored.
+        assert len({marker for _, marker in results}) == 2
+        assert cache.stores == 0
 
     def test_cache_namespaces_are_version_stamped(self):
         import repro
@@ -261,6 +281,10 @@ class TestExperimentRunner:
         assert spec_hash(tiny_spec(), namespace=versioned_namespace("a")) != spec_hash(
             tiny_spec(), namespace="a/v0.0.0"
         )
+
+
+def _forbidden_hash(*_args, **_kwargs):
+    raise AssertionError("this map must not compute cache keys")
 
 
 def _square(value):
