@@ -55,8 +55,8 @@ def pytest_addoption(parser) -> None:
         "--update-goldens",
         action="store_true",
         default=False,
-        help="rewrite tests/experiments/goldens/*.json from the current simulator "
-        "output instead of comparing against it",
+        help="rewrite tests/experiments/goldens/*.json and tests/fleet/goldens/*.json "
+        "from the current simulator output instead of comparing against them",
     )
 
 
