@@ -6,8 +6,8 @@ while holding the tail.  This package simulates that operation end to end:
 
 * :mod:`repro.fleet.model` — heterogeneous machine groups with per-row
   diurnal load phases, calibrated through the shared experiment runner;
-* :mod:`repro.fleet.placement` — deterministic bin-packing of batch demand
-  onto reclaimable-capacity estimates;
+* :mod:`repro.fleet.placement` — deterministic bin-packing of batch job
+  sizes onto per-machine reclaimable-capacity arrays;
 * :mod:`repro.fleet.rollout` — canary -> wave -> fleet staging with SLO
   guardrails over the versioned Autopilot configuration store;
 * :mod:`repro.fleet.accounting` — reclaimed core-hours, batch throughput and
@@ -18,13 +18,7 @@ while holding the tail.  This package simulates that operation end to end:
 
 from .accounting import FleetResult, StageAccount
 from .model import FleetModel, GroupCalibration, ModeCalibration
-from .placement import (
-    Assignment,
-    MachineCapacity,
-    PlacementDemand,
-    PlacementPlan,
-    plan_placement,
-)
+from .placement import PlacementPlan, plan_placement
 from .rollout import GuardrailMonitor, StageDecision, StagedRollout
 from .scenarios import default_fleet_spec
 from .simulate import FleetSimulation
@@ -35,9 +29,6 @@ __all__ = [
     "FleetModel",
     "GroupCalibration",
     "ModeCalibration",
-    "Assignment",
-    "MachineCapacity",
-    "PlacementDemand",
     "PlacementPlan",
     "plan_placement",
     "GuardrailMonitor",

@@ -8,13 +8,14 @@ hits), and per-machine behaviour is then drawn from the calibrated latency
 distributions by inverse-CDF sampling.
 
 Calibration is captured in compact, hashable form — quantile curves and CPU
-fractions per load point — because shard tasks carry it into worker
-processes and into the content-addressed result cache.
+fractions per load point — because every shard task carries it into a
+worker process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -66,11 +67,15 @@ QUANTILE_POINTS = 129
 QUANTILE_GRID_MAX = 0.999
 
 
+@functools.lru_cache(maxsize=None)
 def quantile_grid() -> np.ndarray:
-    """The fixed quantile grid shared by calibration and shard sampling."""
+    """The fixed quantile grid shared by calibration and shard sampling:
+    one read-only array per process, built on first use."""
     grid = np.linspace(0.0, 1.0, QUANTILE_POINTS)
     grid[-1] = QUANTILE_GRID_MAX
+    grid.flags.writeable = False
     return grid
+
 
 #: The calibrated operating modes of a fleet machine.
 BASELINE, COLOCATED = "baseline", "colocated"

@@ -5,13 +5,15 @@ The simulation composes the other fleet modules:
 1. :class:`~repro.fleet.model.FleetModel` calibrates every machine group
    through the shared experiment runner (content-addressed, so repeat runs
    and overlapping fleets are cache hits);
-2. the placement scheduler packs batch demand onto the stage's enabled
-   machines under the calibrated reclaimable-capacity estimates;
+2. the placement scheduler packs the batch queue (an array of job sizes)
+   onto the stage's enabled machines under the calibrated reclaimable-
+   capacity estimates, and hands back each machine's placed cores;
 3. machine groups are cut into fixed-size shards and fanned out through
-   ``ExperimentRunner.map`` — each shard draws its machines' latencies by
-   inverse-CDF sampling and returns *mergeable digests*, never raw samples.
-   Shards are recomputed on every run: hashing a shard task into a cache
-   key costs more than sampling the shard;
+   ``ExperimentRunner.map`` — each shard carries slices of its group's
+   per-machine arrays (placed cores, sampled positions), draws its machines'
+   latencies by inverse-CDF sampling and returns *mergeable digests*, never
+   raw samples.  Shards are recomputed on every run: hashing a shard task
+   into a cache key costs more than sampling the shard;
 4. the staged rollout engine advances canary -> wave -> fleet, halting and
    rolling the Autopilot configuration back on a guardrail breach.
 
@@ -25,13 +27,12 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..cluster.autopilot import Autopilot, ManagedService
-from ..config.schema import FleetSpec, MachineGroupSpec, PerfIsoSpec, BlindIsolationSpec
+from ..config.schema import FleetSpec, PerfIsoSpec, BlindIsolationSpec
 from ..config.validation import validate_fleet
 from ..faults.fleet import FaultyConfigStore, FleetFaultTimeline, ShardFaultPlan
 from ..metrics.latency import LatencyDigest
@@ -48,7 +49,7 @@ from .model import (
     quantile_grid,
     stable_seed,
 )
-from .placement import MachineCapacity, PlacementDemand, PlacementPlan, plan_placement
+from .placement import plan_placement
 from .rollout import StagedRollout
 
 __all__ = [
@@ -79,15 +80,16 @@ class FleetShardTask:
     colocated_samples_per_machine: int
     bucket_seconds: float
     loads: Tuple[float, ...]
-    #: Per machine in the shard: cores of placed batch demand (0 = baseline).
-    placed_cores: Tuple[int, ...]
+    #: Per machine in the shard: cores of placed batch demand (0 = baseline),
+    #: a slice of the group's per-machine array.
+    placed_cores: np.ndarray
     baseline: ModeCalibration
     colocated: ModeCalibration
-    #: Hyperscale sampling: shard-relative indices of the machines that run
-    #: the full per-machine inverse-CDF draw.  ``None`` (exact mode) draws
-    #: every machine; any other value makes the remaining machines contribute
-    #: their closed-form expected histogram instead.
-    sampled: Optional[Tuple[int, ...]] = None
+    #: Hyperscale sampling: sorted shard-relative indices of the machines
+    #: that run the full per-machine inverse-CDF draw.  ``None`` (exact mode)
+    #: draws every machine; any other value makes the remaining machines
+    #: contribute their closed-form expected histogram instead.
+    sampled: Optional[np.ndarray] = None
     #: Fault timeline for this shard's machines over this task's buckets
     #: (``None`` = healthy).
     faults: Optional[ShardFaultPlan] = None
@@ -146,8 +148,7 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
         baseline_index, colocated_index = baseline_all, colocated_all
     else:
         member = np.zeros(machines, dtype=bool)
-        if task.sampled:
-            member[np.asarray(task.sampled, dtype=np.intp)] = True
+        member[np.asarray(task.sampled, dtype=np.intp)] = True
         baseline_index = baseline_all[member[baseline_all]]
         colocated_index = colocated_all[member[colocated_all]]
     grid = quantile_grid()
@@ -303,8 +304,8 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
     )
 
 
-def build_demands(spec: FleetSpec, calibrations: Dict[str, GroupCalibration]) -> List[PlacementDemand]:
-    """The batch queue awaiting placement, derived deterministically.
+def build_demands(spec: FleetSpec, calibrations: Dict[str, GroupCalibration]) -> np.ndarray:
+    """The batch queue awaiting placement, as an int64 array of job sizes.
 
     Explicit ``placement.job_cores`` wins — including ``()``, which means a
     deliberately empty queue (a baseline-only fleet).  Only the unset default
@@ -312,27 +313,21 @@ def build_demands(spec: FleetSpec, calibrations: Dict[str, GroupCalibration]) ->
     reclaimable cores in jobs of ``job_cores_each``.
     """
     if spec.placement.job_cores is not None:
-        sizes: Sequence[int] = spec.placement.job_cores
-    else:
-        total_reclaimable = sum(
-            group.machines * calibrations[group.name].reclaimable_cores(group.buffer_cores)
-            for group in spec.groups
-        )
-        target = int(total_reclaimable * spec.placement.demand_fraction)
-        sizes = (spec.placement.job_cores_each,) * (target // spec.placement.job_cores_each)
-    names = [f"batch-{index:06d}" for index in range(len(sizes))]
-    return list(map(PlacementDemand, names, sizes))
+        return np.array(spec.placement.job_cores, dtype=np.int64)
+    total_reclaimable = sum(
+        group.machines * calibrations[group.name].reclaimable_cores(group.buffer_cores)
+        for group in spec.groups
+    )
+    target = int(total_reclaimable * spec.placement.demand_fraction)
+    each = spec.placement.job_cores_each
+    return np.full(target // each, each, dtype=np.int64)
 
 
-def sampled_positions(
-    spec: FleetSpec,
-    group: MachineGroupSpec,
-    names: Sequence[str],
-    placed_by_machine: Dict[str, int],
-) -> Optional[FrozenSet[int]]:
-    """The deterministically chosen machines of ``group`` that run the full
+def sampled_positions(spec: FleetSpec, placed_cores: np.ndarray) -> Optional[np.ndarray]:
+    """The sorted positions of one group's machines that run the full
     inverse-CDF draw in sampled mode (``None`` in exact mode = everyone).
 
+    ``placed_cores`` holds the group's placed cores per machine position.
     Machines are picked evenly strided *per colocation class* (baseline vs
     colocated), so a small canary class is always fully drawn no matter how
     aggressive ``sample_fraction`` is, and the choice depends only on the
@@ -340,23 +335,18 @@ def sampled_positions(
     """
     if spec.sample_fraction >= 1.0:
         return None
-    chosen: set = set()
-    classes = ([], [])  # baseline positions, colocated positions
-    for position, name in enumerate(names):
-        classes[1 if placed_by_machine.get(name, 0) > 0 else 0].append(position)
-    for positions in classes:
-        count = len(positions)
-        if not count:
-            continue
+    chosen = []
+    for positions in (np.flatnonzero(placed_cores == 0), np.flatnonzero(placed_cores > 0)):
+        count = positions.size
         wanted = max(
             math.ceil(spec.sample_fraction * count), min(spec.min_sampled_machines, count)
         )
         if wanted >= count:
-            chosen.update(positions)
+            chosen.append(positions)
         else:
-            picks = np.unique(np.round(np.linspace(0, count - 1, wanted)).astype(int))
-            chosen.update(positions[pick] for pick in picks)
-    return frozenset(chosen)
+            picks = np.unique(np.round(np.linspace(0, count - 1, wanted)).astype(np.intp))
+            chosen.append(positions[picks])
+    return np.sort(np.concatenate(chosen))
 
 
 class FleetSimulation:
@@ -474,16 +464,20 @@ class FleetSimulation:
         )
 
         def run_buckets(
-            stage: str, buckets: int, placed_by_machine: Dict[str, int]
+            stage: str, buckets: int, placed: Dict[str, np.ndarray]
         ) -> Tuple[Dict[str, Dict[str, List[LatencyDigest]]], float, float]:
-            """Fan one stage's shards out and merge their digests per bucket."""
+            """Fan one stage's shards out and merge their digests per bucket.
+
+            ``placed`` maps each group to its placed cores per machine
+            position; every shard task carries slices of that array and of
+            the group's sampled positions.
+            """
             nonlocal bucket_cursor
             tasks: List[FleetShardTask] = []
             group_loads: Dict[str, Tuple[float, ...]] = {}
             colocated_counts: Dict[str, int] = {}
             window_start_time = bucket_cursor * spec.bucket_seconds
             for group in spec.groups:
-                names = model.machine_names(group)
                 # One arrival model per group per stage (load_at would build
                 # a fresh one per bucket).
                 diurnal = model.arrival_model(group)
@@ -492,13 +486,12 @@ class FleetSimulation:
                     for index in range(buckets)
                 )
                 calibration = calibrations[group.name]
-                sampled = sampled_positions(spec, group, names, placed_by_machine)
-                placed_cores = list(map(placed_by_machine.get, names, repeat(0)))
-                colocated_positions = [
-                    index for index, cores in enumerate(placed_cores) if cores > 0
-                ]
+                placed_cores = placed[group.name]
+                colocated = placed_cores > 0
+                sampled = sampled_positions(spec, placed_cores)
+                colocated_count = int(np.count_nonzero(colocated))
                 group_loads[group.name] = loads
-                colocated_counts[group.name] = len(colocated_positions)
+                colocated_counts[group.name] = colocated_count
                 # The per-bucket sample floor covers *both* guardrail sides,
                 # spread over the machines that actually draw (everyone in
                 # exact mode): canary stages have few colocated machines, and
@@ -508,14 +501,14 @@ class FleetSimulation:
                 # of draws on either side is noise, not a guardrail signal.
                 # At fleet scale both floors are inactive.
                 drawn_colocated = (
-                    len(colocated_positions)
+                    colocated_count
                     if sampled is None
-                    else sum(1 for position in colocated_positions if position in sampled)
+                    else int(np.count_nonzero(colocated[sampled]))
                 )
                 drawn_baseline = (
-                    len(names) - len(colocated_positions)
+                    group.machines - colocated_count
                     if sampled is None
-                    else len(sampled) - drawn_colocated
+                    else sampled.size - drawn_colocated
                 )
                 colocated_rate = spec.samples_per_machine_bucket
                 if drawn_colocated:
@@ -526,18 +519,10 @@ class FleetSimulation:
                     floor = -(-spec.min_colocated_samples_per_bucket // drawn_baseline)
                     baseline_rate = max(baseline_rate, floor)
                 for shard_index, start, stop in model.shards(group):
-                    placed = tuple(placed_cores[start:stop])
-                    shard_sampled = (
-                        None
-                        if sampled is None
-                        else tuple(
-                            sorted(
-                                position - start
-                                for position in sampled
-                                if start <= position < stop
-                            )
-                        )
-                    )
+                    shard_sampled = None
+                    if sampled is not None:
+                        first, last = np.searchsorted(sampled, (start, stop))
+                        shard_sampled = sampled[first:last] - start
                     shard_faults = (
                         timeline.shard_plan(
                             group=group.name,
@@ -561,7 +546,7 @@ class FleetSimulation:
                             colocated_samples_per_machine=colocated_rate,
                             bucket_seconds=spec.bucket_seconds,
                             loads=loads,
-                            placed_cores=placed,
+                            placed_cores=placed_cores[start:stop],
                             baseline=calibration.baseline,
                             colocated=calibration.colocated,
                             sampled=shard_sampled,
@@ -609,13 +594,16 @@ class FleetSimulation:
 
         # ------------------------------------------------------ baseline bake
         bake_buckets = spec.rollout.bake_buckets
+        no_batch = {
+            group.name: np.zeros(group.machines, dtype=np.int64) for group in spec.groups
+        }
         if tracer is not None:
             with tracer.span(
                 "rollout.stage", stage="bake", fraction=0.0, decision="reference"
             ):
-                bake_merged, _, _ = run_buckets("bake", bake_buckets, {})
+                bake_merged, _, _ = run_buckets("bake", bake_buckets, no_batch)
         else:
-            bake_merged, _, _ = run_buckets("bake", bake_buckets, {})
+            bake_merged, _, _ = run_buckets("bake", bake_buckets, no_batch)
         reference_p99: Dict[str, float] = {}
         bake_digest = LatencyDigest()
         for group in spec.groups:
@@ -631,7 +619,7 @@ class FleetSimulation:
                 machines_enabled=0,
                 colocated_machines=0,
                 placed_jobs=0,
-                unplaced_jobs=len(demands),
+                unplaced_jobs=demands.size,
                 baseline_p99_ms=to_millis(bake_digest.percentile(99.0)),
                 colocated_p99_ms=0.0,
                 p99_ratio=0.0,
@@ -645,16 +633,25 @@ class FleetSimulation:
         # ----------------------------------------------------- rollout stages
         for stage_index, fraction in enumerate(spec.rollout.stage_fractions):
             stage = f"stage-{stage_index + 1}"
-            capacities: List[MachineCapacity] = []
-            machines_enabled = 0
-            for group in spec.groups:
-                enabled = model.enabled_count(group, fraction)
-                machines_enabled += enabled
+            enabled = [model.enabled_count(group, fraction) for group in spec.groups]
+            machines_enabled = sum(enabled)
+            names: List[str] = []
+            capacities: List[np.ndarray] = []
+            for group, count in zip(spec.groups, enabled):
                 reclaimable = calibrations[group.name].reclaimable_cores(group.buffer_cores)
-                names = model.machine_names(group)[:enabled]
-                capacities.extend(map(MachineCapacity, names, repeat(reclaimable)))
-            plan: PlacementPlan = plan_placement(capacities, demands, spec.placement.strategy)
-            placed_by_machine = plan.placed_cores_by_machine()
+                names.extend(model.machine_names(group)[:count])
+                capacities.append(np.full(count, reclaimable, dtype=np.int64))
+            plan = plan_placement(
+                names, np.concatenate(capacities), demands, spec.placement.strategy
+            )
+            # Each group's placed cores per machine position: the plan's
+            # slice for its enabled prefix, nothing past it.
+            placed: Dict[str, np.ndarray] = {}
+            offset = 0
+            for group, count in zip(spec.groups, enabled):
+                placed[group.name] = np.zeros(group.machines, dtype=np.int64)
+                placed[group.name][:count] = plan.placed_cores[offset : offset + count]
+                offset += count
 
             # Churn semantics: each iteration is one *attempt* of the stage.
             # A lost stage digest (controller crash inside the measurement
@@ -676,7 +673,7 @@ class FleetSimulation:
                 window_start = bucket_cursor * spec.bucket_seconds
 
                 merged, reclaimed, progress = run_buckets(
-                    stage, spec.rollout.stage_buckets, placed_by_machine
+                    stage, spec.rollout.stage_buckets, placed
                 )
                 window_end = bucket_cursor * spec.bucket_seconds
 
@@ -742,9 +739,9 @@ class FleetSimulation:
                         fraction=fraction,
                         buckets=spec.rollout.stage_buckets,
                         machines_enabled=machines_enabled,
-                        colocated_machines=len(placed_by_machine),
+                        colocated_machines=int(np.count_nonzero(plan.placed_cores)),
                         placed_jobs=plan.placed_jobs,
-                        unplaced_jobs=len(plan.unplaced),
+                        unplaced_jobs=plan.unplaced_jobs,
                         baseline_p99_ms=to_millis(stage_baseline.percentile(99.0)),
                         colocated_p99_ms=to_millis(stage_colocated.percentile(99.0)),
                         p99_ratio=worst_ratio,

@@ -10,6 +10,7 @@ production-trace experiment (Figure 10).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
@@ -328,6 +329,15 @@ class ReservoirCollector:
         return _stats_from_array(np.asarray(self._reservoir, dtype=float), self._dropped)
 
 
+@functools.lru_cache(maxsize=None)
+def _grid_edges(bins: int, lowest: float, highest: float) -> np.ndarray:
+    """The read-only geometric bin edges of one digest grid, built once per
+    process and shared by every digest on that grid."""
+    edges = np.geomspace(lowest, highest, bins + 1)
+    edges.flags.writeable = False
+    return edges
+
+
 class LatencyDigest:
     """Exactly-mergeable latency summary over fixed log-spaced bins.
 
@@ -343,6 +353,12 @@ class LatencyDigest:
     with the default 512 bins spanning 20 us .. 120 s the relative
     quantisation error is ~1.5 %, far below the machine-to-machine variation
     the fleet model cares about.
+
+    The bin edges are a pure function of the ``(bins, lowest, highest)``
+    grid, so every digest on one grid shares a single read-only edges array:
+    a digest costs one count vector, and pickling it (every fleet shard
+    result crosses a process boundary) sends its counts and accumulators
+    but not its edges, which the receiving process looks up again.
     """
 
     DEFAULT_BINS = 512
@@ -362,12 +378,21 @@ class LatencyDigest:
         self._bins = bins
         self._lowest = float(lowest)
         self._highest = float(highest)
-        self._edges = np.geomspace(self._lowest, self._highest, bins + 1)
+        self._edges = _grid_edges(bins, self._lowest, self._highest)
         # Layout: [underflow, bin 1..bins, overflow].
         self._counts = np.zeros(bins + 2, dtype=np.int64)
         self._sum = 0.0
         self._max = 0.0
         self._dropped = 0
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_edges"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._edges = _grid_edges(self._bins, self._lowest, self._highest)
 
     # ---------------------------------------------------------------- identity
     @property
@@ -377,15 +402,14 @@ class LatencyDigest:
 
     @property
     def edges(self) -> np.ndarray:
-        """The ``bins + 1`` geometric bin edges (read-only view).
+        """The ``bins + 1`` geometric bin edges (the grid's shared read-only
+        array).
 
         Exposed so bulk producers (the vectorised fleet shard) can bin large
         sample blocks themselves with one batched ``searchsorted``/``bincount``
         pass and feed the result through :meth:`add_counts`.
         """
-        view = self._edges.view()
-        view.flags.writeable = False
-        return view
+        return self._edges
 
     @property
     def counts_size(self) -> int:

@@ -7,9 +7,11 @@ from repro.config.schema import FleetSpec, MachineGroupSpec, PlacementSpec, Roll
 from repro.config.validation import validate_fleet
 from repro.errors import ConfigError
 from repro.fleet.model import (
+    QUANTILE_GRID_MAX,
     QUANTILE_POINTS,
     FleetModel,
     interpolate_mode,
+    quantile_grid,
     stable_seed,
 )
 from repro.fleet.scenarios import default_groups, stage_fractions
@@ -134,6 +136,15 @@ class TestModel:
             for _, start, stop in model.shards(group):
                 covered.extend(range(start, stop))
             assert covered == list(range(group.machines))
+
+    def test_quantile_grid_is_one_read_only_array(self):
+        grid = quantile_grid()
+        assert grid is quantile_grid()
+        expected = np.linspace(0.0, 1.0, QUANTILE_POINTS)
+        expected[-1] = QUANTILE_GRID_MAX
+        assert np.array_equal(grid, expected)
+        with pytest.raises(ValueError):
+            grid[0] = 0.5
 
     def test_stable_seed_is_process_independent_and_sensitive(self):
         assert stable_seed("a", 1) == stable_seed("a", 1)

@@ -300,9 +300,8 @@ class TestVectorisedShard:
 class TestSampledPositions:
     def test_exact_mode_returns_none(self):
         spec = make_tiny_fleet_spec()
-        group = spec.groups[0]
-        names = [f"m-{i}" for i in range(group.machines)]
-        assert sampled_positions(spec, group, names, {}) is None
+        placed = np.zeros(spec.groups[0].machines, dtype=np.int64)
+        assert sampled_positions(spec, placed) is None
 
     def test_small_classes_are_fully_drawn(self):
         """The per-class floor keeps canary-sized classes exact no matter
@@ -310,24 +309,35 @@ class TestSampledPositions:
         spec = make_tiny_fleet_spec(
             machines=600, sample_fraction=0.01, min_sampled_machines=128
         )
-        group = spec.groups[0]
-        names = [f"m-{i}" for i in range(40)]
-        placed = {name: 4 for name in names[:5]}  # 5 colocated, 35 baseline
-        chosen = sampled_positions(spec, group, names, placed)
-        assert set(range(40)) <= chosen
+        placed = np.zeros(40, dtype=np.int64)
+        placed[:5] = 4  # 5 colocated, 35 baseline
+        chosen = sampled_positions(spec, placed)
+        assert chosen.tolist() == list(range(40))
 
     def test_large_classes_are_strided_deterministically(self):
         spec = make_tiny_fleet_spec(
             machines=600, sample_fraction=0.1, min_sampled_machines=128
         )
-        group = spec.groups[0]
-        names = [f"m-{i}" for i in range(400)]
-        first = sampled_positions(spec, group, names, {})
-        second = sampled_positions(spec, group, names, {})
-        assert first == second
-        assert len(first) == 128  # the floor dominates 0.1 * 400
-        positions = sorted(first)
-        assert positions[0] == 0 and positions[-1] == 399  # evenly strided
+        placed = np.zeros(400, dtype=np.int64)
+        first = sampled_positions(spec, placed)
+        second = sampled_positions(spec, placed)
+        assert np.array_equal(first, second)
+        assert first.size == 128  # the floor dominates 0.1 * 400
+        assert first[0] == 0 and first[-1] == 399  # evenly strided
+        assert (np.diff(first) > 0).all()  # sorted, no repeats
+
+    def test_each_colocation_class_is_strided_over_its_own_positions(self):
+        """Colocated and baseline machines interleave by position; each
+        class is strided separately and the union comes back sorted."""
+        spec = make_tiny_fleet_spec(
+            machines=600, sample_fraction=0.1, min_sampled_machines=3
+        )
+        placed = np.zeros(60, dtype=np.int64)
+        placed[1::3] = 6  # positions 1, 4, ..., 58: 20 colocated, 40 baseline
+        chosen = sampled_positions(spec, placed)
+        # Colocated: 3 of 20 (the floor) at class ranks 0, 10, 19.  Baseline:
+        # ceil(0.1 * 40) = 4 at class ranks 0, 13, 26, 39.
+        assert chosen.tolist() == [0, 1, 20, 31, 39, 58, 59]
 
 
 class TestPlacementIntegration:
@@ -335,7 +345,9 @@ class TestPlacementIntegration:
         spec = make_tiny_fleet_spec()
         calibrations = FleetModel(spec).calibrate(fleet_runner)
         demands = build_demands(spec, calibrations)
-        total = sum(demand.cores for demand in demands)
+        assert demands.dtype == np.int64
+        assert set(demands.tolist()) == {spec.placement.job_cores_each}
+        total = int(demands.sum())
         reclaimable = sum(
             group.machines * calibrations[group.name].reclaimable_cores(group.buffer_cores)
             for group in spec.groups
@@ -348,7 +360,8 @@ class TestPlacementIntegration:
         )
         calibrations = FleetModel(spec).calibrate(fleet_runner)
         demands = build_demands(spec, calibrations)
-        assert [demand.cores for demand in demands] == [4, 4, 2]
+        assert demands.dtype == np.int64
+        assert demands.tolist() == [4, 4, 2]
 
     def test_strategies_produce_identical_totals_when_capacity_abounds(self, fleet_runner):
         base = make_tiny_fleet_spec()
@@ -365,7 +378,8 @@ class TestPlacementIntegration:
         unset default and silently fell back to the derived demand list."""
         spec = make_tiny_fleet_spec().replace(placement=PlacementSpec(job_cores=()))
         calibrations = FleetModel(spec).calibrate(fleet_runner)
-        assert build_demands(spec, calibrations) == []
+        demands = build_demands(spec, calibrations)
+        assert demands.dtype == np.int64 and demands.size == 0
 
     def test_baseline_only_fleet_runs_with_no_batch_demand(self, fleet_runner):
         spec = make_tiny_fleet_spec().replace(placement=PlacementSpec(job_cores=()))

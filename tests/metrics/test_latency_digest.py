@@ -1,5 +1,7 @@
 """Tests for the exactly-mergeable latency digest."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,43 @@ class TestAddCounts:
         digest = LatencyDigest()
         with pytest.raises(ValueError):
             digest.edges[0] = 0.0
+
+
+class TestSharedGrid:
+    """Every digest on one grid shares one read-only edges array, which is
+    never pickled: a shard result sends counts, not 513 edges per digest."""
+
+    def test_edges_are_one_read_only_array_per_grid(self):
+        first, second = LatencyDigest(), LatencyDigest()
+        assert first.edges is second.edges
+        assert np.array_equal(
+            first.edges,
+            np.geomspace(
+                LatencyDigest.DEFAULT_LOWEST,
+                LatencyDigest.DEFAULT_HIGHEST,
+                LatencyDigest.DEFAULT_BINS + 1,
+            ),
+        )
+        other = LatencyDigest(bins=64, lowest=1e-3, highest=10.0)
+        assert other.edges is not first.edges and other.edges.size == 65
+        assert other.edges is LatencyDigest(bins=64, lowest=1e-3, highest=10.0).edges
+
+    def test_pickle_carries_counts_but_not_edges(self):
+        digest = LatencyDigest.from_samples(samples(31))
+        digest.record_drop(3)
+        payload = pickle.dumps(digest, protocol=pickle.HIGHEST_PROTOCOL)
+        # The 514 int64 counts are 4,112 bytes; the 513 float64 edges would
+        # add another 4,104.
+        assert 4112 < len(payload) < 4700
+        restored = pickle.loads(payload)
+        assert restored.edges is digest.edges
+        assert restored.stats() == digest.stats()
+        for q in (50.0, 90.0, 99.0, 99.9):
+            assert restored.percentile(q) == digest.percentile(q)
+
+    def test_a_restored_digest_merges_with_a_fresh_one(self):
+        parts = [samples(seed) for seed in (41, 42)]
+        restored = pickle.loads(pickle.dumps(LatencyDigest.from_samples(parts[0])))
+        fresh = LatencyDigest.from_samples(parts[1])
+        fresh.merge(restored)
+        assert fresh.stats() == LatencyDigest.from_samples(np.concatenate(parts)).stats()

@@ -5,27 +5,59 @@ The invariants the fleet's capacity story rests on:
 * placement never overcommits — no machine hosts more cores than its
   reclaimable-capacity estimate, under any strategy;
 * placement is a pure function of the *set* of inputs — permuting the
-  machine or demand sequences yields the identical plan;
+  machines (names with their capacities) or the job sizes yields the
+  identical plan;
 * under first-fit, removing a machine never *increases* the total demand
   placed (capacity loss cannot conjure capacity);
-* the array-packed scheduler returns exactly the plan of the historical
-  job-at-a-time loop, kept verbatim below as the oracle.
+* the array scheduler matches the historical job-at-a-time loop, kept
+  verbatim below as the oracle: the same cores on every machine (by name)
+  and the same placed and unplaced job counts per job size.  The oracle
+  works on named jobs; the scheduler needs no job names, because jobs of
+  equal size are interchangeable.
 """
 
-from typing import List, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.schema import PlacementSpec
 from repro.errors import ConfigError
-from repro.fleet.placement import (
-    Assignment,
-    MachineCapacity,
-    PlacementDemand,
-    PlacementPlan,
-    plan_placement,
-)
+from repro.fleet.placement import plan_placement
+
+
+# The record types of the historical scheduler, as the oracle below uses them.
+@dataclass(frozen=True)
+class MachineCapacity:
+    machine: str
+    cores: int
+
+
+@dataclass(frozen=True)
+class PlacementDemand:
+    name: str
+    cores: int
+
+
+@dataclass(frozen=True)
+class Assignment:
+    machine: str
+    job: str
+    cores: int
+
+
+@dataclass(frozen=True)
+class PlacementPlan:
+    assignments: Tuple[Assignment, ...]
+    unplaced: Tuple[PlacementDemand, ...]
+
+    def placed_cores_by_machine(self) -> Dict[str, int]:
+        placed: Dict[str, int] = {}
+        for assignment in self.assignments:
+            placed[assignment.machine] = placed.get(assignment.machine, 0) + assignment.cores
+        return placed
 
 
 def _canonical_demands(demands: Sequence[PlacementDemand]) -> List[PlacementDemand]:
@@ -110,6 +142,43 @@ def historical_plan_placement(
     return PlacementPlan(assignments=tuple(assignments), unplaced=tuple(unplaced))
 
 
+def place(machines, demands, strategy="first_fit"):
+    """The array scheduler on the oracle's inputs."""
+    return plan_placement(
+        [machine.machine for machine in machines],
+        [machine.cores for machine in machines],
+        [demand.cores for demand in demands],
+        strategy,
+    )
+
+
+def cores_by_name(plan, machines) -> Dict[str, int]:
+    """The array plan's placed cores per machine name (hosts only)."""
+    return {
+        machine.machine: cores
+        for machine, cores in zip(machines, plan.placed_cores.tolist())
+        if cores
+    }
+
+
+def counts_by_size(plan) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The array plan's placed and unplaced job counts per size (non-zero only)."""
+    sizes = plan.sizes.tolist()
+    placed = {size: n for size, n in zip(sizes, plan.placed.tolist()) if n}
+    unplaced = {size: n for size, n in zip(sizes, plan.unplaced.tolist()) if n}
+    return placed, unplaced
+
+
+def assert_matches_oracle(machines, demands, strategy, shuffled_demands=None):
+    plan = place(machines, demands if shuffled_demands is None else shuffled_demands, strategy)
+    oracle = historical_plan_placement(machines, demands, strategy)
+    assert cores_by_name(plan, machines) == oracle.placed_cores_by_machine()
+    assert counts_by_size(plan) == (
+        dict(Counter(assignment.cores for assignment in oracle.assignments)),
+        dict(Counter(demand.cores for demand in oracle.unplaced)),
+    )
+
+
 @st.composite
 def placement_cases(draw):
     machine_count = draw(st.integers(min_value=1, max_value=10))
@@ -130,7 +199,9 @@ def wide_placement_cases(draw):
     """Bigger and more varied than ``placement_cases``: long runs of
     equal-size jobs, many zero-capacity machines, mixed sizes whose small
     jobs back-fill machines the large ones left partly free, and names that
-    are not in input order."""
+    are not in input order.  Machine names are zero-padded to five digits
+    like the fleet's, so indices past 99,999 gain a sixth digit and sort
+    before the five-digit ones (``g-100000`` < ``g-99999``)."""
     capacities = draw(
         st.lists(st.one_of(st.just(0), st.integers(min_value=0, max_value=40)), max_size=40)
     )
@@ -141,7 +212,7 @@ def wide_placement_cases(draw):
     machine_ids = draw(st.permutations(range(len(capacities))))
     job_ids = draw(st.permutations(range(len(sizes))))
     machines = [
-        MachineCapacity(f"m{machine_ids[index]:03d}", cores)
+        MachineCapacity(f"g-{99_980 + machine_ids[index]:05d}", cores)
         for index, cores in enumerate(capacities)
     ]
     demands = [
@@ -154,38 +225,48 @@ def wide_placement_cases(draw):
 @given(
     case=st.one_of(placement_cases(), wide_placement_cases()),
     strategy=st.sampled_from(PlacementSpec.VALID_STRATEGIES),
+    data=st.data(),
 )
-def test_plan_equals_the_historical_scalar_loop(case, strategy):
+def test_plan_equals_the_historical_scalar_loop(case, strategy, data):
     machines, demands = case
-    assert plan_placement(machines, demands, strategy) == historical_plan_placement(
-        machines, demands, strategy
-    )
+    # The scheduler sees the job sizes in another order than the oracle.
+    shuffled = data.draw(st.permutations(demands))
+    assert_matches_oracle(machines, demands, strategy, shuffled_demands=shuffled)
 
 
 def test_fleet_scale_first_fit_equals_the_historical_scalar_loop():
     # Two job sizes over mixed capacities: the large run leaves remainders
-    # the small run back-fills, then the queue overflows.
-    machines = [MachineCapacity(f"m{index:05d}", index % 13) for index in range(3000)]
+    # the small run back-fills, then the queue overflows.  The names cross
+    # the five-to-six digit boundary, so name order is not index order.
+    machines = [
+        MachineCapacity(f"g-{98_500 + index:05d}", index % 13) for index in range(3000)
+    ]
     demands = [
         PlacementDemand(f"j{index:05d}", 5 if index % 3 else 2) for index in range(12000)
     ]
-    plan = plan_placement(machines, demands)
-    assert plan.unplaced and plan.placed_jobs > 0
-    assert plan == historical_plan_placement(machines, demands)
+    plan = place(machines, demands)
+    assert plan.unplaced_jobs and plan.placed_jobs > 0
+    assert_matches_oracle(machines, demands, "first_fit")
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=placement_cases(), strategy=st.sampled_from(PlacementSpec.VALID_STRATEGIES))
 def test_no_machine_exceeds_its_reclaimable_capacity(case, strategy):
     machines, demands = case
-    plan = plan_placement(machines, demands, strategy)
-    capacities = {machine.machine: machine.cores for machine in machines}
-    for machine, cores in plan.placed_cores_by_machine().items():
-        assert cores <= capacities[machine]
-    # Conservation: every demand is either assigned exactly once or unplaced.
-    assigned = [assignment.job for assignment in plan.assignments]
-    pending = [demand.name for demand in plan.unplaced]
-    assert sorted(assigned + pending) == sorted(demand.name for demand in demands)
+    plan = place(machines, demands, strategy)
+    for machine, cores in zip(machines, plan.placed_cores.tolist()):
+        assert 0 <= cores <= machine.cores
+    # Conservation: every job is either placed exactly once or unplaced.
+    requested = Counter(demand.cores for demand in demands)
+    assert {
+        size: placed + unplaced
+        for size, placed, unplaced in zip(
+            plan.sizes.tolist(), plan.placed.tolist(), plan.unplaced.tolist()
+        )
+    } == requested
+    assert plan.total_placed_cores == sum(
+        size * placed for size, placed in zip(plan.sizes.tolist(), plan.placed.tolist())
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -196,22 +277,23 @@ def test_no_machine_exceeds_its_reclaimable_capacity(case, strategy):
 )
 def test_placement_is_deterministic_under_input_permutation(case, strategy, data):
     machines, demands = case
-    baseline = plan_placement(machines, demands, strategy)
+    baseline = place(machines, demands, strategy)
     shuffled_machines = data.draw(st.permutations(machines))
     shuffled_demands = data.draw(st.permutations(demands))
-    assert plan_placement(shuffled_machines, shuffled_demands, strategy) == baseline
+    shuffled = place(shuffled_machines, shuffled_demands, strategy)
+    assert cores_by_name(shuffled, shuffled_machines) == cores_by_name(baseline, machines)
+    assert counts_by_size(shuffled) == counts_by_size(baseline)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=placement_cases(), data=st.data())
 def test_removing_a_machine_never_increases_placed_demand(case, data):
     machines, demands = case
-    full = plan_placement(machines, demands, "first_fit")
+    full = place(machines, demands, "first_fit")
     removed = data.draw(st.integers(min_value=0, max_value=len(machines) - 1))
     remaining = machines[:removed] + machines[removed + 1 :]
-    reduced = plan_placement(remaining, demands, "first_fit")
+    reduced = place(remaining, demands, "first_fit")
     assert reduced.total_placed_cores <= full.total_placed_cores
     # And the removed machine's jobs never overcommit the survivors.
-    capacities = {machine.machine: machine.cores for machine in remaining}
-    for machine, cores in reduced.placed_cores_by_machine().items():
-        assert cores <= capacities[machine]
+    for machine, cores in zip(remaining, reduced.placed_cores.tolist()):
+        assert cores <= machine.cores
