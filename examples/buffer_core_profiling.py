@@ -25,10 +25,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.config.schema import IndexServeSpec
-from repro.core.profiling import BufferCoreProfiler
 from repro.experiments import scenarios
 from repro.experiments.reporting import print_figure
 from repro.experiments.single_machine import SingleMachineExperiment
+from repro.telemetry.profiling import BufferCoreProfiler
 
 PEAK_QPS = 4000.0
 DURATION = 3.0

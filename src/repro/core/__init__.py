@@ -20,7 +20,7 @@ from .policies import (
     policy_class,
     policy_from_spec,
 )
-from .profiling import BufferCoreProfiler, BurstProfile
+from ..telemetry.profiling import BufferCoreProfiler, BurstProfile
 
 __all__ = [
     "PerfIsoController",

@@ -3,7 +3,7 @@
 from . import figures, matrix, scenarios, showdown
 from .comparison import ComparisonResult, ComparisonRow, IsolationComparison
 from .matrix import MatrixResult, Scenario, ScenarioVariant, run_matrix, run_scenario
-from .reporting import format_figure, format_table, print_figure, rows_to_csv, rows_to_json
+from .reporting import format_figure, format_table, print_figure
 from .showdown import ShowdownResult, run_showdown
 from .single_machine import SingleMachineExperiment, SingleMachineResult
 
@@ -25,8 +25,6 @@ __all__ = [
     "format_figure",
     "format_table",
     "print_figure",
-    "rows_to_csv",
-    "rows_to_json",
     "SingleMachineExperiment",
     "SingleMachineResult",
 ]

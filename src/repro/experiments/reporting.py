@@ -7,10 +7,9 @@ identical, diff-friendly output.
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Iterable, List, Mapping, Sequence, Union
 
-__all__ = ["format_table", "format_figure", "print_figure", "rows_to_csv", "rows_to_json"]
+__all__ = ["format_table", "format_figure", "print_figure"]
 
 Number = Union[int, float]
 Row = Mapping[str, Union[str, Number]]
@@ -67,11 +66,6 @@ def print_figure(title: str, rows: Sequence[Row], columns: Sequence[str] = None,
     print(format_figure(title, rows, columns, notes))
 
 
-def rows_from_dicts(dicts: Sequence[Dict[str, Number]], label_key: str = "label") -> List[Row]:
-    """Helper for turning keyed summaries into printable rows."""
-    return [dict(d) for d in dicts]
-
-
 def _all_columns(rows: Sequence[Row]) -> List[str]:
     """Union of row keys, in first-appearance order (rows may be ragged)."""
     columns: List[str] = []
@@ -80,39 +74,3 @@ def _all_columns(rows: Sequence[Row]) -> List[str]:
             if key not in columns:
                 columns.append(key)
     return columns
-
-
-def rows_to_csv(rows: Sequence[Row], columns: Sequence[str] = None) -> str:
-    """Deprecated alias of :func:`repro.reporting.rows.rows_to_csv`.
-
-    The renderings moved to :mod:`repro.reporting.rows` so the CLIs, the
-    bundle writer and this legacy import all share one byte-level
-    implementation.  This shim delegates (output is byte-identical) and will
-    be removed in a future release.
-    """
-    warnings.warn(
-        "repro.experiments.reporting.rows_to_csv moved to "
-        "repro.reporting.rows.rows_to_csv",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..reporting.rows import rows_to_csv as _rows_to_csv
-
-    return _rows_to_csv(rows, columns=columns)
-
-
-def rows_to_json(rows: Sequence[Row], indent: int = 2) -> str:
-    """Deprecated alias of :func:`repro.reporting.rows.rows_to_json`.
-
-    Delegates to the shared renderer (output is byte-identical) and will be
-    removed in a future release.
-    """
-    warnings.warn(
-        "repro.experiments.reporting.rows_to_json moved to "
-        "repro.reporting.rows.rows_to_json",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..reporting.rows import rows_to_json as _rows_to_json
-
-    return _rows_to_json(rows, indent=indent)

@@ -12,9 +12,7 @@ through:
   content-addressed runner, reporting per-metric mean/stddev/95% CI instead
   of single-seed point estimates;
 * :mod:`repro.reporting.trajectory` — the perf history across accumulated
-  bundles and the committed ``BENCH_*.json`` baselines;
-* :mod:`repro.reporting.bench` — merge-update tooling for those BENCH
-  records (no more hand edits).
+  bundles.
 
 The ``python -m repro.reporting`` CLI fronts all of it::
 
@@ -24,11 +22,8 @@ The ``python -m repro.reporting`` CLI fronts all of it::
     # validate any bundle (schema version, digests, row counts)
     python -m repro.reporting --validate bundles/policy-showdown
 
-    # render the perf history from accumulated bundles + committed BENCH
-    python -m repro.reporting --trajectory bundles --bench BENCH_simcore.json
-
-    # merge a fresh benchmark result into a BENCH record (schema-checked)
-    python -m repro.reporting --merge-bench BENCH_fleet.json --from run.json
+    # render the perf history from accumulated bundles
+    python -m repro.reporting --trajectory bundles
 """
 
 from __future__ import annotations
@@ -108,11 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="render the perf history from every bundle under DIR",
     )
-    action.add_argument(
-        "--merge-bench",
-        metavar="TARGET",
-        help="merge updates into a BENCH_*.json record (schema-checked)",
-    )
     parser.add_argument(
         "--seeds",
         type=int,
@@ -136,30 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_workers_option(parser)
     add_output_options(parser)
     add_bundle_option(parser)
-    parser.add_argument(
-        "--bench",
-        action="append",
-        default=[],
-        metavar="PATH",
-        help="with --trajectory: fold a committed BENCH_*.json into the history "
-        "(repeatable)",
-    )
-    parser.add_argument(
-        "--from",
-        dest="from_source",
-        metavar="SRC",
-        default=None,
-        help="with --merge-bench: take updates from a bundle directory's "
-        "bench.json or a flat JSON file",
-    )
-    parser.add_argument(
-        "--set",
-        dest="set_values",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="with --merge-bench: set one key (repeatable; numbers are parsed)",
-    )
     return parser
 
 
@@ -230,40 +196,12 @@ def _trajectory_action(args) -> int:
 
     fmt, path = resolve_output(args.out, args.format)
     bundles = collect_bundles(args.trajectory)
-    rows = trajectory_rows(bundles, bench_files=args.bench, root=Path(args.trajectory))
+    rows = trajectory_rows(bundles, root=Path(args.trajectory))
     if not rows:
         print(f"(no bundles under {args.trajectory})")
         return EXIT_OK
     write_output(render_output(rows, fmt), path)
     return EXIT_OK
-
-
-def _merge_bench_action(args) -> int:
-    from ..cli import EXIT_OK
-    from .bench import bench_updates_from_source, merge_bench_record
-
-    updates = {}
-    if args.from_source:
-        updates.update(bench_updates_from_source(args.from_source))
-    for entry in args.set_values:
-        key, sep, value = entry.partition("=")
-        if not sep or not key:
-            raise ConfigError(f"--set expects KEY=VALUE, got {entry!r}")
-        updates[key] = _parse_scalar(value)
-    if not updates:
-        raise ConfigError("--merge-bench needs --from and/or --set updates")
-    merge_bench_record(args.merge_bench, updates)
-    print(f"merged {len(updates)} keys into {args.merge_bench}")
-    return EXIT_OK
-
-
-def _parse_scalar(text: str):
-    for convert in (int, float):
-        try:
-            return convert(text)
-        except ValueError:
-            continue
-    return text
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -278,9 +216,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_campaign_action(args)
         if args.validate:
             return _validate_action(args)
-        if args.trajectory:
-            return _trajectory_action(args)
-        return _merge_bench_action(args)
+        return _trajectory_action(args)
     except (ConfigError, ReportingError, TelemetryError) as error:
         log.error("command failed", error=str(error))
         return EXIT_USAGE

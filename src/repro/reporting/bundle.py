@@ -3,7 +3,7 @@
 Every matrix, fleet, showdown and campaign run can emit a *bundle* — a
 directory holding a ``manifest.json`` plus the run's rows (json/jsonl/csv),
 an optional aggregated ``summary.json`` (the campaign CI table), an optional
-``bench.json`` (BENCH-record metrics) and any extra artifacts (e.g. a
+``bench.json`` (wall-clock metrics) and any extra artifacts (e.g. a
 synthesized trace file).  The manifest names the bundle schema version, the
 producing kind, the package version, the seeds and spec hashes behind the
 rows, the environment, and a SHA-256 digest of every payload file — so a
@@ -128,10 +128,10 @@ def write_bundle(
 
     ``rows`` is the run's row table, rendered as ``rows.<fmt>``; ``summary``
     (always JSON) is the aggregated campaign table; ``bench`` is a flat
-    BENCH-record dictionary; ``extra_files`` maps file names to raw payloads
-    (e.g. a synthesized trace).  The manifest is written last, so a crashed
-    writer leaves a directory that fails validation rather than one that
-    lies.
+    dictionary of wall-clock metrics; ``extra_files`` maps file names to raw
+    payloads (e.g. a synthesized trace).  The manifest is written last, so a
+    crashed writer leaves a directory that fails validation rather than one
+    that lies.
     """
     if kind not in BUNDLE_KINDS:
         raise ReportingError(f"unknown bundle kind {kind!r} (expected one of {BUNDLE_KINDS})")

@@ -5,16 +5,13 @@ This module scans a directory tree for bundles (any directory holding a
 ``manifest.json``), validates and loads each one, and renders a flat
 history table — one row per bundle, carrying the headline perf metrics
 (events/s, fleet machines/s, fig8 wall time) wherever the bundle's bench
-record provides them.  The repository-root ``BENCH_*.json`` records can be
-folded in as pseudo-bundles so the committed baselines and fresh bundles
-appear in one table.
+record provides them.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ReportingError
 from .bundle import MANIFEST_NAME, RunBundle, load_bundle
@@ -47,36 +44,16 @@ def collect_bundles(root) -> List[RunBundle]:
 
 def trajectory_rows(
     bundles: Sequence[RunBundle],
-    bench_files: Sequence = (),
     root: Optional[Path] = None,
 ) -> List[dict]:
-    """One history row per bundle (and per folded-in BENCH file).
+    """One history row per bundle.
 
     Columns: the bundle's identity (path, kind, name, package version, row
     and seed counts) plus every :data:`HEADLINE_METRICS` key its bench
-    record carries.  Rows follow the order of ``bundles`` (sorted path
-    order from :func:`collect_bundles`), BENCH files first — the committed
-    baselines lead the history they anchor.
+    record carries as a number.  Rows follow the order of ``bundles``
+    (sorted path order from :func:`collect_bundles`).
     """
     rows: List[dict] = []
-    for bench_path in bench_files:
-        bench_path = Path(bench_path)
-        try:
-            record = json.loads(bench_path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ReportingError(f"{bench_path}: cannot read ({exc})") from None
-        except json.JSONDecodeError as exc:
-            raise ReportingError(f"{bench_path}: not valid JSON ({exc})") from None
-        row: Dict[str, object] = {
-            "bundle": bench_path.name,
-            "kind": "bench",
-            "name": record.get("benchmark", bench_path.stem),
-            "repro_version": "-",
-            "rows": "-",
-            "seeds": "-",
-        }
-        _fold_metrics(row, record)
-        rows.append(row)
     for bundle in bundles:
         directory = bundle.directory
         if root is not None:
@@ -92,15 +69,10 @@ def trajectory_rows(
             "rows": len(bundle.rows),
             "seeds": len(bundle.manifest.get("seeds", [])),
         }
-        _fold_metrics(row, bundle.bench)
+        if isinstance(bundle.bench, dict):
+            for metric in HEADLINE_METRICS:
+                value = bundle.bench.get(metric)
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    row[metric] = value
         rows.append(row)
     return rows
-
-
-def _fold_metrics(row: Dict[str, object], record: Dict) -> None:
-    if not isinstance(record, dict):
-        return
-    for metric in HEADLINE_METRICS:
-        value = record.get(metric)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            row[metric] = value

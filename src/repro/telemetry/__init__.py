@@ -11,8 +11,8 @@ simulation in the repo — a single machine, a controller showdown, a
   :class:`~repro.metrics.timeseries.TimeSeries` types;
 * :mod:`repro.telemetry.spans` — lightweight span tracing around controller
   ``decide()`` calls, rollout stages and runner fan-outs;
-* :mod:`repro.telemetry.schema` — the versioned JSONL record schema plus
-  validators (also used by the ``BENCH_*.json`` drift guard);
+* :mod:`repro.telemetry.schema` — the versioned JSONL record schema and
+  its validators;
 * :mod:`repro.telemetry.stream` — the snapshot publisher: a
   :class:`TelemetrySession` wires a metrics registry, a span tracer and a
   JSONL writer onto a running simulation through the engine's probe seam;
@@ -33,8 +33,6 @@ from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .schema import (
     SCHEMA_VERSION,
     StreamSummary,
-    validate_bench_file,
-    validate_bench_record,
     validate_record,
     validate_stream,
     validate_stream_file,
@@ -56,8 +54,6 @@ __all__ = [
     "TelemetrySession",
     "get_logger",
     "read_records",
-    "validate_bench_file",
-    "validate_bench_record",
     "validate_record",
     "validate_stream",
     "validate_stream_file",

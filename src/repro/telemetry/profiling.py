@@ -8,8 +8,6 @@ here under the telemetry umbrella:
 * :class:`BufferCoreProfiler` — the offline Section 4.1 burst profiler that
   recommends a buffer-core count from the primary's ready-thread burstiness
   (formerly ``repro.core.profiling``).
-
-The old module paths remain importable as thin re-export shims.
 """
 
 from __future__ import annotations

@@ -6,18 +6,12 @@ line is a ``snapshot`` (one probe's metric readings), a ``span`` (one closed
 trace span) or a ``log`` (one structured diagnostic).  The schema is
 versioned so the console and any downstream tooling can refuse streams they
 do not understand instead of misreading them.
-
-This module also hosts the ``BENCH_*.json`` schema guard: the three
-hand-edited benchmark records at the repository root are validated against
-explicit key sets so they can no longer drift silently (missing keys,
-non-numeric values, stale schema) — see :func:`validate_bench_record`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
@@ -30,9 +24,6 @@ __all__ = [
     "validate_record",
     "validate_stream",
     "validate_stream_file",
-    "BENCH_SCHEMAS",
-    "validate_bench_record",
-    "validate_bench_file",
 ]
 
 #: Version of the JSONL record schema.  Bump on any incompatible change.
@@ -185,104 +176,3 @@ def validate_stream(lines: Iterable[str]) -> StreamSummary:
 def validate_stream_file(path: str) -> StreamSummary:
     with open(path, "r", encoding="utf-8") as handle:
         return validate_stream(handle)
-
-
-# --------------------------------------------------------------------- BENCH
-#: Required numeric keys per benchmark record at the repository root.  A key
-#: listed here must be present and finite-numeric; string-valued context
-#: fields are listed separately.  Extra keys are allowed (benchmarks may
-#: grow), but anything named here can never silently disappear again.
-BENCH_SCHEMAS: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "BENCH_runtime.json": {
-        "numeric": (
-            "duration_simulated_s",
-            "warmup_simulated_s",
-            "seed",
-            "cpu_count",
-            "fig8_serial_uncached_s",
-            "fig8_parallel_cold_s",
-            "fig8_cached_s",
-            "speedup_parallel_cold",
-            "speedup_cached",
-            "calibration_cold_s",
-            "calibration_cached_s",
-            "cache_entries",
-        ),
-        "string": ("benchmark",),
-    },
-    "BENCH_simcore.json": {
-        "numeric": (
-            "duration_simulated_s",
-            "warmup_simulated_s",
-            "seed",
-            "cpu_count",
-            "events_executed",
-            "events_per_s",
-            "events_per_s_telemetry",
-            "telemetry_overhead_pct",
-            "simulated_s_per_wall_s",
-            "fig8_serial_uncached_s",
-            "fig8_baseline_s",
-            "fig8_speedup_vs_baseline",
-            "fleet_wall_s",
-            "fleet_machines_per_s",
-            "fleet_baseline_machines_per_s",
-            "fleet_speedup_vs_baseline",
-        ),
-        "string": ("benchmark",),
-    },
-    "BENCH_fleet.json": {
-        "numeric": (
-            "machines",
-            "machine_buckets",
-            "cpu_count",
-            "serial_s",
-            "parallel_cold_s",
-            "warm_cached_s",
-            "shard_speedup",
-            "cached_speedup",
-            "machines_per_s_parallel",
-            "machine_buckets_per_s_parallel",
-            "warm_cache_hit_rate",
-            "reclaimed_core_hours",
-            "hyperscale_machines",
-            "hyperscale_sample_fraction",
-            "hyperscale_cpu_count",
-            "hyperscale_wall_s",
-            "hyperscale_machines_per_s",
-            "hyperscale_machine_buckets",
-            "hyperscale_reclaimed_core_hours",
-        ),
-        "string": ("benchmark",),
-    },
-}
-
-
-def validate_bench_record(name: str, record: object) -> None:
-    """Validate one BENCH_*.json payload against its declared schema."""
-    try:
-        schema = BENCH_SCHEMAS[name]
-    except KeyError:
-        raise TelemetryError(
-            f"no schema declared for {name!r} (known: {sorted(BENCH_SCHEMAS)})"
-        ) from None
-    if not isinstance(record, dict):
-        raise TelemetryError(f"{name}: benchmark record must be a JSON object")
-    for key in schema["numeric"]:
-        if key not in record:
-            raise TelemetryError(f"{name}: missing required key {key!r}")
-        if not _is_number(record[key]):
-            raise TelemetryError(
-                f"{name}: key {key!r} must be a finite number, got {record[key]!r}"
-            )
-    for key in schema["string"]:
-        if key not in record:
-            raise TelemetryError(f"{name}: missing required key {key!r}")
-        if not isinstance(record[key], str) or not record[key]:
-            raise TelemetryError(f"{name}: key {key!r} must be a non-empty string")
-
-
-def validate_bench_file(path: str) -> None:
-    with open(path, "r", encoding="utf-8") as handle:
-        record = json.load(handle)
-    validate_bench_record(os.path.basename(path), record)

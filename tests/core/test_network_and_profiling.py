@@ -4,9 +4,9 @@ import pytest
 
 from repro.config.schema import IndexServeSpec, NetworkThrottleSpec
 from repro.core.network_throttle import NetworkThrottle
-from repro.core.profiling import BufferCoreProfiler
 from repro.errors import IsolationError
 from repro.hostos.process import TenantCategory
+from repro.telemetry.profiling import BufferCoreProfiler
 from repro.units import MB
 
 

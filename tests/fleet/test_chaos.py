@@ -21,9 +21,9 @@ from repro.config.schema import (
 )
 from repro.config.validation import validate_fleet
 from repro.errors import ConfigError
-from repro.experiments.reporting import rows_to_json
 from repro.fleet.scenarios import fleet_chaos_rollout
 from repro.fleet.simulate import FleetSimulation
+from repro.reporting.rows import rows_to_json
 from repro.runtime import ExperimentRunner, ResultCache
 
 from fleet_testing import make_tiny_fleet_spec

@@ -12,7 +12,6 @@ from repro.config.schema import (
     RolloutSpec,
 )
 from repro.experiments import matrix
-from repro.experiments.reporting import rows_to_json
 from repro.fleet.model import (
     ModeCalibration,
     interpolate_mode,
@@ -27,6 +26,7 @@ from repro.fleet.simulate import (
 )
 from repro.fleet.model import BASELINE, COLOCATED, FleetModel
 from repro.metrics.latency import LatencyDigest
+from repro.reporting.rows import rows_to_json
 from repro.runtime import ExperimentRunner, ResultCache, spec_hash
 
 from fleet_testing import make_tiny_fleet_spec

@@ -1,4 +1,4 @@
-"""Bundle writer/loader: byte identity, digests, and schema-skew refusal."""
+"""Bundle writer/loader: byte identity, digests, schema-skew refusal, trajectory."""
 
 import json
 
@@ -13,6 +13,7 @@ from repro.reporting.bundle import (
     write_bundle,
 )
 from repro.reporting.rows import ROW_FORMATS
+from repro.reporting.trajectory import collect_bundles, trajectory_rows
 
 ROWS = [
     {"scenario": "s", "label": "s[a=1]", "a": 1, "p99_ms": 4.25},
@@ -131,3 +132,16 @@ class TestValidationRefusals:
     def test_duplicate_extra_file_name_refused(self, tmp_path):
         with pytest.raises(ReportingError, match="duplicate"):
             _write(tmp_path / "b", extra_files={"rows.json": b""})
+
+
+class TestTrajectory:
+    def test_only_numeric_headline_metrics_become_columns(self, tmp_path):
+        # A bool is not a metric, and cpu_count is not a headline metric.
+        _write(
+            tmp_path / "b",
+            bench={"events_per_s": 1000.0, "fig8_serial_uncached_s": True, "cpu_count": 2},
+        )
+        (row,) = trajectory_rows(collect_bundles(tmp_path))
+        assert row["events_per_s"] == 1000.0
+        assert "fig8_serial_uncached_s" not in row
+        assert "cpu_count" not in row

@@ -130,21 +130,6 @@ class TestCampaignCli:
         (row,) = json.loads(capsys.readouterr().out)
         assert row["kind"] == "campaign" and row["name"] == "no-isolation"
 
-    def test_merge_bench_action(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_custom.json"
-        target.write_text('{\n  "a": 1\n}\n', encoding="utf-8")
-        code = reporting.main(
-            ["--merge-bench", str(target), "--set", "b=2.5", "--set", "c=x"]
-        )
-        assert code == EXIT_OK
-        assert json.loads(target.read_text(encoding="utf-8")) == {
-            "a": 1, "b": 2.5, "c": "x",
-        }
-
-    def test_merge_bench_without_updates_is_usage_error(self, tmp_path, capsys):
-        code = reporting.main(["--merge-bench", str(tmp_path / "x.json")])
-        assert code == EXIT_USAGE
-
 
 class TestBundleFlagOnRunCli:
     def test_matrix_bundle_matches_stdout_rows(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Row rendering: round trips, byte identity, and the legacy shims."""
+"""Row rendering: round trips and byte identity."""
 
 import json
 
@@ -61,27 +61,3 @@ class TestRoundTrips:
     def test_parse_then_rerender_is_byte_identical(self, fmt):
         text = render_rows(ROWS, fmt)
         assert render_rows(parse_rows(text, fmt), fmt) == text
-
-
-class TestLegacyShims:
-    """The old experiments.reporting renderers delegate, byte-identically."""
-
-    def test_rows_to_json_shim_warns_and_matches(self):
-        import repro.experiments.reporting as legacy
-
-        with pytest.warns(DeprecationWarning, match="rows_to_json moved"):
-            old = legacy.rows_to_json(ROWS)
-        assert old == rows_to_json(ROWS)
-
-    def test_rows_to_csv_shim_warns_and_matches(self):
-        import repro.experiments.reporting as legacy
-
-        with pytest.warns(DeprecationWarning, match="rows_to_csv moved"):
-            old = legacy.rows_to_csv(ROWS)
-        assert old == rows_to_csv(ROWS)
-
-    def test_package_level_reexport_still_works(self):
-        from repro.experiments import rows_to_csv as reexported
-
-        with pytest.warns(DeprecationWarning):
-            assert reexported(ROWS) == rows_to_csv(ROWS)

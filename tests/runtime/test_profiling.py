@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.profiling import run_profiled
+from repro.telemetry.profiling import run_profiled
 
 
 class TestRunProfiled:

@@ -1,22 +1,16 @@
-"""Tests for the versioned record schema and the BENCH_*.json guard."""
+"""Tests for the versioned record schema."""
 
 import json
 import math
-import pathlib
 
 import pytest
 
-from repro.telemetry import validate_bench_file
 from repro.telemetry.registry import TelemetryError
 from repro.telemetry.schema import (
-    BENCH_SCHEMAS,
     SCHEMA_VERSION,
-    validate_bench_record,
     validate_record,
     validate_stream,
 )
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def meta_record(**overrides):
@@ -139,26 +133,3 @@ class TestValidateStream:
         summary = validate_stream(self.lines(meta_record(), span, span))
         assert summary.span_names == {"controller.decide": 2}
         assert summary.row()["spans"] == 2
-
-
-class TestBenchSchemas:
-    @pytest.mark.parametrize("name", sorted(BENCH_SCHEMAS))
-    def test_repo_bench_files_validate(self, name):
-        path = REPO_ROOT / name
-        assert path.exists(), f"{name} missing from repository root"
-        validate_bench_file(str(path))
-
-    def test_missing_key_rejected(self):
-        with pytest.raises(TelemetryError, match="missing required key"):
-            validate_bench_record("BENCH_runtime.json", {"benchmark": "x"})
-
-    def test_non_numeric_value_rejected(self):
-        record = {key: 1.0 for key in BENCH_SCHEMAS["BENCH_runtime.json"]["numeric"]}
-        record["benchmark"] = "runtime"
-        record["seed"] = "five"
-        with pytest.raises(TelemetryError, match="'seed'"):
-            validate_bench_record("BENCH_runtime.json", record)
-
-    def test_unknown_bench_name_rejected(self):
-        with pytest.raises(TelemetryError, match="no schema declared"):
-            validate_bench_record("BENCH_other.json", {})
