@@ -22,6 +22,8 @@ def test_fig10_production(benchmark):
         notes=figure.notes,
     )
 
+    # One row per 5-minute bucket of the hour.
+    assert len(figure.rows) == 12
     qps = [row["row_qps"] for row in figure.rows]
     p99 = [row["tla_p99_ms"] for row in figure.rows]
     cpu = [row["cpu_utilization_pct"] for row in figure.rows]

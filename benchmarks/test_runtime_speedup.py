@@ -4,8 +4,8 @@ Runs the Figure 8 comparison harness (all five scenarios) three ways —
 serial without caching (the pre-runtime behaviour), fanned across all cores,
 and re-run against a warm cache — and checks that all three produce the
 same rows and that the warm run simulates nothing and beats the serial one
-at least twofold.  Also verifies that a cached re-calibration of the Figure
-10 production model skips every duplicate single-machine simulation.
+at least twofold.  Also verifies that a cached re-calibration of the fleet
+model skips every duplicate single-machine simulation.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import time
 
 from conftest import DURATION, SEED, WARMUP
 
-from repro.cluster.largescale import ProductionClusterSimulation
+from repro.config.schema import FleetSpec, MachineGroupSpec
 from repro.experiments import figures
+from repro.fleet.model import FleetModel
 from repro.runtime import ExperimentRunner, ResultCache
 
 
@@ -53,30 +54,26 @@ def test_runtime_speedup_and_cache():
     # gating CI on wall-clock parallelism flakes on contended shared runners.
     assert serial_seconds / cached_seconds >= 2.0
 
-    # Figure 10 calibration: a second calibration (fresh instance, shared
-    # cache) must skip every duplicate single-machine simulation.
+    # Fleet calibration: a second calibration (fresh model, shared cache)
+    # must skip every duplicate single-machine simulation.
     calibration_cache = ResultCache()
     calibration_runner = ExperimentRunner(max_workers=cores, cache=calibration_cache)
+    fleet = FleetSpec(
+        groups=(MachineGroupSpec(name="indexserve"),),
+        calibration_qps=(1200.0, 2400.0),
+        calibration_duration=1.0,
+        calibration_warmup=0.2,
+        seed=SEED,
+    )
 
     def _calibrate():
-        simulation = ProductionClusterSimulation(
-            calibration_qps=(1200.0, 2400.0),
-            calibration_duration=1.0,
-            calibration_warmup=0.2,
-            seed=SEED,
-            runner=calibration_runner,
-        )
         start = time.perf_counter()
-        points = simulation.calibrate()
-        return time.perf_counter() - start, points
+        calibrations = FleetModel(fleet).calibrate(calibration_runner)
+        return time.perf_counter() - start, calibrations
 
-    cold_calibration_seconds, cold_points = _calibrate()
+    cold_calibration_seconds, cold_calibrations = _calibrate()
     stores_after_calibration = calibration_cache.stores
-    warm_calibration_seconds, warm_points = _calibrate()
+    warm_calibration_seconds, warm_calibrations = _calibrate()
     assert calibration_cache.stores == stores_after_calibration
-    assert len(warm_points) == len(cold_points)
-    assert all(
-        (w.latency_samples == c.latency_samples).all()
-        for w, c in zip(warm_points, cold_points)
-    )
+    assert warm_calibrations == cold_calibrations
     assert warm_calibration_seconds < cold_calibration_seconds

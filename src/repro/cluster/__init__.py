@@ -1,12 +1,6 @@
-"""Multi-machine serving cluster: layout, routing, Autopilot, large-scale models."""
+"""Multi-machine serving cluster: layout, routing, Autopilot, sampled fan-out."""
 
 from .autopilot import Autopilot, ConfigStore, ManagedService
-from .largescale import (
-    CalibrationPoint,
-    ProductionClusterSimulation,
-    ProductionResult,
-    diurnal_load,
-)
 from .layout import ClusterLayout, IndexMachineInfo
 from .sampled import SampledClusterModel, SampledLayerStats
 from .simulated import ClusterResult, ClusterScenario, SimulatedCluster
@@ -15,10 +9,6 @@ __all__ = [
     "Autopilot",
     "ConfigStore",
     "ManagedService",
-    "CalibrationPoint",
-    "ProductionClusterSimulation",
-    "ProductionResult",
-    "diurnal_load",
     "ClusterLayout",
     "IndexMachineInfo",
     "SampledClusterModel",

@@ -1,26 +1,26 @@
 """Deterministic fault schedules, drawn from the named ``"faults"`` stream.
 
-Every draw here is keyed by a cryptographic digest of
-``("faults", purpose, seed, ...identity parts)`` — the same construction as
-:func:`repro.fleet.model.stable_seed`, with the stream name as the leading
-part so fault draws can never collide with any other subsystem's seeds.  A
-machine's crash schedule therefore depends only on the spec's seed and the
-machine's identity (group name + index), never on worker count, shard
-partition, or which other faults are enabled.
+Every draw here is seeded by :func:`repro.simulation.randomness.stable_seed`
+of ``("faults", purpose, seed, ...identity parts)``, with the stream name as
+the leading part so fault draws can never collide with any other subsystem's
+seeds.  A machine's crash schedule therefore depends only on the spec's seed
+and the machine's identity (group name + index), never on worker count,
+shard partition, or which other faults are enabled.
 
-This module is a deliberate leaf: it imports only the config schema and
-numpy, so both the simulation tier (:mod:`repro.faults.injector`) and the
-fleet tier (:mod:`repro.faults.fleet`) can share it without import cycles.
+This module is a deliberate leaf: it imports only the config schema, the
+dependency-free seed helper and numpy, so both the simulation tier
+(:mod:`repro.faults.injector`) and the fleet tier (:mod:`repro.faults.fleet`)
+can share it without import cycles.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Tuple
 
 import numpy as np
 
 from ..config.schema import DegradedCoreSpec, MachineFaultSpec
+from ..simulation.randomness import stable_seed
 
 __all__ = [
     "FAULTS_STREAM",
@@ -38,14 +38,12 @@ FAULTS_STREAM = "faults"
 def fault_seed(*parts: object) -> int:
     """A process-independent integer seed for one fault draw.
 
-    Mirrors :func:`repro.fleet.model.stable_seed` (sha256 of the parts'
-    reprs) with :data:`FAULTS_STREAM` prepended, so a fault schedule is a
-    pure function of the identifying parts and disjoint from every other
-    stream in the library.
+    :func:`~repro.simulation.randomness.stable_seed` with
+    :data:`FAULTS_STREAM` prepended, so a fault schedule is a pure function
+    of the identifying parts and disjoint from every other stream in the
+    library.
     """
-    text = "\x1f".join(repr(part) for part in (FAULTS_STREAM, *parts))
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return stable_seed(FAULTS_STREAM, *parts)
 
 
 def fault_rng(*parts: object) -> np.random.Generator:

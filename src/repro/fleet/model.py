@@ -1,11 +1,13 @@
 """The fleet model: machine groups, diurnal load and per-group calibration.
 
-A fleet of thousands of machines cannot be event-simulated directly, so the
-model follows the ``largescale`` recipe one level up: every *distinct group
-configuration* is calibrated once with the detailed single-machine simulator
-(through the shared experiment runner, so repeated calibrations are cache
-hits), and per-machine behaviour is then drawn from the calibrated latency
-distributions by inverse-CDF sampling.
+This is the library's one calibrate-and-interpolate model.  A fleet of
+thousands of machines (or Figure 10's 650-machine cluster) cannot be
+event-simulated directly, so every *distinct group configuration* is
+calibrated once with the detailed single-machine simulator at a few load
+points (through the shared experiment runner, so repeated calibrations are
+cache hits).  Behaviour at any other load is interpolated between the two
+nearest points, and per-machine latencies are drawn from the blended
+quantile curve by inverse-CDF sampling.
 
 Calibration is captured in compact, hashable form — quantile curves and CPU
 fractions per load point — because every shard task carries it into a
@@ -16,10 +18,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "ModeCalibration",
     "GroupCalibration",
     "FleetModel",
-    "stable_seed",
     "interpolate_mode",
     "mode_curve_matrix",
     "blend_curve",
@@ -79,19 +79,6 @@ def quantile_grid() -> np.ndarray:
 
 #: The calibrated operating modes of a fleet machine.
 BASELINE, COLOCATED = "baseline", "colocated"
-
-
-def stable_seed(*parts: object) -> int:
-    """A process-independent integer seed derived from ``parts``.
-
-    ``hash()`` is salted per process (PYTHONHASHSEED), so shard RNG seeds are
-    derived from a cryptographic digest of the parts' reprs instead — the
-    same fleet spec must draw the same samples in every process and on every
-    run.
-    """
-    text = "\x1f".join(repr(part) for part in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass(frozen=True)
@@ -333,6 +320,35 @@ class FleetModel:
             )
         return dataclasses.replace(base, perfiso=perfiso, **_secondary_fields(group))
 
+    def mode_calibration(
+        self, group: MachineGroupSpec, mode: str, outcomes: Sequence
+    ) -> ModeCalibration:
+        """Fold one (group, mode)'s calibration outcomes, in load-point
+        order, into its :class:`ModeCalibration`."""
+        grid = quantile_grid()
+        curves, busy, secondary, progress = [], [], [], []
+        for point_index, outcome in enumerate(outcomes):
+            samples = outcome.latency_samples
+            if samples.size == 0:
+                raise ExperimentError(
+                    f"fleet calibration {(group.name, mode, point_index)} produced no "
+                    "latency samples; increase calibration_duration or load"
+                )
+            curves.append(tuple(float(v) for v in np.quantile(samples, grid)))
+            cpu = outcome.result.cpu
+            busy.append(cpu.primary + cpu.secondary + cpu.os)
+            secondary.append(cpu.secondary)
+            progress.append(
+                outcome.result.secondary_progress / self._spec.calibration_duration
+            )
+        return ModeCalibration(
+            qps=tuple(self._spec.calibration_qps),
+            quantiles=tuple(curves),
+            busy_cpu=tuple(busy),
+            secondary_cpu=tuple(secondary),
+            progress_per_s=tuple(progress),
+        )
+
     def calibrate(self, runner) -> Dict[str, GroupCalibration]:
         """Calibrate every group in one runner batch (deduped + cached).
 
@@ -342,51 +358,31 @@ class FleetModel:
         """
         from ..runtime.runner import ExperimentTask
 
-        grid = quantile_grid()
-        tasks: List[ExperimentTask] = []
-        labels: List[Tuple[str, str, int]] = []
-        for group in self._spec.groups:
-            for mode in (BASELINE, COLOCATED):
-                for point_index in range(len(self._spec.calibration_qps)):
-                    tasks.append(
-                        ExperimentTask(
-                            self.calibration_spec(group, mode, point_index),
-                            scenario=f"fleet-calibration/{group.name}/{mode}",
-                        )
-                    )
-                    labels.append((group.name, mode, point_index))
-
-        measured: Dict[Tuple[str, str, int], Tuple] = {}
-        for label, outcome in zip(labels, runner.run_batch(tasks)):
-            samples = outcome.latency_samples
-            if samples.size == 0:
-                raise ExperimentError(
-                    f"fleet calibration {label} produced no latency samples; "
-                    "increase calibration_duration or load"
-                )
-            quantile_curve = tuple(float(v) for v in np.quantile(samples, grid))
-            cpu = outcome.result.cpu
-            busy = cpu.primary + cpu.secondary + cpu.os
-            progress = outcome.result.secondary_progress / self._spec.calibration_duration
-            measured[label] = (quantile_curve, busy, cpu.secondary, progress)
-
-        calibrations: Dict[str, GroupCalibration] = {}
-        for group in self._spec.groups:
-            modes = {}
-            for mode in (BASELINE, COLOCATED):
-                points = range(len(self._spec.calibration_qps))
-                rows = [measured[(group.name, mode, index)] for index in points]
-                modes[mode] = ModeCalibration(
-                    qps=tuple(self._spec.calibration_qps),
-                    quantiles=tuple(row[0] for row in rows),
-                    busy_cpu=tuple(row[1] for row in rows),
-                    secondary_cpu=tuple(row[2] for row in rows),
-                    progress_per_s=tuple(row[3] for row in rows),
-                )
-            calibrations[group.name] = GroupCalibration(
+        points = len(self._spec.calibration_qps)
+        modes = [
+            (group, mode) for group in self._spec.groups for mode in (BASELINE, COLOCATED)
+        ]
+        tasks = [
+            ExperimentTask(
+                self.calibration_spec(group, mode, point_index),
+                scenario=f"fleet-calibration/{group.name}/{mode}",
+            )
+            for group, mode in modes
+            for point_index in range(points)
+        ]
+        outcomes = runner.run_batch(tasks)
+        folded = {
+            (group.name, mode): self.mode_calibration(
+                group, mode, outcomes[index * points : (index + 1) * points]
+            )
+            for index, (group, mode) in enumerate(modes)
+        }
+        return {
+            group.name: GroupCalibration(
                 group=group.name,
                 logical_cores=group.machine.logical_cores,
-                baseline=modes[BASELINE],
-                colocated=modes[COLOCATED],
+                baseline=folded[(group.name, BASELINE)],
+                colocated=folded[(group.name, COLOCATED)],
             )
-        return calibrations
+            for group in self._spec.groups
+        }

@@ -36,6 +36,7 @@ from ..config.schema import FleetSpec, PerfIsoSpec, BlindIsolationSpec
 from ..config.validation import validate_fleet
 from ..faults.fleet import FaultyConfigStore, FleetFaultTimeline, ShardFaultPlan
 from ..metrics.latency import LatencyDigest
+from ..simulation.randomness import stable_seed
 from ..units import to_millis
 from .accounting import FleetResult, StageAccount
 from .model import (
@@ -47,7 +48,6 @@ from .model import (
     mode_curve_matrix,
     mode_scalars,
     quantile_grid,
-    stable_seed,
 )
 from .placement import plan_placement
 from .rollout import StagedRollout

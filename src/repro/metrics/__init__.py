@@ -1,16 +1,13 @@
 """Measurement utilities: latency percentiles, CPU breakdowns, time series."""
 
 from .cpu import CpuBreakdown, CpuUtilizationSampler
-from .latency import LatencyCollector, LatencyStats, ReservoirCollector, merge_stats
-from .timeseries import TimeSeries, TimeSeriesSet
+from .latency import LatencyCollector, LatencyStats
+from .timeseries import TimeSeries
 
 __all__ = [
     "CpuBreakdown",
     "CpuUtilizationSampler",
     "LatencyCollector",
     "LatencyStats",
-    "ReservoirCollector",
-    "merge_stats",
     "TimeSeries",
-    "TimeSeriesSet",
 ]

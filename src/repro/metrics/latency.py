@@ -4,8 +4,8 @@ The paper's key metric is the 99th percentile of query response latency,
 always reported alongside the median and 95th percentile.  The collector
 below stores raw samples (an experiment produces at most a few hundred
 thousand queries, which is cheap) and computes exact empirical percentiles
-with numpy; a streaming reservoir variant is provided for the very long
-production-trace experiment (Figure 10).
+with numpy; the fleet tier, which sees far more queries, merges fixed-grid
+histograms (:class:`LatencyDigest`) instead.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "LatencyStats",
     "LatencyCollector",
     "SlidingLatencyWindow",
-    "ReservoirCollector",
     "LatencyDigest",
 ]
 
@@ -263,72 +262,6 @@ class SlidingLatencyWindow:
             values.popleft()
 
 
-class ReservoirCollector:
-    """Fixed-size uniform reservoir sampler for very long runs.
-
-    Keeps an unbiased sample of the latency distribution with bounded memory,
-    used by the hour-long 650-machine production experiment where storing
-    every TLA response would be wasteful.
-    """
-
-    def __init__(self, capacity: int = 100_000, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ExperimentError("reservoir capacity must be >= 1")
-        self._capacity = capacity
-        self._rng = np.random.default_rng(seed)
-        self._reservoir: List[float] = []
-        self._seen = 0
-        self._dropped = 0
-
-    @property
-    def seen(self) -> int:
-        return self._seen
-
-    def record(self, latency: float) -> None:
-        if latency < 0:
-            raise ExperimentError(f"negative latency recorded: {latency}")
-        self._seen += 1
-        if len(self._reservoir) < self._capacity:
-            self._reservoir.append(latency)
-            return
-        index = int(self._rng.integers(0, self._seen))
-        if index < self._capacity:
-            self._reservoir[index] = latency
-
-    def record_drop(self) -> None:
-        self._dropped += 1
-
-    def extend(self, latencies: Iterable[float]) -> None:
-        """Bulk-add samples with one vectorised reservoir pass (Algorithm R).
-
-        Statistically equivalent to calling :meth:`record` per value (the
-        replacement index for the i-th value is drawn against the stream
-        position at that value, and overlapping writes land in stream order),
-        though the exact draws differ because the RNG is consumed in one batch.
-        """
-        values = _as_nonnegative_array(latencies)
-        if values.size == 0:
-            return
-        fill = min(self._capacity - len(self._reservoir), values.size)
-        if fill > 0:
-            self._reservoir.extend(values[:fill].tolist())
-            self._seen += fill
-            values = values[fill:]
-        if values.size == 0:
-            return
-        positions = self._seen + 1 + np.arange(values.size)
-        indices = self._rng.integers(0, positions)
-        self._seen += int(values.size)
-        mask = indices < self._capacity
-        if np.any(mask):
-            reservoir = np.asarray(self._reservoir, dtype=np.float64)
-            reservoir[indices[mask]] = values[mask]
-            self._reservoir = reservoir.tolist()
-
-    def stats(self) -> LatencyStats:
-        return _stats_from_array(np.asarray(self._reservoir, dtype=float), self._dropped)
-
-
 @functools.lru_cache(maxsize=None)
 def _grid_edges(bins: int, lowest: float, highest: float) -> np.ndarray:
     """The read-only geometric bin edges of one digest grid, built once per
@@ -545,31 +478,3 @@ class LatencyDigest:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LatencyDigest(count={self.count}, max={self._max:.6f})"
-
-
-def merge_stats(parts: Sequence[LatencyStats]) -> LatencyStats:
-    """Approximate merge of per-node statistics (weighted by sample count).
-
-    Percentiles cannot be merged exactly from summaries; this helper produces
-    a count-weighted average which is good enough for displaying per-layer
-    roll-ups, and is only used for reporting (never for pass/fail checks).
-    """
-    parts = [p for p in parts if p.count > 0]
-    if not parts:
-        return LatencyStats.empty()
-    total = sum(p.count for p in parts)
-    dropped = sum(p.dropped for p in parts)
-
-    def weighted(attr: str) -> float:
-        return sum(getattr(p, attr) * p.count for p in parts) / total
-
-    return LatencyStats(
-        count=total,
-        dropped=dropped,
-        mean=weighted("mean"),
-        p50=weighted("p50"),
-        p95=weighted("p95"),
-        p99=weighted("p99"),
-        p999=weighted("p999"),
-        maximum=max(p.maximum for p in parts),
-    )

@@ -1,15 +1,15 @@
-"""Generic time-series recording (used for the Figure 10 production plot)."""
+"""Generic (time, value) series: offered-load curves and telemetry metrics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..errors import ExperimentError
 
-__all__ = ["TimeSeries", "TimeSeriesSet"]
+__all__ = ["TimeSeries"]
 
 
 @dataclass(frozen=True)
@@ -98,33 +98,3 @@ class TimeSeries:
 
     def rows(self) -> List[Tuple[float, float]]:
         return [(p.time, p.value) for p in self._points]
-
-
-class TimeSeriesSet:
-    """A named collection of time series sharing one experiment."""
-
-    def __init__(self) -> None:
-        self._series: Dict[str, TimeSeries] = {}
-
-    def series(self, name: str, unit: str = "") -> TimeSeries:
-        if name not in self._series:
-            self._series[name] = TimeSeries(name, unit)
-        return self._series[name]
-
-    def names(self) -> Sequence[str]:
-        return tuple(self._series)
-
-    def as_table(self) -> List[Dict[str, float]]:
-        """Align all series on the union of their timestamps (nearest sample)."""
-        rows: List[Dict[str, float]] = []
-        all_times = sorted({t for s in self._series.values() for t in s.times()})
-        for time in all_times:
-            row: Dict[str, float] = {"time_s": time}
-            for name, series in self._series.items():
-                times = series.times()
-                if times.size == 0:
-                    continue
-                index = int(np.argmin(np.abs(times - time)))
-                row[name] = float(series.values()[index])
-            rows.append(row)
-        return rows

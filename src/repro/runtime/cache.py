@@ -3,8 +3,8 @@
 Every entry is keyed by the :func:`repro.runtime.spec_hash.spec_hash` of the
 configuration that produced it.  Because experiments are deterministic per
 seed, a hit is bit-identical to a recomputation, so the figure harnesses and
-``ProductionClusterSimulation.calibrate()`` can share single-machine runs
-instead of re-simulating them.
+``FleetModel.calibrate()`` can share single-machine runs instead of
+re-simulating them.
 
 Two storage layers:
 

@@ -2,7 +2,6 @@
 
 from .engine import SimulationEngine
 from .events import Event, EventPriority, EventQueue
-from .process import Delay, SimProcess, WaitFor
 from .randomness import RandomStreams
 
 __all__ = [
@@ -10,8 +9,5 @@ __all__ = [
     "Event",
     "EventPriority",
     "EventQueue",
-    "Delay",
-    "SimProcess",
-    "WaitFor",
     "RandomStreams",
 ]

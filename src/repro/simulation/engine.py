@@ -296,10 +296,6 @@ class SimulationEngine:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
-    def drain(self, horizon: float) -> None:
-        """Advance to ``horizon`` discarding nothing — convenience wrapper."""
-        self.run(until=horizon)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SimulationEngine(now={self._now:.6f}, pending={self.pending_events}, "

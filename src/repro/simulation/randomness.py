@@ -5,6 +5,11 @@ cache misses, disk seeks, ...) draws from its own named stream derived from a
 single experiment seed.  This guarantees that adding a new consumer of
 randomness does not perturb the draws seen by existing components, which keeps
 experiments comparable across library versions.
+
+Draws keyed by identity rather than by one experiment's master seed — fleet
+shards, fault schedules — are seeded with :func:`stable_seed`, a digest of
+their identifying parts.  This module imports nothing from the package, so
+any layer can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -14,7 +19,21 @@ from typing import Dict
 
 import numpy as np
 
-__all__ = ["RandomStreams", "BatchedDraws"]
+__all__ = ["RandomStreams", "BatchedDraws", "stable_seed"]
+
+
+def stable_seed(*parts: object) -> int:
+    """A process-independent integer seed derived from ``parts``.
+
+    ``hash()`` is salted per process (PYTHONHASHSEED), so seeds are derived
+    from a cryptographic digest of the parts' reprs instead — the same spec
+    must draw the same samples in every process and on every run.  Callers
+    lead with a name of their own ("fleet-shard", the faults stream) so
+    their seeds never collide.
+    """
+    text = "\x1f".join(repr(part) for part in parts)
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 class RandomStreams:

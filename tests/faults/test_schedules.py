@@ -24,11 +24,13 @@ from repro.config.schema import (
     WorkloadSpec,
 )
 from repro.faults import (
+    FAULTS_STREAM,
     expected_availability,
     fault_seed,
     machine_crash_episodes,
     machine_is_degraded,
 )
+from repro.simulation.randomness import stable_seed
 
 machine_fault_specs = st.builds(
     MachineFaultSpec,
@@ -153,6 +155,12 @@ class TestSeedStream:
         assert fault_seed("machine-crash", 7, "row-ml", 0) != fault_seed(
             "degraded-core", 7, "row-ml", 0
         )
+
+    def test_fault_seed_is_the_faults_stream_stable_seed(self):
+        """Fault schedules, and so the fault-plan goldens, depend on this value."""
+        seed = fault_seed("machine-crash", 7, "row-ml", 0)
+        assert seed == stable_seed(FAULTS_STREAM, "machine-crash", 7, "row-ml", 0)
+        assert seed == 9486551658126784576
 
 
 class TestZeroFaultPlan:

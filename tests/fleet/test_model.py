@@ -5,16 +5,16 @@ import pytest
 
 from repro.config.schema import FleetSpec, MachineGroupSpec, PlacementSpec, RolloutSpec
 from repro.config.validation import validate_fleet
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ExperimentError
 from repro.fleet.model import (
     QUANTILE_GRID_MAX,
     QUANTILE_POINTS,
     FleetModel,
     interpolate_mode,
     quantile_grid,
-    stable_seed,
 )
 from repro.fleet.scenarios import default_groups, stage_fractions
+from repro.simulation.randomness import stable_seed
 
 from fleet_testing import make_tiny_fleet_spec
 
@@ -237,6 +237,23 @@ class TestCalibration:
         stores_before = fleet_runner.cache.stores
         model.calibrate(fleet_runner)
         assert fleet_runner.cache.stores == stores_before
+
+    def test_outcome_without_samples_raises_through_the_shared_fold(self, tiny_fleet_spec):
+        """Both calibrate() and Figure 10's direct fold reject an empty run."""
+        from types import SimpleNamespace
+
+        empty = SimpleNamespace(latency_samples=np.empty(0))
+
+        class EmptyRunner:
+            def run_batch(self, tasks):
+                return [empty] * len(tasks)
+
+        model = FleetModel(tiny_fleet_spec)
+        group = tiny_fleet_spec.groups[0]
+        with pytest.raises(ExperimentError, match=r"\('%s', 'baseline', 0\)" % group.name):
+            model.calibrate(EmptyRunner())
+        with pytest.raises(ExperimentError, match="produced no latency samples"):
+            model.mode_calibration(group, "colocated", [empty])
 
 
 class TestDerivedGroupLoadCurves:

@@ -194,8 +194,8 @@ def historical_shard(task: FleetShardTask):
     to in exact mode: same RNG stream order (per bucket: baseline draws, then
     colocated draws), same interpolation and skew arithmetic.
     """
-    from repro.fleet.model import stable_seed
     from repro.fleet.simulate import MACHINE_SKEW_SIGMA
+    from repro.simulation.randomness import stable_seed
 
     machines = len(task.placed_cores)
     rng = np.random.default_rng(

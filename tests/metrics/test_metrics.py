@@ -1,12 +1,11 @@
 """Tests for latency statistics, CPU breakdowns and time series."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
 from repro.metrics.cpu import CpuBreakdown
-from repro.metrics.latency import LatencyCollector, LatencyStats, ReservoirCollector, merge_stats
-from repro.metrics.timeseries import TimeSeries, TimeSeriesSet
+from repro.metrics.latency import LatencyCollector
+from repro.metrics.timeseries import TimeSeries
 
 
 class TestLatencyCollector:
@@ -55,77 +54,6 @@ class TestLatencyCollector:
         assert collector.percentile(50) == pytest.approx(0.002)
 
 
-class TestReservoirCollector:
-    def test_small_streams_kept_exactly(self):
-        reservoir = ReservoirCollector(capacity=100)
-        for value in np.linspace(0.001, 0.1, 50):
-            reservoir.record(float(value))
-        assert reservoir.stats().count == 50
-
-    def test_bounded_memory_on_long_streams(self):
-        reservoir = ReservoirCollector(capacity=200, seed=1)
-        for value in np.random.default_rng(0).exponential(0.01, size=20_000):
-            reservoir.record(float(value))
-        stats = reservoir.stats()
-        assert stats.count == 200
-        assert reservoir.seen == 20_000
-        # The reservoir's median approximates the true median (~6.9 ms).
-        assert stats.p50 == pytest.approx(0.0069, rel=0.4)
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ExperimentError):
-            ReservoirCollector(capacity=0)
-
-    def test_extend_below_capacity_kept_exactly(self):
-        reservoir = ReservoirCollector(capacity=100)
-        values = np.linspace(0.001, 0.1, 60)
-        reservoir.extend(values)
-        assert reservoir.seen == 60
-        stats = reservoir.stats()
-        assert stats.count == 60
-        assert stats.maximum == pytest.approx(0.1)
-
-    def test_extend_matches_record_distribution(self):
-        """Bulk extend keeps an unbiased sample, like per-value record."""
-        stream = np.random.default_rng(0).exponential(0.01, size=20_000)
-        bulk = ReservoirCollector(capacity=200, seed=1)
-        bulk.extend(stream)
-        assert bulk.seen == 20_000
-        stats = bulk.stats()
-        assert stats.count == 200
-        # Same tolerance as the per-record long-stream test above.
-        assert stats.p50 == pytest.approx(0.0069, rel=0.4)
-
-    def test_extend_in_chunks_equals_one_stream_length(self):
-        reservoir = ReservoirCollector(capacity=50, seed=2)
-        chunks = np.random.default_rng(1).exponential(0.01, size=1000).reshape(10, 100)
-        for chunk in chunks:
-            reservoir.extend(chunk)
-        assert reservoir.seen == 1000
-        assert reservoir.stats().count == 50
-
-    def test_extend_rejects_negative_latency(self):
-        reservoir = ReservoirCollector(capacity=10)
-        with pytest.raises(ExperimentError):
-            reservoir.extend([0.001, -0.002])
-
-
-class TestMergeStats:
-    def test_weighted_merge(self):
-        a = LatencyStats(count=100, dropped=0, mean=0.01, p50=0.01, p95=0.02, p99=0.03,
-                         p999=0.04, maximum=0.05)
-        b = LatencyStats(count=300, dropped=3, mean=0.02, p50=0.02, p95=0.03, p99=0.05,
-                         p999=0.06, maximum=0.08)
-        merged = merge_stats([a, b])
-        assert merged.count == 400
-        assert merged.dropped == 3
-        assert merged.mean == pytest.approx(0.0175)
-        assert merged.maximum == 0.08
-
-    def test_empty_merge(self):
-        assert merge_stats([]).count == 0
-
-
 class TestCpuBreakdown:
     def test_from_utilization(self):
         breakdown = CpuBreakdown.from_utilization(
@@ -167,12 +95,3 @@ class TestTimeSeries:
     def test_resample_rejects_bad_bucket(self):
         with pytest.raises(ExperimentError):
             TimeSeries("x").resample(0)
-
-    def test_timeseries_set_alignment(self):
-        series_set = TimeSeriesSet()
-        series_set.series("a").append(0.0, 1.0)
-        series_set.series("a").append(1.0, 2.0)
-        series_set.series("b").append(0.5, 5.0)
-        table = series_set.as_table()
-        assert len(table) == 3
-        assert set(series_set.names()) == {"a", "b"}

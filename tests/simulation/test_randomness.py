@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation.randomness import RandomStreams
+from repro.simulation.randomness import RandomStreams, stable_seed
 
 
 class TestRandomStreams:
@@ -44,3 +44,9 @@ class TestRandomStreams:
 
     def test_seed_property(self):
         assert RandomStreams(11).seed == 11
+
+
+class TestStableSeed:
+    def test_pinned_value(self):
+        """Fleet shard draws, and so the fleet goldens, depend on this value."""
+        assert stable_seed("fleet-shard", 7, "g", "stage-1", 0) == 9259421251814126593
