@@ -27,11 +27,6 @@ class LogicalCoreInfo:
     physical_core: int
     smt_index: int
 
-    @property
-    def is_primary_sibling(self) -> bool:
-        """True for the first hyper-thread of each physical core."""
-        return self.smt_index == 0
-
 
 class CpuTopology:
     """Socket / physical-core / logical-core layout of one machine."""

@@ -1,10 +1,11 @@
-"""CPU time accounting per tenant category and per process.
+"""CPU time accounting per tenant category.
 
 The paper's figures break machine CPU time into Primary / Secondary / OS /
 Idle.  The scheduler charges every executed CPU slice here; idle time is
 whatever remains of ``cores x wall-clock``.  Utilisation can be queried both
 cumulatively and over an interval (by differencing snapshots), which is what
-the metrics samplers and the time-series figure (Fig. 10) use.
+the metrics samplers and the time-series figure (Fig. 10) use.  Per-process
+CPU time is :attr:`~repro.hostos.process.OsProcess.cpu_time`.
 """
 
 from __future__ import annotations
@@ -42,24 +43,19 @@ class CpuAccounting:
             TenantCategory.SECONDARY: 0.0,
             TenantCategory.SYSTEM: 0.0,
         }
-        self._busy_by_process: Dict[str, float] = {}
 
     @property
     def logical_cores(self) -> int:
         return self._cores
 
     # --------------------------------------------------------------- charging
-    def charge(self, category: str, seconds: float, process_name: str = "") -> None:
-        """Charge ``seconds`` of core time to ``category`` (and a process)."""
+    def charge(self, category: str, seconds: float) -> None:
+        """Charge ``seconds`` of core time to ``category``."""
         if seconds < 0:
             raise SchedulerError(f"cannot charge negative CPU time ({seconds})")
         if category not in self._busy:
             self._busy[category] = 0.0
         self._busy[category] += seconds
-        if process_name:
-            self._busy_by_process[process_name] = (
-                self._busy_by_process.get(process_name, 0.0) + seconds
-            )
 
     def charge_os(self, seconds: float) -> None:
         """Charge kernel overhead (context switches, interrupts, syscalls)."""
@@ -72,9 +68,6 @@ class CpuAccounting:
     # ---------------------------------------------------------------- queries
     def busy_seconds(self, category: str) -> float:
         return self._busy.get(category, 0.0)
-
-    def process_seconds(self, process_name: str) -> float:
-        return self._busy_by_process.get(process_name, 0.0)
 
     def snapshot(self, now: float) -> CpuSnapshot:
         return CpuSnapshot(time=now, busy_by_category=dict(self._busy))

@@ -12,6 +12,7 @@ from typing import Callable, FrozenSet, List, Optional
 
 from ..errors import SchedulerError
 from .process import OsProcess
+from .thread import ANY_CORE, core_mask, mask_cores
 
 __all__ = ["JobObject"]
 
@@ -22,8 +23,11 @@ class JobObject:
     def __init__(self, name: str) -> None:
         self.name = name
         self.processes: List[OsProcess] = []
-        # None means "unrestricted" for each knob.
-        self._cpu_affinity: Optional[FrozenSet[int]] = None
+        #: The affinity as a core bitmask (``ANY_CORE`` = unrestricted), read
+        #: by the scheduler on every placement; change it through
+        #: :meth:`set_cpu_affinity` so the scheduler is notified.
+        self.affinity_mask = ANY_CORE
+        # None means "unrestricted" for the other knobs.
         self._cpu_rate_fraction: Optional[float] = None
         self._memory_limit_bytes: Optional[int] = None
         # Rate-control runtime state, managed by the scheduler.
@@ -63,15 +67,13 @@ class JobObject:
     # ----------------------------------------------------------------- knobs
     @property
     def cpu_affinity(self) -> Optional[FrozenSet[int]]:
-        return self._cpu_affinity
+        """The allowed cores (``None`` = unrestricted), derived from the mask."""
+        mask = self.affinity_mask
+        return None if mask == ANY_CORE else mask_cores(mask)
 
     @property
     def cpu_rate_fraction(self) -> Optional[float]:
         return self._cpu_rate_fraction
-
-    @property
-    def memory_limit_bytes(self) -> Optional[int]:
-        return self._memory_limit_bytes
 
     def set_cpu_affinity(self, cores: Optional[FrozenSet[int]]) -> None:
         """Restrict member threads to ``cores`` (``None`` removes the limit).
@@ -80,11 +82,10 @@ class JobObject:
         park every member thread, which is how blind isolation squeezes the
         secondary out entirely when the primary needs the whole machine.
         """
-        if cores is not None:
-            cores = frozenset(int(c) for c in cores)
-        if cores == self._cpu_affinity:
+        mask = ANY_CORE if cores is None else core_mask(cores)
+        if mask == self.affinity_mask:
             return
-        self._cpu_affinity = cores
+        self.affinity_mask = mask
         self._notify()
 
     def set_cpu_rate(self, fraction: Optional[float]) -> None:
@@ -120,7 +121,8 @@ class JobObject:
             callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        affinity = "all" if self._cpu_affinity is None else len(self._cpu_affinity)
+        mask = self.affinity_mask
+        affinity = "all" if mask == ANY_CORE else mask.bit_count()
         return (
             f"JobObject({self.name!r}, processes={len(self.processes)}, "
             f"affinity={affinity}, rate={self._cpu_rate_fraction})"

@@ -42,7 +42,11 @@ class OsProcess:
         self.category = category
         self.created_at = created_at
         self.job: Optional["JobObject"] = None
-        self.threads: List["SimThread"] = []
+        #: Live threads only, keyed by tid in spawn order: the scheduler enters
+        #: a thread when it is added and drops it the moment it terminates, so
+        #: a finished thread is freed by reference counting instead of staying
+        #: reachable from its process.
+        self.threads: Dict[int, "SimThread"] = {}
         self.alive = True
         # resource usage
         self.memory_bytes = 0
@@ -53,13 +57,9 @@ class OsProcess:
         self.io_bytes_by_volume: Dict[str, int] = {}
 
     # -------------------------------------------------------------- threads
-    def register_thread(self, thread: "SimThread") -> None:
-        if not self.alive:
-            raise SchedulerError(f"cannot add a thread to dead process {self.name!r}")
-        self.threads.append(thread)
-
     def live_threads(self) -> List["SimThread"]:
-        return [t for t in self.threads if not t.terminated]
+        """The live threads in spawn order (a copy, safe to terminate from)."""
+        return list(self.threads.values())
 
     # ------------------------------------------------------------ accounting
     def charge_cpu(self, seconds: float) -> None:

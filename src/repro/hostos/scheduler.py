@@ -24,8 +24,11 @@ because changing the production kernel is off the table (Section 3.1):
 * Job-level CPU rate control is enforced per interval as a duty cycle, which
   reproduces the bursty occupancy that makes cycle throttling a poor
   isolation mechanism (Section 6.1.4).
-* An idle-core bitmask is maintained at all times and exposed through the
-  kernel syscall facade with O(1) cost — the low-latency signal blind
+* Affinity and idle state are int bitmasks (bit ``i`` = logical core ``i``):
+  a thread's effective affinity is one ``&`` of its own mask and its job's,
+  placement takes the lowest set bit of ``idle & allowed``, and a mask change
+  visits only the set bits of the cores it forbids.  The idle mask is what the
+  kernel syscall facade reports with O(1) cost — the low-latency signal blind
   isolation polls.
 
 There is deliberately **no** priority preemption between tenants: the primary
@@ -46,7 +49,7 @@ from ..simulation.events import EventPriority
 from .accounting import CpuAccounting
 from .jobobject import JobObject
 from .process import OsProcess
-from .thread import SimThread, ThreadState
+from .thread import SimThread, ThreadState, mask_cores
 
 __all__ = ["Scheduler"]
 
@@ -83,21 +86,21 @@ class Scheduler:
         core_count = topology.logical_core_count
         self._core_thread: List[Optional[SimThread]] = [None] * core_count
         self._last_tid_on_core: List[Optional[int]] = [None] * core_count
-        self._idle_cores: set = set(range(core_count))
-        #: Incrementally-maintained mirror of ``_idle_cores`` as a bitmask —
-        #: the O(1) signal the idle-mask syscall reports.
-        self._idle_mask = (1 << core_count) - 1
-        self._siblings: List[tuple] = [
-            tuple(c for c in topology.siblings(core) if c != core) for core in range(core_count)
-        ]
-        #: Logical core id -> physical core id, and the number of busy logical
-        #: cores per physical core.  Together they answer "is this physical
-        #: core fully idle?" and "does this dispatch share a physical core?"
-        #: in O(1) instead of scanning sibling lists.
-        self._phys_of: List[int] = [
-            topology.core_info(core).physical_core for core in range(core_count)
-        ]
-        self._phys_busy: List[int] = [0] * topology.physical_core_count
+        #: Every logical core, and the idle ones (bit i set => core i idle):
+        #: the one idle-core structure, and the signal the idle-mask syscall
+        #: reports.
+        self._all_mask = (1 << core_count) - 1
+        self._idle_mask = self._all_mask
+        #: Per logical core, the mask of every logical core on its physical
+        #: core (itself included), and the logical cores whose physical core
+        #: is fully idle.  Together they answer "does this dispatch share a
+        #: physical core?" and "which idle cores sit on an empty physical
+        #: core?" with a few integer operations.
+        self._phys_mask: List[int] = [0] * core_count
+        for core in range(core_count):
+            for sibling in topology.siblings(core):
+                self._phys_mask[core] |= 1 << sibling
+        self._free_phys = self._all_mask
         #: Cores currently running threads of each tenant category, maintained
         #: incrementally at dispatch/preempt time.
         self._cat_running: Dict[str, int] = {}
@@ -129,10 +132,6 @@ class Scheduler:
         self.smt_shared_dispatches = 0
 
     # ----------------------------------------------------------------- hooks
-    def set_io_submit(self, io_submit: IoSubmit) -> None:
-        """Install the I/O submission hook (done by the kernel facade)."""
-        self._io_submit = io_submit
-
     def set_speed_factor(self, factor: Optional[float]) -> None:
         """Set (or clear, with ``None``) the machine-wide dispatch-rate factor.
 
@@ -156,17 +155,13 @@ class Scheduler:
 
     def idle_core_ids(self) -> FrozenSet[int]:
         """The idle-core set (what the idle-mask syscall reports)."""
-        return frozenset(self._idle_cores)
+        return mask_cores(self._idle_mask)
 
     def idle_core_count(self) -> int:
-        return len(self._idle_cores)
+        return self._idle_mask.bit_count()
 
     def idle_core_mask(self) -> int:
         return self._idle_mask
-
-    def running_thread_on(self, core_id: int) -> Optional[SimThread]:
-        self._check_core(core_id)
-        return self._core_thread[core_id]
 
     def ready_queue_length(self) -> int:
         """Total number of runnable-but-waiting threads."""
@@ -178,9 +173,12 @@ class Scheduler:
 
     # ------------------------------------------------------------- lifecycle
     def add_thread(self, thread: SimThread) -> None:
-        """Make a newly created thread runnable."""
+        """Enter a newly created thread in its process's live-thread table and
+        make it runnable.  The scheduler alone inserts into and deletes from
+        that table; a thread leaves it the moment it terminates."""
         if thread.state != ThreadState.NEW:
             raise SchedulerError(f"thread {thread.name!r} was already added")
+        thread.process.threads[thread.tid] = thread
         if thread.program[thread.phase_index][0] == "io":
             # A program may start with I/O (e.g. a worker that reads the index
             # before computing); submit it straight away.
@@ -193,6 +191,7 @@ class Scheduler:
         """Forcefully terminate a thread regardless of its state."""
         if thread.terminated:
             return
+        del thread.process.threads[thread.tid]
         if thread.state == ThreadState.RUNNING:
             core_id = thread.core_id
             self._stop_running(thread)
@@ -208,7 +207,8 @@ class Scheduler:
             thread.state = ThreadState.TERMINATED
 
     def terminate_process(self, process: OsProcess) -> None:
-        """Terminate every live thread of ``process``."""
+        """Terminate every live thread of ``process`` in spawn order, which
+        decides the order the freed cores are dispatched in."""
         for thread in process.live_threads():
             self.terminate_thread(thread)
         process.alive = False
@@ -220,11 +220,6 @@ class Scheduler:
         self._enforce_affinity(job)
         # A grown mask (or a removed throttle) may allow parked threads to run.
         self._fill_idle_cores()
-
-    # ------------------------------------------------------------- internals
-    def _check_core(self, core_id: int) -> None:
-        if not 0 <= core_id < len(self._core_thread):
-            raise SchedulerError(f"core id {core_id} out of range")
 
     # ----------------------------------------------------------- ready queues
     def _make_ready(self, thread: SimThread) -> None:
@@ -265,11 +260,10 @@ class Scheduler:
         """
         if self._nojob_queued:
             return True
+        bit = 1 << core_id
         for job, count in self._job_queued.items():
-            if count and not job.throttled:
-                affinity = job.cpu_affinity
-                if affinity is None or core_id in affinity:
-                    return True
+            if count and not job.throttled and job.affinity_mask & bit:
+                return True
         return False
 
     def _enqueue(self, thread: SimThread) -> None:
@@ -279,46 +273,26 @@ class Scheduler:
             thread.queued_core = None
             self._global_queue.append(thread)
             return
-        affinity = thread.effective_affinity()
+        allowed = thread.effective_mask() & self._all_mask
+        if not allowed:
+            # Empty affinity mask: park the thread on a virtual queue; it
+            # will be re-placed when the mask grows again.
+            thread.queued_core = None
+            self._global_queue.append(thread)
+            return
+        best_core = (allowed & -allowed).bit_length() - 1
         queues = self._local_queues
-        if self._queued_threads == 1:
-            # Fast path: this is the only queued thread anywhere, so every
-            # queue is empty and the shortest-queue scan degenerates to the
-            # lowest allowed core id.
-            if affinity is None:
-                best_core = 0
-            elif affinity:
-                best_core = min(affinity)
-            else:
-                thread.queued_core = None
-                self._global_queue.append(thread)
-                return
-        elif affinity is None:
-            # Ascending scan keeps the deterministic tie-break (shortest
-            # queue, lowest core id) without per-candidate comparisons.
-            best_core = 0
-            best_len = len(queues[0])
-            for core_id in range(1, len(queues)):
-                queue_len = len(queues[core_id])
-                if queue_len < best_len:
-                    best_core = core_id
-                    best_len = queue_len
-        else:
-            best_core = None
-            best_len = None
-            for core_id in affinity:
-                queue_len = len(queues[core_id])
-                if best_len is None or queue_len < best_len or (
-                    queue_len == best_len and core_id < best_core
-                ):
-                    best_core = core_id
-                    best_len = queue_len
-            if best_core is None:
-                # Empty affinity mask: park the thread on a virtual queue; it
-                # will be re-placed when the mask grows again.
-                thread.queued_core = None
-                self._global_queue.append(thread)
-                return
+        if self._queued_threads > 1:
+            # Every other queue is empty when this is the only queued thread;
+            # otherwise scan ascending, which keeps the deterministic
+            # tie-break (shortest queue, lowest core id).
+            best_len = len(queues[best_core])
+            for core_id in range(best_core + 1, allowed.bit_length()):
+                if allowed >> core_id & 1:
+                    queue_len = len(queues[core_id])
+                    if queue_len < best_len:
+                        best_core = core_id
+                        best_len = queue_len
         thread.queued_core = best_core
         queues[best_core].append(thread)
 
@@ -346,26 +320,24 @@ class Scheduler:
         # core) is checked inline: this loop runs for every queued thread on
         # every dispatch, so per-thread method calls are too expensive.
         index = 0
+        bit = 1 << core_id
         terminated = ThreadState.TERMINATED
         for thread in queue:
             if thread.state != terminated:
                 job = thread.process.job
-                if job is None or not job.throttled:
-                    affinity = thread.affinity
-                    job_affinity = None if job is None else job.cpu_affinity
-                    if affinity is None:
-                        affinity = job_affinity
-                    elif job_affinity is not None:
-                        affinity = affinity & job_affinity
-                    if affinity is None or core_id in affinity:
-                        if index == 0:
-                            queue.popleft()
-                        else:
-                            del queue[index]
-                        self._queued_threads -= 1
-                        thread.queued_core = None
-                        self._note_dequeued(thread)
-                        return thread
+                if (
+                    thread.affinity_mask & bit
+                    if job is None
+                    else not job.throttled and thread.affinity_mask & job.affinity_mask & bit
+                ):
+                    if index == 0:
+                        queue.popleft()
+                    else:
+                        del queue[index]
+                    self._queued_threads -= 1
+                    thread.queued_core = None
+                    self._note_dequeued(thread)
+                    return thread
             index += 1
         return None
 
@@ -407,42 +379,35 @@ class Scheduler:
             self._dispatch(thread, core_id)
 
     def _fill_idle_cores(self) -> None:
-        if self._queued_threads == 0 or not self._idle_cores:
-            return
-        for core_id in sorted(self._idle_cores):
+        idle = self._idle_mask
+        # Ascending over the cores idle on entry; each is re-checked, because
+        # an earlier dispatch may have claimed it.
+        while idle and self._queued_threads:
+            low = idle & -idle
+            core_id = low.bit_length() - 1
             if self._core_thread[core_id] is None:
                 self._dispatch_core(core_id)
+            idle ^= low
 
     def _find_idle_core(self, thread: SimThread) -> Optional[int]:
-        idle = self._idle_cores
+        idle = self._idle_mask
         if not idle:
             return None
         job = thread.process.job
-        if job is not None and job.throttled:
+        if job is None:
+            idle &= thread.affinity_mask
+        elif job.throttled:
             return None
-        affinity = thread.affinity
-        job_affinity = None if job is None else job.cpu_affinity
-        if affinity is None:
-            affinity = job_affinity
-        elif job_affinity is not None:
-            affinity = affinity & job_affinity
-        if affinity is None:
-            candidates = idle
         else:
-            candidates = idle & affinity
-            if not candidates:
-                return None
+            idle &= thread.affinity_mask & job.affinity_mask
+        if not idle:
+            return None
         # Prefer cores whose hyper-thread siblings are all idle (an empty
         # physical core), like a real scheduler; lowest id for determinism.
-        phys_busy = self._phys_busy
-        phys_of = self._phys_of
-        best = None
-        for core_id in candidates:
-            if phys_busy[phys_of[core_id]] == 0 and (best is None or core_id < best):
-                best = core_id
-        if best is not None:
-            return best
-        return min(candidates)
+        free = idle & self._free_phys
+        if free:
+            idle = free
+        return (idle & -idle).bit_length() - 1
 
     # --------------------------------------------------------------- running
     def _dispatch(self, thread: SimThread, core_id: int) -> None:
@@ -453,12 +418,13 @@ class Scheduler:
         engine = self._engine
         spec = self._spec
         process = thread.process
-        self._idle_cores.discard(core_id)
-        self._idle_mask &= ~(1 << core_id)
+        idle = self._idle_mask
+        phys = self._phys_mask[core_id]
+        # A busy hyper-thread sibling means this physical core is now shared.
+        shared = (idle & phys) != phys
+        self._idle_mask = idle & ~(1 << core_id)
+        self._free_phys &= ~phys
         self._core_thread[core_id] = thread
-        phys = self._phys_of[core_id]
-        phys_busy = self._phys_busy[phys] + 1
-        self._phys_busy[phys] = phys_busy
         category = process.category
         cat_running = self._cat_running
         cat_running[category] = cat_running.get(category, 0) + 1
@@ -476,8 +442,7 @@ class Scheduler:
             self._accounting.charge_os(spec.context_switch_cost)
         self._last_tid_on_core[core_id] = thread.tid
 
-        # A busy hyper-thread sibling means this physical core is now shared.
-        rate = spec.smt_slowdown if phys_busy > 1 else 1.0
+        rate = spec.smt_slowdown if shared else 1.0
         if rate < 1.0:
             self.smt_shared_dispatches += 1
         if self._speed_factor is not None:
@@ -533,9 +498,11 @@ class Scheduler:
             thread.slice_event = None
         core_id = thread.core_id
         self._core_thread[core_id] = None
-        self._idle_cores.add(core_id)
-        self._idle_mask |= 1 << core_id
-        self._phys_busy[self._phys_of[core_id]] -= 1
+        idle = self._idle_mask | 1 << core_id
+        self._idle_mask = idle
+        phys = self._phys_mask[core_id]
+        if idle & phys == phys:
+            self._free_phys |= phys
         self._cat_running[thread.process.category] -= 1
         job_of_thread = thread.process.job
         if job_of_thread is not None:
@@ -552,7 +519,7 @@ class Scheduler:
             if remaining != math.inf:
                 remaining -= elapsed * thread.slice_rate
                 thread.remaining_in_phase = remaining if remaining > 0.0 else 0.0
-            self._accounting.charge(process.category, elapsed, process.name)
+            self._accounting.charge(process.category, elapsed)
             process.cpu_time += elapsed
         return elapsed
 
@@ -596,6 +563,7 @@ class Scheduler:
         """Advance a thread past a finished phase."""
         if not thread.advance_phase():
             thread.state = ThreadState.TERMINATED
+            del thread.process.threads[thread.tid]
             if thread.on_complete is not None:
                 thread.on_complete(thread)
             return
@@ -690,14 +658,19 @@ class Scheduler:
         # cannot be gated on ``job.running_threads``: threads dispatched
         # before their process joined the job are not counted there.
         self._preempt_forbidden(job)
-        # Re-place member threads queued at cores they may no longer use.
+        # Re-place member threads queued at cores they may no longer use.  A
+        # thread is queued inside its own mask, so only the queues at cores
+        # outside the job's mask can hold one.
         if self._per_core and self._queued_threads:
-            for core_id, queue in enumerate(self._local_queues):
+            queues = self._local_queues
+            outside = self._all_mask & ~job.affinity_mask
+            while outside:
+                low = outside & -outside
+                queue = queues[low.bit_length() - 1]
+                outside ^= low
                 if not queue:
                     continue
-                stranded = [
-                    t for t in queue if t.process.job is job and not t.can_run_on(core_id)
-                ]
+                stranded = [t for t in queue if t.process.job is job]
                 for thread in stranded:
                     queue.remove(thread)
                     self._queued_threads -= 1
@@ -706,10 +679,20 @@ class Scheduler:
                     self._make_ready(thread)
 
     def _preempt_forbidden(self, job: JobObject) -> None:
-        for core_id, running in enumerate(self._core_thread):
+        # Only busy cores outside the mask (every busy core while the job is
+        # throttled) can run a member thread that must go.  No member thread
+        # can be dispatched to such a core during the walk, so the snapshot
+        # taken on entry misses none.
+        forbidden = self._all_mask & ~self._idle_mask
+        if not job.throttled:
+            forbidden &= ~job.affinity_mask
+        core_thread = self._core_thread
+        while forbidden:
+            low = forbidden & -forbidden
+            core_id = low.bit_length() - 1
+            forbidden ^= low
+            running = core_thread[core_id]
             if running is None or running.process.job is not job:
-                continue
-            if running.can_run_on(core_id) and not job.throttled:
                 continue
             self.affinity_preemptions += 1
             self._stop_running(running)
@@ -724,6 +707,6 @@ class Scheduler:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Scheduler(cores={self.core_count}, idle={len(self._idle_cores)}, "
+            f"Scheduler(cores={self.core_count}, idle={self.idle_core_count()}, "
             f"queued={self._queued_threads})"
         )

@@ -140,8 +140,6 @@ class Kernel:
             affinity=affinity,
             on_complete=on_complete,
         )
-        # Inlined process.register_thread — liveness was checked above.
-        process.threads.append(thread)
         self.scheduler.add_thread(thread)
         return thread
 

@@ -10,13 +10,46 @@ tenants only build programs and react to completion callbacks.
 from __future__ import annotations
 
 import math
-from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulerError
 
-__all__ = ["ThreadState", "cpu_phase", "io_phase", "SimThread"]
+__all__ = [
+    "ANY_CORE",
+    "ThreadState",
+    "core_mask",
+    "mask_cores",
+    "cpu_phase",
+    "io_phase",
+    "SimThread",
+]
 
 Phase = Tuple
+
+#: The unrestricted affinity mask: every bit set, so ``mask & ANY_CORE`` is
+#: ``mask`` and effective affinity is always one ``&``.
+ANY_CORE = -1
+
+
+def core_mask(cores: Iterable[int]) -> int:
+    """The affinity bitmask of ``cores`` (bit ``i`` set => core ``i`` allowed)."""
+    mask = 0
+    for core in cores:
+        core = int(core)
+        if core < 0:
+            raise SchedulerError(f"core ids must be non-negative, got {core}")
+        mask |= 1 << core
+    return mask
+
+
+def mask_cores(mask: int) -> FrozenSet[int]:
+    """The core ids whose bits are set in a non-negative ``mask``."""
+    cores = []
+    while mask:
+        low = mask & -mask
+        cores.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(cores)
 
 
 class ThreadState:
@@ -58,7 +91,7 @@ class SimThread:
         "phase_index",
         "remaining_in_phase",
         "state",
-        "affinity",
+        "affinity_mask",
         "core_id",
         "on_complete",
         "total_cpu_time",
@@ -96,7 +129,7 @@ class SimThread:
         self.phase_index = 0
         self.remaining_in_phase = self._phase_cpu_duration(self.program[0])
         self.state = ThreadState.NEW
-        self.affinity = affinity
+        self.affinity_mask = ANY_CORE if affinity is None else core_mask(affinity)
         self.core_id: Optional[int] = None
         self.on_complete = on_complete
         self.total_cpu_time = 0.0
@@ -161,22 +194,13 @@ class SimThread:
     def _phase_cpu_duration(phase: Phase) -> float:
         return float(phase[1]) if phase[0] == "cpu" else 0.0
 
-    def effective_affinity(self) -> Optional[FrozenSet[int]]:
-        """Intersection of the thread's own affinity and its job object's.
-
-        ``None`` means "any core".
-        """
+    def effective_mask(self) -> int:
+        """Bitmask of the thread's own affinity and its job object's."""
         job = self.process.job
-        job_affinity = job.cpu_affinity if job is not None else None
-        if self.affinity is None:
-            return job_affinity
-        if job_affinity is None:
-            return self.affinity
-        return self.affinity & job_affinity
+        return self.affinity_mask if job is None else self.affinity_mask & job.affinity_mask
 
     def can_run_on(self, core_id: int) -> bool:
-        affinity = self.effective_affinity()
-        return affinity is None or core_id in affinity
+        return bool(self.effective_mask() >> core_id & 1)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimThread({self.name!r}, tid={self.tid}, state={self.state})"

@@ -214,10 +214,14 @@ class SimulationEngine:
         heap = queue._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        # The loop allocates heavily (events, threads, closures) and keeps
-        # everything reachable until it returns, so cyclic-GC passes during
-        # execution are pure overhead — suspend collection and restore the
-        # caller's setting on the way out (cycles are reclaimed then).
+        # The loop allocates heavily (events, threads, closures).  Finished
+        # threads and events are freed by reference counting as they go (a
+        # process keeps only its live threads), so a cyclic-GC pass here would
+        # mostly re-traverse the live heap — the queue, the live threads, the
+        # metric buffers — and find almost nothing to free.  Suspend
+        # collection and restore the caller's setting on the way out; the
+        # cycles that remain (engine, kernel and tenants refer to each other)
+        # are reclaimed once the experiment is dropped.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

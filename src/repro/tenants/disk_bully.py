@@ -79,9 +79,7 @@ class DiskBullyTenant(SecondaryTenant):
         op = "read" if self._rng.random() < self._spec.read_fraction else "write"
         # The per-request CPU cost is tiny; charge it directly rather than
         # paying for a scheduler round-trip per 8 KiB request.
-        self._kernel.accounting.charge(
-            TenantCategory.SECONDARY, self._spec.cpu_per_request, self._process.name
-        )
+        self._kernel.accounting.charge(TenantCategory.SECONDARY, self._spec.cpu_per_request)
         self._process.charge_cpu(self._spec.cpu_per_request)
         self._kernel.iostack.submit(
             self._process,

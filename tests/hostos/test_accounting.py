@@ -10,10 +10,9 @@ from repro.hostos.process import TenantCategory
 class TestCpuAccounting:
     def test_charge_and_query(self):
         accounting = CpuAccounting(4)
-        accounting.charge(TenantCategory.PRIMARY, 2.0, "indexserve")
-        accounting.charge(TenantCategory.SECONDARY, 1.0, "bully")
+        accounting.charge(TenantCategory.PRIMARY, 2.0)
+        accounting.charge(TenantCategory.SECONDARY, 1.0)
         assert accounting.busy_seconds(TenantCategory.PRIMARY) == 2.0
-        assert accounting.process_seconds("indexserve") == 2.0
 
     def test_negative_charge_rejected(self):
         with pytest.raises(SchedulerError):

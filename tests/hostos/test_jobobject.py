@@ -62,6 +62,19 @@ class TestKnobs:
         job.set_cpu_affinity(frozenset())
         assert job.cpu_affinity == frozenset()
 
+    def test_affinity_is_a_core_bitmask(self):
+        job = JobObject("secondary")
+        assert job.cpu_affinity is None
+        job.set_cpu_affinity([5, 0, 3])
+        assert job.affinity_mask == 0b101001
+        assert job.cpu_affinity == frozenset({0, 3, 5})
+        job.set_cpu_affinity(None)
+        assert job.cpu_affinity is None
+
+    def test_negative_core_rejected(self):
+        with pytest.raises(SchedulerError):
+            JobObject("secondary").set_cpu_affinity(frozenset({-1}))
+
     def test_cpu_rate_validation(self):
         job = JobObject("secondary")
         with pytest.raises(SchedulerError):

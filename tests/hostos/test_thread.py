@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.hostos.process import OsProcess, TenantCategory
-from repro.hostos.thread import SimThread, ThreadState, cpu_phase, io_phase
+from repro.hostos.thread import ANY_CORE, SimThread, ThreadState, cpu_phase, io_phase
 
 
 def make_process(category=TenantCategory.PRIMARY):
@@ -80,7 +80,7 @@ class TestSimThread:
 class TestAffinity:
     def test_no_affinity_runs_anywhere(self):
         thread = make_thread([cpu_phase(1)])
-        assert thread.effective_affinity() is None
+        assert thread.effective_mask() == ANY_CORE
         assert thread.can_run_on(0)
         assert thread.can_run_on(47)
 
@@ -97,7 +97,7 @@ class TestAffinity:
         job.assign(process)
         job.set_cpu_affinity(frozenset({2, 3}))
         thread = make_thread([cpu_phase(1)], process=process, affinity=frozenset({1, 2}))
-        assert thread.effective_affinity() == frozenset({2})
+        assert thread.effective_mask() == 0b100
 
     def test_job_affinity_alone(self):
         from repro.hostos.jobobject import JobObject
@@ -107,4 +107,4 @@ class TestAffinity:
         job.assign(process)
         job.set_cpu_affinity(frozenset({0}))
         thread = make_thread([cpu_phase(1)], process=process)
-        assert thread.effective_affinity() == frozenset({0})
+        assert thread.effective_mask() == 0b1

@@ -112,8 +112,13 @@ class TestTimeouts:
         tenant.start()
         trace = QueryTrace(small_spec(), size=5, rng=streams.stream("kill-trace"))
         tenant.submit(trace[0])
+        # Workers are spawned synchronously by submit; the process table keeps
+        # only live threads, so capture them before they are killed.
+        workers = tenant.process.live_threads()
+        assert workers
         engine.run(until=1.0)
-        assert all(t.terminated for t in tenant.process.threads)
+        assert all(t.terminated for t in workers)
+        assert tenant.process.live_threads() == []
 
 
 class TestAdaptiveParallelism:
