@@ -26,7 +26,7 @@ import time
 
 from conftest import DURATION, SEED, WARMUP
 
-from repro.experiments.comparison import IsolationComparison
+from repro.experiments import matrix
 from repro.experiments.single_machine import SingleMachineExperiment
 from repro.telemetry import TelemetrySession
 
@@ -49,10 +49,9 @@ MAX_FAULTS_OVERHEAD = 0.03
 
 
 def _fig8_specs():
-    comparison = IsolationComparison(duration=DURATION, warmup=WARMUP, seed=SEED)
     return [
-        (approach, comparison._spec_for(approach))
-        for approach in IsolationComparison.APPROACHES
+        (dict(variant.axis_values)["run"], variant.spec)
+        for variant in matrix.expand("fig8", duration=DURATION, warmup=WARMUP, seed=SEED)
     ]
 
 

@@ -33,7 +33,7 @@ from .core.policies import (
     NoIsolationPolicy,
     StaticCoresPolicy,
 )
-from .experiments.matrix import MatrixResult, Scenario, run_matrix, run_scenario
+from .experiments.matrix import MatrixResult, Scenario, run_scenario
 from .experiments.single_machine import SingleMachineExperiment, SingleMachineResult
 from .fleet.simulate import FleetSimulation
 from .runtime import ExperimentRunner, ExperimentTask, ResultCache
@@ -45,7 +45,6 @@ __all__ = [
     "FleetSpec",
     "MatrixResult",
     "Scenario",
-    "run_matrix",
     "run_scenario",
     "ExperimentRunner",
     "ExperimentTask",

@@ -153,10 +153,6 @@ class Autopilot:
         for service in self.services_named(name):
             self.start(service.machine, service.name)
 
-    def stop_all(self, name: str) -> None:
-        for service in self.services_named(name):
-            self.stop(service.machine, service.name)
-
     # --------------------------------------------------------- crash recovery
     def checkpoint(self, machine: str, name: str) -> None:
         """Persist a service's state (PerfIso stores its parameters on disk)."""

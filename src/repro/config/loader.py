@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Type, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from ..errors import ConfigError
-from . import schema
 
 __all__ = ["to_dict", "from_dict", "dump_json", "load_json", "save_file", "load_file"]
 
@@ -105,8 +104,3 @@ def load_file(cls: Type[T], path: _PATHLIKE) -> T:
     if not source.exists():
         raise ConfigError(f"configuration file not found: {source}")
     return load_json(cls, source.read_text(encoding="utf-8"))
-
-
-def load_experiment(path: _PATHLIKE) -> "schema.ExperimentSpec":
-    """Convenience wrapper: load a full :class:`ExperimentSpec` from JSON."""
-    return load_file(schema.ExperimentSpec, path)

@@ -9,8 +9,6 @@ token bucket; this component simply owns the configuration and exposes the
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..config.schema import NetworkThrottleSpec
 from ..hostos.process import TenantCategory
 from ..hostos.syscalls import Kernel
@@ -52,11 +50,6 @@ class NetworkThrottle:
         if not self._active or not self._spec.low_priority:
             return nic.HIGH
         return nic.LOW if category == TenantCategory.SECONDARY else nic.HIGH
-
-    def update_limit(self, bytes_per_second: Optional[float]) -> None:
-        """Adjust the cap at runtime (used by cluster-wide config pushes)."""
-        if self._active:
-            self._kernel.machine.nic.set_low_priority_rate_limit(bytes_per_second)
 
     def update_spec(self, spec: NetworkThrottleSpec) -> None:
         """Reconfigure in place from a cluster-wide configuration push.

@@ -1,25 +1,23 @@
 """One harness per paper figure.
 
-Every function reproduces one figure/table of the paper's evaluation: it runs
-the required scenarios, assembles the same rows/series the paper plots, and
-returns a :class:`FigureResult` that the benchmarks print and
-``EXPERIMENTS.md`` records.  Durations are parameters so tests can use short
-runs while the benchmark harness uses longer, lower-variance ones.
+Every function reproduces one figure or table of the paper's evaluation and
+returns a :class:`FigureResult` with the rows the paper plots.  Durations are
+parameters so tests can use short runs while the benchmarks use longer ones.
 
-Execution goes through :class:`repro.runtime.ExperimentRunner`: each harness
-builds the full batch of ``ExperimentSpec`` runs it needs up front and submits
-it at once, so independent scenarios fan out across worker processes and
-results shared between figures (every figure re-runs the standalone baseline)
-are served from the content-addressed cache instead of being re-simulated.
-Because the runner returns results in task order and every run is a pure
-function of its spec, figure rows are bit-identical whether a batch executed
-serially or across N workers.
+A single-machine figure (Figures 4–8 and the headline utilisation) is a
+catalog scenario plus a renderer: ``fig5_blind_isolation`` runs the ``fig5``
+scenario with :func:`~repro.experiments.matrix.run_scenario` and renders its
+runs as Figure 5's rows.  ``grid`` reshapes the scenario's axes, its loads
+(``qps``) and its named runs (``run``), and ``python -m repro.reporting
+--scenario fig5`` replicates the same runs over seeds.  The runner's cache
+serves the standalone baselines that figures share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +28,14 @@ from ..config.schema import (
     ClusterSpec,
     CpuBullySpec,
     DiskBullySpec,
+    ExperimentSpec,
     FleetSpec,
     HdfsSpec,
     IoThrottleSpec,
     MachineGroupSpec,
     PerfIsoSpec,
 )
+from ..errors import ConfigError
 from ..fleet.model import (
     COLOCATED,
     FleetModel,
@@ -46,12 +46,11 @@ from ..fleet.model import (
     quantile_grid,
 )
 from . import scenarios
-from .comparison import IsolationComparison
+from .matrix import run_scenario
 from .single_machine import SingleMachineResult
 
 __all__ = [
     "FigureResult",
-    "figure_from_scenario",
     "fig4_no_isolation",
     "fig5_blind_isolation",
     "fig6_static_cores",
@@ -61,6 +60,22 @@ __all__ = [
     "fig10_production",
     "headline_utilization",
 ]
+
+#: A ``grid`` override of a figure scenario's axes.
+Grid = Optional[Mapping[str, Sequence[Any]]]
+#: A figure scenario's variants in grid order: ``(axis values, spec, result)``.
+Runs = List[Tuple[Dict[str, Any], ExperimentSpec, SingleMachineResult]]
+
+#: Summary columns of a latency row (Figures 4–7), after its label and load.
+_LATENCY_COLUMNS = (
+    "p50_ms", "p95_ms", "p99_ms", "drop_rate_pct",
+    "primary_cpu_pct", "secondary_cpu_pct", "os_cpu_pct", "idle_cpu_pct",
+)
+#: Summary columns of a Figure 8 row, after its approach.
+_COMPARISON_COLUMNS = (
+    "p99_ms", "p50_ms", "idle_cpu_pct", "secondary_progress", "secondary_cpu_pct",
+    "drop_rate_pct",
+)
 
 
 @dataclass
@@ -83,259 +98,168 @@ class FigureResult:
         return [row[name] for row in self.rows]
 
 
-def _batch(runner, labeled_specs) -> List[SingleMachineResult]:
-    """Run ``[(label, spec), ...]`` as one batch, results in input order."""
-    from ..runtime.runner import ExperimentTask, default_runner
-
-    active = runner if runner is not None else default_runner()
-    tasks = [ExperimentTask(spec, scenario=label) for label, spec in labeled_specs]
-    return [outcome.result for outcome in active.run_batch(tasks)]
-
-
 def _latency_row(label: str, qps: float, result: SingleMachineResult,
                  baseline: Optional[SingleMachineResult] = None) -> Dict[str, object]:
     summary = result.summary()
-    row: Dict[str, object] = {
-        "workload": label,
-        "qps": qps,
-        "p50_ms": summary["p50_ms"],
-        "p95_ms": summary["p95_ms"],
-        "p99_ms": summary["p99_ms"],
-        "drop_rate_pct": summary["drop_rate_pct"],
-        "primary_cpu_pct": summary["primary_cpu_pct"],
-        "secondary_cpu_pct": summary["secondary_cpu_pct"],
-        "os_cpu_pct": summary["os_cpu_pct"],
-        "idle_cpu_pct": summary["idle_cpu_pct"],
-    }
+    row: Dict[str, object] = {"workload": label, "qps": qps}
+    row.update((key, summary[key]) for key in _LATENCY_COLUMNS)
     if baseline is not None:
         base = baseline.summary()
-        row["p50_delta_ms"] = summary["p50_ms"] - base["p50_ms"]
-        row["p95_delta_ms"] = summary["p95_ms"] - base["p95_ms"]
-        row["p99_delta_ms"] = summary["p99_ms"] - base["p99_ms"]
+        for key in ("p50_ms", "p95_ms", "p99_ms"):
+            row[key.replace("_ms", "_delta_ms")] = summary[key] - base[key]
     return row
 
 
-def _level_sweep(
-    figure: FigureResult,
-    runner,
-    qps_levels: Sequence[float],
-    levels: Sequence,
-    common_for,
-    build_scenario,
-    task_label,
-    row_label,
-    extra_column,
-) -> None:
-    """Shared shape of figures 5–7: per QPS, a standalone baseline plus one
-    run per swept level, batched together and regrouped positionally.
+def _load_sweep_rows(runs: Runs, level=None) -> List[Dict[str, object]]:
+    """Latency rows of a per-load figure (Figures 4–7), in grid order.
 
-    ``build_scenario(level, **common)`` builds the spec, ``task_label`` /
-    ``row_label`` name a level's run, and ``extra_column(level)`` yields the
-    figure-specific ``(column, value)`` annotation.
+    A load's ``standalone`` run is the baseline of its other runs, whose rows
+    gain ``*_delta_ms`` columns.  ``level(spec)`` gives a swept run's row
+    label and extra columns, and drops the standalone rows; without it
+    (Figure 4) every run is a row, labelled by its run name.
     """
-    labeled = []
-    for qps in qps_levels:
-        common = common_for(qps)
-        labeled.append(("standalone", scenarios.standalone(**common)))
-        for level in levels:
-            labeled.append((task_label(level), build_scenario(level, **common)))
-    results = _batch(runner, labeled)
-    stride = 1 + len(levels)
-    for index, qps in enumerate(qps_levels):
-        group = results[stride * index: stride * (index + 1)]
-        base = group[0]
-        for level, run in zip(levels, group[1:]):
-            row = _latency_row(row_label(level), qps, run, baseline=base)
-            column, value = extra_column(level)
-            row[column] = value
-            figure.rows.append(row)
+    baselines = {axes["qps"]: run for axes, _, run in runs if axes["run"] == "standalone"}
+    rows = []
+    for axes, spec, run in runs:
+        qps, name = axes["qps"], axes["run"]
+        if name == "standalone":
+            if level is None:
+                rows.append(_latency_row(name, qps, run))
+            continue
+        label, columns = (name, {}) if level is None else level(spec)
+        row = _latency_row(label, qps, run, baseline=baselines.get(qps))
+        row.update(columns)
+        rows.append(row)
+    return rows
 
 
-def figure_from_scenario(
-    name: str,
-    grid: Optional[Dict[str, Sequence]] = None,
-    runner=None,
-    **common,
-) -> FigureResult:
-    """Render any registered matrix scenario as a figure table.
+def _buffer_level(spec) -> Tuple[str, Dict[str, object]]:
+    cores = spec.perfiso.blind.buffer_cores
+    return f"blind-{cores}-buffers", {"buffer_cores": cores}
 
-    Bridges the declarative catalog (:mod:`repro.experiments.matrix`) into the
-    same :class:`FigureResult` shape the per-paper-figure harnesses return, so
-    benchmarks and examples can print matrix scenarios with
-    :func:`repro.experiments.reporting.print_figure`.
-    """
-    from .matrix import run_scenario
 
+def _core_level(spec) -> Tuple[str, Dict[str, object]]:
+    cores = spec.perfiso.static_cores.secondary_cores
+    return f"{cores}-cores", {"secondary_cores": cores}
+
+
+def _cycle_level(spec) -> Tuple[str, Dict[str, object]]:
+    fraction = spec.perfiso.cpu_cycles.cpu_fraction
+    return f"{int(fraction * 100)}%-cycles", {"cpu_fraction_pct": fraction * 100.0}
+
+
+def _comparison_rows(runs: Runs) -> List[Dict[str, object]]:
+    """One row per approach; ``relative_progress_pct`` is its secondary
+    progress as a percentage of the unrestricted (``no_isolation``) run's."""
+    by_approach = {axes["run"]: run for axes, _, run in runs}
+    if "no_isolation" not in by_approach:
+        raise ConfigError("Figure 8's relative progress needs the no_isolation run")
+    baseline = by_approach["no_isolation"].secondary_progress
+    rows: List[Dict[str, object]] = []
+    for approach, run in by_approach.items():
+        summary = run.summary()
+        row: Dict[str, object] = {"approach": approach}
+        row.update((key, summary[key]) for key in _COMPARISON_COLUMNS)
+        relative = run.secondary_progress / baseline if baseline > 0 else 0.0
+        row["relative_progress_pct"] = relative * 100.0
+        rows.append(row)
+    return rows
+
+
+def _utilization_rows(runs: Runs) -> List[Dict[str, object]]:
+    rows: List[Dict[str, object]] = []
+    for axes, _, run in runs:
+        summary, name = run.summary(), axes["run"]
+        row: Dict[str, object] = {
+            "configuration": "colocated+blind-isolation" if name == "blind-8" else name,
+            "busy_cpu_pct": 100.0 - summary["idle_cpu_pct"],
+        }
+        for key in ("primary_cpu_pct", "secondary_cpu_pct", "p99_ms"):
+            row[key] = summary[key]
+        rows.append(row)
+    return rows
+
+
+#: Each single-machine figure's row renderer and the paper's claim it checks.
+_FIGURES = {
+    "fig4": (_load_sweep_rows, "paper: mid raises P99 by up to 42%, high by up to 29x with "
+             "11-32% of queries dropped"),
+    "fig5": (partial(_load_sweep_rows, level=_buffer_level),
+             "paper: 8 buffer cores keep the P99 within 1 ms of standalone"),
+    "fig6": (partial(_load_sweep_rows, level=_core_level), "paper: 8 cores protect the SLO "
+             "even at peak but cap the secondary at ~17% of CPU time"),
+    "fig7": (partial(_load_sweep_rows, level=_cycle_level),
+             "paper: cycle throttling always degrades latency and always drops some queries"),
+    "fig8": (_comparison_rows, "paper: blind isolation and CPU cores both protect tail "
+             "latency; blind leaves ~13% less CPU idle and gives the secondary ~17% more "
+             "work; CPU cycles fails"),
+    "headline": (_utilization_rows, "paper: 21% -> 66% average CPU utilisation without "
+                 "impacting tail latency"),
+}
+
+
+def _figure(name: str, grid: Grid, runner, **common) -> FigureResult:
+    """Run the figure's catalog scenario and render its runs as the figure:
+    the scenario's description is the figure's title."""
     result = run_scenario(name, runner=runner, grid=grid, **common)
-    figure = FigureResult(
-        figure_id=f"matrix/{name}",
-        title=result.scenario.description,
-        rows=result.rows(),
+    runs = [
+        (dict(variant.axis_values), variant.spec, run)
+        for variant, run in zip(result.variants, result.results)
+    ]
+    render, note = _FIGURES[name]
+    return FigureResult(
+        figure_id=name, title=result.scenario.description, rows=render(runs), notes=[note]
     )
-    if result.scenario.tags:
-        figure.notes.append(f"tags: {', '.join(result.scenario.tags)}")
-    return figure
 
 
-# --------------------------------------------------------------------- Fig 4
 def fig4_no_isolation(
-    qps_levels: Sequence[float] = (scenarios.AVERAGE_LOAD_QPS, scenarios.PEAK_LOAD_QPS),
-    duration: float = 5.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-    runner=None,
+    grid: Grid = None, duration: float = 5.0, warmup: float = 1.0, seed: int = 1, runner=None
 ) -> FigureResult:
     """Figure 4: standalone vs unrestricted mid/high secondary (latency + CPU)."""
-    figure = FigureResult(
-        figure_id="fig4",
-        title="Standalone vs colocation with an unrestricted secondary",
-    )
-    labeled = []
-    for qps in qps_levels:
-        common = dict(qps=qps, duration=duration, warmup=warmup, seed=seed)
-        labeled.append(("standalone", scenarios.standalone(**common)))
-        labeled.append(
-            ("mid-secondary", scenarios.no_isolation(scenarios.MID_BULLY_THREADS, **common))
-        )
-        labeled.append(
-            ("high-secondary", scenarios.no_isolation(scenarios.HIGH_BULLY_THREADS, **common))
-        )
-    results = _batch(runner, labeled)
-    for index, qps in enumerate(qps_levels):
-        base, mid, high = results[3 * index: 3 * index + 3]
-        figure.rows.append(_latency_row("standalone", qps, base))
-        figure.rows.append(_latency_row("mid-secondary", qps, mid, baseline=base))
-        figure.rows.append(_latency_row("high-secondary", qps, high, baseline=base))
-    figure.notes.append(
-        "paper: mid raises P99 by up to 42%, high by up to 29x with 11-32% of queries dropped"
-    )
-    return figure
+    return _figure("fig4", grid, runner, duration=duration, warmup=warmup, seed=seed)
 
 
-# --------------------------------------------------------------------- Fig 5
 def fig5_blind_isolation(
-    buffer_levels: Sequence[int] = (4, 8),
-    qps_levels: Sequence[float] = (scenarios.AVERAGE_LOAD_QPS, scenarios.PEAK_LOAD_QPS),
-    duration: float = 5.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-    runner=None,
+    grid: Grid = None, duration: float = 5.0, warmup: float = 1.0, seed: int = 1, runner=None
 ) -> FigureResult:
     """Figure 5: blind isolation with 4 and 8 buffer cores (degradation + CPU)."""
-    figure = FigureResult(
-        figure_id="fig5",
-        title="CPU blind isolation: latency degradation vs buffer size",
-    )
-    _level_sweep(
-        figure,
-        runner,
-        qps_levels,
-        buffer_levels,
-        lambda qps: dict(qps=qps, duration=duration, warmup=warmup, seed=seed),
-        scenarios.blind_isolation,
-        lambda cores: f"blind-{cores}",
-        lambda cores: f"blind-{cores}-buffers",
-        lambda cores: ("buffer_cores", cores),
-    )
-    figure.notes.append("paper: 8 buffer cores keep the P99 within 1 ms of standalone")
-    return figure
+    return _figure("fig5", grid, runner, duration=duration, warmup=warmup, seed=seed)
 
 
-# --------------------------------------------------------------------- Fig 6
 def fig6_static_cores(
-    core_levels: Sequence[int] = (24, 16, 8),
-    qps_levels: Sequence[float] = (scenarios.AVERAGE_LOAD_QPS, scenarios.PEAK_LOAD_QPS),
-    duration: float = 5.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-    runner=None,
+    grid: Grid = None, duration: float = 5.0, warmup: float = 1.0, seed: int = 1, runner=None
 ) -> FigureResult:
     """Figure 6: statically restricting the secondary's CPU cores."""
-    figure = FigureResult(
-        figure_id="fig6",
-        title="Static core restriction of the secondary",
-    )
-    _level_sweep(
-        figure,
-        runner,
-        qps_levels,
-        core_levels,
-        lambda qps: dict(qps=qps, duration=duration, warmup=warmup, seed=seed),
-        scenarios.static_cores,
-        lambda cores: f"cores-{cores}",
-        lambda cores: f"{cores}-cores",
-        lambda cores: ("secondary_cores", cores),
-    )
-    figure.notes.append(
-        "paper: 8 cores protect the SLO even at peak but cap the secondary at ~17% of CPU time"
-    )
-    return figure
+    return _figure("fig6", grid, runner, duration=duration, warmup=warmup, seed=seed)
 
 
-# --------------------------------------------------------------------- Fig 7
 def fig7_cpu_cycles(
-    fractions: Sequence[float] = (0.45, 0.25, 0.05),
-    qps_levels: Sequence[float] = (scenarios.AVERAGE_LOAD_QPS, scenarios.PEAK_LOAD_QPS),
-    duration: float = 5.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-    runner=None,
+    grid: Grid = None, duration: float = 5.0, warmup: float = 1.0, seed: int = 1, runner=None
 ) -> FigureResult:
     """Figure 7: restricting the secondary's CPU cycles (latency, CPU, drops)."""
-    figure = FigureResult(
-        figure_id="fig7",
-        title="CPU cycle (duty-cycle) restriction of the secondary",
-    )
-    _level_sweep(
-        figure,
-        runner,
-        qps_levels,
-        fractions,
-        lambda qps: dict(qps=qps, duration=duration, warmup=warmup, seed=seed),
-        scenarios.cpu_cycles,
-        lambda fraction: f"cycles-{int(fraction * 100)}",
-        lambda fraction: f"{int(fraction * 100)}%-cycles",
-        lambda fraction: ("cpu_fraction_pct", fraction * 100.0),
-    )
-    figure.notes.append(
-        "paper: cycle throttling always degrades latency and always drops some queries"
-    )
-    return figure
+    return _figure("fig7", grid, runner, duration=duration, warmup=warmup, seed=seed)
 
 
-# --------------------------------------------------------------------- Fig 8
 def fig8_comparison(
-    qps: float = scenarios.AVERAGE_LOAD_QPS,
-    duration: float = 5.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-    buffer_cores: int = 8,
-    static_secondary_cores: int = 8,
-    cycle_fraction: float = 0.05,
-    runner=None,
+    qps: float = scenarios.AVERAGE_LOAD_QPS, duration: float = 5.0, warmup: float = 1.0,
+    seed: int = 1, grid: Grid = None, runner=None,
 ) -> FigureResult:
-    """Figure 8: P99 latency, idle CPU and secondary progress per approach."""
-    comparison = IsolationComparison(
-        qps=qps,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        buffer_cores=buffer_cores,
-        static_secondary_cores=static_secondary_cores,
-        cycle_fraction=cycle_fraction,
-        runner=runner,
+    """Figure 8: P99 latency, idle CPU and secondary progress per approach.
+
+    A ``grid`` that picks the approaches must keep the ``no_isolation`` run,
+    the baseline of relative progress.
+    """
+    return _figure("fig8", grid, runner, qps=qps, duration=duration, warmup=warmup, seed=seed)
+
+
+def headline_utilization(
+    qps: float = scenarios.AVERAGE_LOAD_QPS, duration: float = 5.0, warmup: float = 1.0,
+    seed: int = 1, runner=None,
+) -> FigureResult:
+    """The abstract's headline: average CPU utilisation 21% -> 66% at off-peak load."""
+    return _figure(
+        "headline", None, runner, qps=qps, duration=duration, warmup=warmup, seed=seed
     )
-    result = comparison.run()
-    figure = FigureResult(
-        figure_id="fig8",
-        title="Comparison of isolation approaches (high secondary, 2,000 QPS)",
-        rows=result.as_table(),
-    )
-    figure.notes.append(
-        "paper: blind isolation and CPU cores both protect tail latency; blind leaves ~13% "
-        "less CPU idle and gives the secondary ~17% more work; CPU cycles fails"
-    )
-    return figure
 
 
 def _run_cluster_case(label: str, scenario: ClusterScenario):
@@ -493,40 +417,4 @@ def fig10_production(
         f"(paper: ~70% averaged over the hour); "
         f"max TLA P99 {float(np.max(p99)) if p99 else 0.0:.1f} ms"
     )
-    return figure
-
-
-# ----------------------------------------------------------------- headline
-def headline_utilization(
-    qps: float = scenarios.AVERAGE_LOAD_QPS,
-    duration: float = 5.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-    runner=None,
-) -> FigureResult:
-    """The abstract's headline: average CPU utilisation 21% -> 66% at off-peak load."""
-    common = dict(qps=qps, duration=duration, warmup=warmup, seed=seed)
-    base, colocated = _batch(
-        runner,
-        [
-            ("standalone", scenarios.standalone(**common)),
-            ("blind-8", scenarios.blind_isolation(8, **common)),
-        ],
-    )
-    figure = FigureResult(
-        figure_id="headline",
-        title="Average CPU utilisation with and without colocation (off-peak load)",
-    )
-    for label, result in (("standalone", base), ("colocated+blind-isolation", colocated)):
-        summary = result.summary()
-        figure.rows.append(
-            {
-                "configuration": label,
-                "busy_cpu_pct": 100.0 - summary["idle_cpu_pct"],
-                "primary_cpu_pct": summary["primary_cpu_pct"],
-                "secondary_cpu_pct": summary["secondary_cpu_pct"],
-                "p99_ms": summary["p99_ms"],
-            }
-        )
-    figure.notes.append("paper: 21% -> 66% average CPU utilisation without impacting tail latency")
     return figure

@@ -1,23 +1,23 @@
 """Declarative scenario matrix over the parallel experiment runtime.
 
-PR 1 made single-machine experiments cheap to run in bulk (process fan-out,
-content-addressed caching); this module makes them cheap to *describe*.  A
-:class:`Scenario` is data — a builder returning an :class:`ExperimentSpec`,
+A :class:`Scenario` is data — a builder returning an :class:`ExperimentSpec`,
 plus named axes whose value grids are expanded into labelled spec batches —
-and every scenario lives in a process-wide registry populated by the
-``@scenario`` decorators in :mod:`repro.experiments.scenarios`.
+and every scenario lives in a process-wide registry populated by
+:mod:`repro.experiments.scenarios` (the paper's single-machine figures
+included) and :mod:`repro.fleet.scenarios`.
 
-The registry feeds three consumers:
+The registry feeds every consumer that defines or runs an experiment:
 
-* :func:`run_scenario` / :func:`run_matrix` — expand a scenario (optionally
-  with overridden axis grids) and execute the batch on an
-  :class:`~repro.runtime.runner.ExperimentRunner`, returning one summary row
-  per variant in deterministic order.
+* :func:`run_scenario` — expand a scenario (optionally with overridden axis
+  grids) and execute the batch on an
+  :class:`~repro.runtime.runner.ExperimentRunner`, returning the variants'
+  results in deterministic order.  Each figure harness and the controller
+  showdown is one such call plus a row renderer.
 * the ``python -m repro.experiments.matrix`` CLI — ``--list`` the catalog,
   ``--run`` any scenario, override grids with ``--grid axis=v1,v2``, and emit
   ``--out json|csv``.
-* the golden-metrics regression suite — seeded runs of the core paper
-  scenarios compared against checked-in JSON.
+* campaigns (:mod:`repro.reporting.campaign`) — the same scenario replicated
+  over derived seeds.
 
 Because execution goes through the shared runner, identical variants are
 simulated once, repeat invocations are served from the cache, and row order
@@ -30,6 +30,7 @@ import argparse
 import difflib
 import inspect
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,7 +51,6 @@ __all__ = [
     "iter_scenarios",
     "expand",
     "run_scenario",
-    "run_matrix",
     "load_catalog",
     "main",
 ]
@@ -99,8 +99,18 @@ class Scenario:
                     f"scenario {self.name!r} declares axis {axis!r} but its builder "
                     f"does not accept that parameter"
                 )
-            if not values:
-                raise ConfigError(f"scenario {self.name!r} axis {axis!r} has no values")
+            self._check_values(axis, values)
+
+    def _check_values(self, axis: str, values: Tuple[Any, ...]) -> Tuple[Any, ...]:
+        """An axis grid must be non-empty and name each value once: repeats
+        would run twice under one label and merge in aggregated rows."""
+        if not values:
+            raise ConfigError(f"scenario {self.name!r} axis {axis!r} has no values")
+        if len(set(values)) < len(values):
+            raise ConfigError(
+                f"scenario {self.name!r} axis {axis!r} repeats a value: {list(values)}"
+            )
+        return values
 
     @property
     def axis_names(self) -> Tuple[str, ...]:
@@ -112,11 +122,7 @@ class Scenario:
         return "multi-secondary" in self.tags
 
     def variant_count(self, grid: Optional[Mapping[str, Sequence[Any]]] = None) -> int:
-        merged = self._merged_axes(grid)
-        count = 1
-        for _, values in merged:
-            count *= len(values)
-        return count
+        return math.prod(len(values) for _, values in self._merged_axes(grid))
 
     def _merged_axes(
         self, grid: Optional[Mapping[str, Sequence[Any]]]
@@ -131,7 +137,7 @@ class Scenario:
                     f"(axes: {list(known) or 'none'})"
                 )
         return tuple(
-            (axis, tuple(grid[axis]) if axis in grid else values)
+            (axis, self._check_values(axis, tuple(grid[axis])) if axis in grid else values)
             for axis, values in self.axes
         )
 
@@ -142,16 +148,20 @@ class Scenario:
     ) -> List["ScenarioVariant"]:
         """Expand the (optionally overridden) axis grids into labelled specs.
 
-        Keys outside :data:`COMMON_PARAMS` are errors.  A common value is
-        forwarded to the builder only when its signature accepts it and it is
-        not one of the scenario's axes — scenarios that own a knob (diurnal
-        owns its QPS, sweeps own their swept parameter) deliberately ignore
-        the common override; use ``grid`` to reshape an axis instead.
+        ``common`` takes :data:`COMMON_PARAMS` and any other keyword the
+        builder declares; anything else is an error.  A value is forwarded to
+        the builder only when it is not ``None``, the builder's signature
+        accepts it and it is not one of the scenario's axes — scenarios that
+        own a knob (diurnal owns its QPS, sweeps own their swept parameter)
+        deliberately ignore the common override; use ``grid`` to reshape an
+        axis instead.
         """
         parameters = inspect.signature(self.builder).parameters
         for key in common:
-            if key not in COMMON_PARAMS:
-                raise ConfigError(f"unknown common parameter {key!r}")
+            if key not in COMMON_PARAMS and key not in parameters:
+                raise ConfigError(
+                    f"unknown common parameter {key!r} for scenario {self.name!r}"
+                )
         merged = self._merged_axes(grid)
         # A parameter that is also an axis is owned by the grid; override its
         # values with --grid rather than with a common parameter.
@@ -251,7 +261,7 @@ def scenario(
     """Decorator registering a builder function as a named scenario.
 
     The builder itself is returned unchanged, so decorated functions remain
-    ordinary spec builders for the figure harnesses.
+    ordinary spec builders that other builders and tests call directly.
     """
 
     def decorate(builder: Callable[..., ExperimentSpec]) -> Callable[..., ExperimentSpec]:
@@ -367,22 +377,6 @@ def run_scenario(
         results=[outcome.result for outcome in outcomes],
         cache_hits=sum(outcome.from_cache for outcome in outcomes),
     )
-
-
-def run_matrix(
-    names: Sequence[str],
-    runner=None,
-    telemetry=None,
-    **common: Any,
-) -> List[MatrixResult]:
-    """Run several scenarios, sharing the runner's cache across them."""
-    from ...runtime.runner import default_runner
-
-    active = runner if runner is not None else default_runner()
-    return [
-        run_scenario(name, runner=active, telemetry=telemetry, **common)
-        for name in names
-    ]
 
 
 # ------------------------------------------------------------------------ CLI

@@ -1,15 +1,15 @@
 """Scenario builders and the registered scenario catalog.
 
-Every builder returns a fully-populated :class:`ExperimentSpec`; the figure
-harnesses (:mod:`repro.experiments.figures`) and the benchmarks compose these
-into the paper's tables.  All scenarios share the same machine, primary and
-workload parameters so results are directly comparable — only the secondary
-mix and the isolation policy change.
+Every builder returns a fully-populated :class:`ExperimentSpec`.  All
+scenarios share the same machine, primary and workload parameters so results
+are directly comparable — only the secondary mix and the isolation policy
+change.
 
 Each builder is additionally registered in the scenario matrix
 (:mod:`repro.experiments.matrix`) via the ``@matrix.scenario`` decorator — a
 scenario is the builder plus default sweep grids over its parameters — and
-derived views (wider sweeps, 2-D grids over the same builders) are registered
+derived views (wider sweeps, 2-D grids over the same builders, and the
+paper's single-machine figures over :func:`figure_run`) are registered
 explicitly at the bottom of the module.  ``python -m repro.experiments.matrix
 --list`` prints the resulting catalog.
 """
@@ -17,6 +17,7 @@ explicitly at the bottom of the module.  ``python -m repro.experiments.matrix
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Optional
 
 from ..config.schema import (
@@ -96,6 +97,7 @@ __all__ = [
     "chaos_controller_crash",
     "chaos_telemetry_dropout",
     "chaos_degraded_cores",
+    "figure_run",
 ]
 
 #: The paper's approximation of average and peak per-machine load (Section 5.3).
@@ -123,14 +125,6 @@ def base_spec(
 ) -> ExperimentSpec:
     """The shared machine / primary / workload configuration."""
     return ExperimentSpec(
-        workload=WorkloadSpec(qps=qps, duration=duration, warmup=warmup),
-        seed=seed,
-    )
-
-
-def _with_workload(spec: ExperimentSpec, qps: float, duration: float, warmup: float, seed: int) -> ExperimentSpec:
-    return dataclasses.replace(
-        spec,
         workload=WorkloadSpec(qps=qps, duration=duration, warmup=warmup),
         seed=seed,
     )
@@ -864,7 +858,7 @@ SHOWDOWN_WORKLOADS = ("diurnal", "bursty", "flash_crowd", "trace")
 @matrix.scenario(
     "controller-showdown",
     "Every dynamic CPU controller raced across the trace-driven workloads",
-    axes={"policy": CONTROLLER_POLICIES, "workload": SHOWDOWN_WORKLOADS},
+    axes={"workload": SHOWDOWN_WORKLOADS, "policy": CONTROLLER_POLICIES},
     tags=("comparison", "trace-driven", "controller"),
     tier="slow",
 )
@@ -878,6 +872,7 @@ def controller_showdown(
     duration: float = 10.0,
     warmup: float = 1.0,
     seed: int = 1,
+    faults: Optional[FaultPlanSpec] = None,
 ) -> ExperimentSpec:
     """One (controller, workload-shape) cell of the controller arena.
 
@@ -885,8 +880,12 @@ def controller_showdown(
     bully, so the only degree of freedom is the CPU policy — the controllers
     see the same traffic and their rankings are attributable to the policy
     alone.  ``slo_ms`` feeds both the PID controller's set point and the
-    showdown harness's pass/fail column.
+    showdown harness's pass/fail column.  ``faults`` is injected as given,
+    except that the ``"none"`` policy has no controller to crash, so its
+    cells drop any ``controller_crash`` entry.
     """
+    if policy not in CONTROLLER_POLICIES:
+        raise ConfigError(f"unknown controller {policy!r}; expected one of {CONTROLLER_POLICIES}")
     total = warmup + duration
     if workload == "diurnal":
         workload_spec = WorkloadSpec(
@@ -925,7 +924,7 @@ def controller_showdown(
         )
     else:
         raise ConfigError(
-            f"unknown showdown workload {workload!r}; expected one of {SHOWDOWN_WORKLOADS}"
+            f"unknown workload {workload!r}; expected one of {SHOWDOWN_WORKLOADS}"
         )
     perfiso = (
         None
@@ -935,11 +934,14 @@ def controller_showdown(
             pid=PidControlSpec(slo_p99=slo_ms / 1000.0),
         )
     )
+    if perfiso is None and faults is not None and faults.controller_crash is not None:
+        faults = dataclasses.replace(faults, controller_crash=None)
     return ExperimentSpec(
         workload=workload_spec,
         seed=seed,
         cpu_bully=CpuBullySpec(threads=bully_threads),
         perfiso=perfiso,
+        faults=faults,
     )
 
 
@@ -1061,6 +1063,47 @@ def chaos_degraded_cores(
     return dataclasses.replace(spec, faults=faults)
 
 
+# ------------------------------------------------------------- paper figures
+# Figures 4-8 and the abstract's headline run, registered at the bottom of the
+# module as scenarios over one builder.  A run is named as its figure names
+# it; the per-load figures list each load's standalone baseline first.
+_FIGURE_RUNS = {
+    "standalone": standalone,
+    "mid-secondary": partial(no_isolation, MID_BULLY_THREADS),
+    "high-secondary": partial(no_isolation, HIGH_BULLY_THREADS),
+    "no_isolation": partial(no_isolation, HIGH_BULLY_THREADS),
+    "blind_isolation": partial(blind_isolation, 8),
+    "cpu_cores": partial(static_cores, 8),
+    "cpu_cycles": partial(cpu_cycles, 0.05),
+}
+
+#: Swept figure runs, named ``<prefix>-<level>``: buffer cores, secondary
+#: cores, or the secondary's share of CPU cycles in percent.
+_FIGURE_LEVELS = {
+    "blind": blind_isolation,
+    "cores": static_cores,
+    "cycles": lambda percent, **common: cpu_cycles(percent / 100, **common),
+}
+
+
+def figure_run(
+    run: str = "standalone",
+    qps: float = AVERAGE_LOAD_QPS,
+    duration: float = 10.0,
+    warmup: float = 1.0,
+    seed: int = 1,
+) -> ExperimentSpec:
+    """One run of a paper figure, by the name the figure gives it."""
+    common = dict(qps=qps, duration=duration, warmup=warmup, seed=seed)
+    if run in _FIGURE_RUNS:
+        return _FIGURE_RUNS[run](**common)
+    prefix, _, level = str(run).partition("-")
+    if prefix in _FIGURE_LEVELS and level.isdigit():
+        return _FIGURE_LEVELS[prefix](int(level), **common)
+    known = ", ".join([*_FIGURE_RUNS, "blind-N", "cores-N", "cycles-PERCENT"])
+    raise ConfigError(f"unknown figure run {run!r}; expected one of {known}")
+
+
 # ------------------------------------------------------------- derived views
 # Wider sweeps and 2-D grids over the builders above.  Registered explicitly
 # (not via decorators) because they reuse a builder that already anchors a
@@ -1163,3 +1206,23 @@ matrix.register(
         tier="slow",
     )
 )
+
+# The paper's single-machine figures (see "paper figures" above).
+_LOADS = (("qps", (AVERAGE_LOAD_QPS, PEAK_LOAD_QPS)),)
+for _name, _description, _axes in (
+    ("fig4", "Standalone vs colocation with an unrestricted secondary",
+     _LOADS + (("run", ("standalone", "mid-secondary", "high-secondary")),)),
+    ("fig5", "CPU blind isolation: latency degradation vs buffer size",
+     _LOADS + (("run", ("standalone", "blind-4", "blind-8")),)),
+    ("fig6", "Static core restriction of the secondary",
+     _LOADS + (("run", ("standalone", "cores-24", "cores-16", "cores-8")),)),
+    ("fig7", "CPU cycle (duty-cycle) restriction of the secondary",
+     _LOADS + (("run", ("standalone", "cycles-45", "cycles-25", "cycles-5")),)),
+    ("fig8", "Comparison of isolation approaches (high secondary, 2,000 QPS)",
+     (("run", ("standalone", "no_isolation", "blind_isolation", "cpu_cores", "cpu_cycles")),)),
+    ("headline", "Average CPU utilisation with and without colocation (off-peak load)",
+     (("run", ("standalone", "blind-8")),)),
+):
+    matrix.register(matrix.Scenario(
+        _name, _description, figure_run, _axes, tags=("paper", "figure"), tier="slow"
+    ))

@@ -1,16 +1,17 @@
 """The controller showdown: every CPU controller raced on shared traffic.
 
-PR 6 promotes ``CpuIsolationPolicy`` into a dynamic-controller interface and
-adds four challengers (PID, MPC, utilization-target, oracle) next to the
-paper's blind/static/cycles policies.  This harness answers the obvious next
-question — *which controller wins?* — by racing every controller across the
-PR-5 trace-driven workload shapes (diurnal, bursty, flash crowd, replayed
-trace) under identical seeds, traces and bully pressure, then ranking them
-on SLO attainment, tail latency and harvested secondary throughput.
+``CpuIsolationPolicy`` is a dynamic-controller interface, with four
+challengers (PID, MPC, utilization-target, oracle) next to the paper's
+blind/static/cycles policies.  This harness answers the obvious question —
+*which controller wins?* — by racing every controller across the
+trace-driven workload shapes (diurnal, bursty, flash crowd, replayed trace)
+under identical seeds, traces and bully pressure, then ranking them on SLO
+attainment, tail latency and harvested secondary throughput.
 
-All execution goes through the shared :class:`ExperimentRunner`, so repeated
-invocations are served from the content-addressed cache and the emitted
-table is byte-identical at any worker count.
+The race is the ``controller-showdown`` catalog scenario run over a
+(workload, controller) grid on the shared :class:`ExperimentRunner`, so
+repeated invocations are served from the content-addressed cache and the
+emitted table is byte-identical at any worker count.
 
 Run it directly::
 
@@ -21,7 +22,6 @@ Run it directly::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -34,9 +34,10 @@ from ...config.schema import (
 )
 from ...errors import ConfigError
 from ...reporting.rows import rows_to_csv, rows_to_jsonl
-from ...runtime import ExperimentRunner, ExperimentTask, spec_hash
+from ...runtime import ExperimentRunner, spec_hash
+from ..matrix import run_scenario
 from ..reporting import format_table
-from ..scenarios import CONTROLLER_POLICIES, SHOWDOWN_WORKLOADS, controller_showdown
+from ..scenarios import CONTROLLER_POLICIES, SHOWDOWN_WORKLOADS
 
 __all__ = ["ShowdownResult", "default_chaos_plan", "run_showdown", "main"]
 
@@ -120,89 +121,43 @@ def run_showdown(
 ) -> ShowdownResult:
     """Race ``controllers`` across ``workloads`` and rank them.
 
-    Every cell of the (workload, controller) grid is built by
-    :func:`~repro.experiments.scenarios.controller_showdown` from the same
+    One run of the ``controller-showdown`` scenario over the (workload,
+    controller) grid, workload-major.  Every cell is built from the same
     ``seed``, so within one workload shape the controllers replay identical
     traffic — the ranking isolates the policy, nothing else.
 
     ``faults`` injects the identical fault plan into every cell (the chaos
-    showdown): same degraded windows, same telemetry dropouts, same crash
-    times, so resilience differences are attributable to the controller.
-    The ``"none"`` policy has no controller to crash, so any
-    ``controller_crash`` entry is stripped from its cells.
-
+    showdown), so resilience differences are attributable to the controller;
+    the ``"none"`` policy's cells drop any ``controller_crash`` entry.
     ``telemetry`` (a :class:`~repro.telemetry.stream.TelemetrySession`) runs
-    the grid serially in this process so probes can stream — snapshots and
-    controller-decide spans are labelled per cell; measured results are
-    identical to the fanned-out run.
+    the grid serially in this process so probes can stream, labelled per
+    cell; measured results are identical to the fanned-out run.
     """
-    if not controllers:
-        raise ConfigError("showdown needs at least one controller")
-    if not workloads:
-        raise ConfigError("showdown needs at least one workload")
-    for name in controllers:
-        if name not in CONTROLLER_POLICIES:
-            raise ConfigError(
-                f"unknown controller {name!r}; expected one of {CONTROLLER_POLICIES}"
-            )
-    for name in workloads:
-        if name not in SHOWDOWN_WORKLOADS:
-            raise ConfigError(
-                f"unknown workload {name!r}; expected one of {SHOWDOWN_WORKLOADS}"
-            )
+    for kind, names in (("controller", controllers), ("workload", workloads)):
+        if not names:
+            raise ConfigError(f"showdown needs at least one {kind}")
 
-    extra = {}
-    if base_qps is not None:
-        extra["base_qps"] = base_qps
-    if peak_qps is not None:
-        extra["peak_qps"] = peak_qps
-
-    tasks = []
-    for workload in workloads:
-        for controller in controllers:
-            spec = controller_showdown(
-                policy=controller,
-                workload=workload,
-                slo_ms=slo_ms,
-                duration=duration,
-                warmup=warmup,
-                seed=seed,
-                **extra,
-            )
-            label = f"showdown/{workload}/{controller}"
-            if faults is not None:
-                cell_faults = faults
-                if spec.perfiso is None and faults.controller_crash is not None:
-                    cell_faults = dataclasses.replace(faults, controller_crash=None)
-                spec = dataclasses.replace(spec, faults=cell_faults)
-                label += "+chaos"
-            tasks.append(ExperimentTask(spec, scenario=label))
-    hashes = [spec_hash(task.spec) for task in tasks]
-    if telemetry is not None:
-        from ..single_machine import SingleMachineExperiment
-
-        runs = [
-            SingleMachineExperiment(task.spec, scenario=task.scenario).run(
-                telemetry=telemetry
-            )
-            for task in tasks
-        ]
-    else:
-        runner = runner if runner is not None else ExperimentRunner()
-        runs = [outcome.result for outcome in runner.run_batch(tasks)]
-
-    result = ShowdownResult(spec_hashes=hashes)
-    labels = [
-        (workload, controller)
-        for workload in workloads
-        for controller in controllers
-    ]
-    for (workload, controller), run in zip(labels, runs):
+    grid_run = run_scenario(
+        "controller-showdown",
+        runner=runner,
+        grid={"workload": workloads, "policy": controllers},
+        telemetry=telemetry,
+        duration=duration,
+        warmup=warmup,
+        seed=seed,
+        slo_ms=slo_ms,
+        base_qps=base_qps,
+        peak_qps=peak_qps,
+        faults=faults,
+    )
+    result = ShowdownResult(spec_hashes=[spec_hash(v.spec) for v in grid_run.variants])
+    for variant, run in zip(grid_run.variants, grid_run.results):
+        cell = dict(variant.axis_values)
         p99_ms = run.latency.as_millis()["p99_ms"]
         result.rows.append(
             {
-                "workload": workload,
-                "controller": controller,
+                "workload": cell["workload"],
+                "controller": cell["policy"],
                 "p99_ms": p99_ms,
                 "slo_ms": slo_ms,
                 "p99_over_slo": p99_ms / slo_ms,

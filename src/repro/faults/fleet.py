@@ -108,13 +108,6 @@ class FleetFaultTimeline:
     def plan(self) -> FaultPlanSpec:
         return self._plan
 
-    def crashing_machines(self) -> int:
-        """Machines with at least one crash episode inside the horizon."""
-        return len(self._episodes)
-
-    def degraded_machines(self) -> int:
-        return sum(len(members) for members in self._degraded.values())
-
     def down_at(self, group: str, machine_index: int, time: float) -> bool:
         episodes = self._episodes.get((group, machine_index))
         if not episodes:

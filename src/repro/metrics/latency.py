@@ -110,7 +110,6 @@ class LatencyCollector:
         self._count = 0
         self._dropped = 0
         self._dropped_warmup = 0
-        self._total_seen = 0
         #: Optional tee fed every served sample (including warmup) — e.g. a
         #: :class:`SlidingLatencyWindow` driving a latency-feedback controller,
         #: which must see live latencies the moment they happen.
@@ -127,10 +126,6 @@ class LatencyCollector:
     @property
     def dropped(self) -> int:
         return self._dropped
-
-    @property
-    def total_seen(self) -> int:
-        return self._total_seen
 
     def _reserve(self, extra: int) -> None:
         needed = self._count + extra
@@ -151,7 +146,6 @@ class LatencyCollector:
         """
         if latency < 0:
             raise ExperimentError(f"negative latency recorded: {latency}")
-        self._total_seen += 1
         if self._observer is not None:
             self._observer.record(completion_time, latency)
         if completion_time < self._warmup_end:
@@ -164,7 +158,6 @@ class LatencyCollector:
 
     def record_drop(self, drop_time: float) -> None:
         """Record a query dropped (timed out) at ``drop_time``."""
-        self._total_seen += 1
         if drop_time < self._warmup_end:
             self._dropped_warmup += 1
             return
@@ -178,7 +171,6 @@ class LatencyCollector:
         self._reserve(values.size)
         self._buffer[self._count: self._count + values.size] = values
         self._count += values.size
-        self._total_seen += int(values.size)
 
     def samples(self) -> np.ndarray:
         return self._buffer[: self._count].copy()

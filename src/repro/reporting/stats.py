@@ -12,7 +12,7 @@ used, which errs on the wide (conservative) side.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import ConfigError
 
@@ -135,16 +135,3 @@ def aggregate_rows(
             entry.update(summarize(values))
             out.append(entry)
     return out
-
-
-def aggregate_metric(
-    replicates: Sequence[Sequence[dict]], label: object, metric: str
-) -> Optional[Dict[str, float]]:
-    """Summary of one (label, metric) cell, or ``None`` when absent."""
-    values = [
-        float(row[metric])
-        for rows in replicates
-        for row in rows
-        if row.get("label") == label and _is_numeric(row.get(metric))
-    ]
-    return summarize(values) if values else None

@@ -13,7 +13,7 @@ properties the harnesses rely on:
   re-runs the standalone baseline) execute exactly once.
 * **Shared caching** — results are stored in a content-addressed
   :class:`~repro.runtime.cache.ResultCache` keyed on the spec hash, so
-  different harnesses (Figure 8's comparison, Figure 10's calibration, the
+  different harnesses (the figure scenarios, Figure 10's calibration, the
   benchmarks) reuse each other's runs.
 """
 

@@ -114,10 +114,6 @@ class QueryTrace:
     def mean_worker_count(self) -> float:
         return float(np.mean([q.worker_count for q in self._queries]))
 
-    def mean_cpu_demand(self) -> float:
-        """Mean core-seconds of worker CPU per query."""
-        return float(np.mean([q.total_cpu_demand for q in self._queries]))
-
     def mean_miss_rate(self) -> float:
         total_workers = sum(q.worker_count for q in self._queries)
         total_misses = sum(q.miss_count for q in self._queries)

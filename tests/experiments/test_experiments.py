@@ -3,10 +3,12 @@
 import pytest
 
 from repro.config.validation import validate_experiment
+from repro.errors import ConfigError
+from repro.experiments import figures
 from repro.experiments import scenarios as sc
-from repro.experiments.comparison import IsolationComparison
 from repro.experiments.reporting import format_figure, format_table
 from repro.experiments.single_machine import SingleMachineExperiment
+from repro.runtime import ExperimentRunner, ResultCache
 
 
 class TestScenarioBuilders:
@@ -150,24 +152,26 @@ class TestMultiSecondaryExperiment:
         assert result.secondary_breakdown["trainer"]["progress"] > 0
 
 
-class TestIsolationComparison:
+class TestFig8Approaches:
+    """Figure 8 as the ``fig8`` scenario: its ``run`` axis picks the approaches."""
+
     def test_selected_approaches_only(self):
-        comparison = IsolationComparison(qps=500, duration=0.8, warmup=0.2, seed=4,
-                                         bully_threads=16)
-        result = comparison.run(["standalone", "no_isolation", "blind_isolation"])
-        assert [row.approach for row in result.rows] == [
+        figure = figures.fig8_comparison(
+            qps=500, duration=0.8, warmup=0.2, seed=4,
+            grid={"run": ("standalone", "no_isolation", "blind_isolation")},
+            runner=ExperimentRunner(max_workers=1, cache=ResultCache()),
+        )
+        assert [row["approach"] for row in figure.rows] == [
             "standalone", "no_isolation", "blind_isolation"
         ]
-        relative = result.relative_progress()
-        assert relative["no_isolation"] == pytest.approx(1.0)
-        assert 0 < relative["blind_isolation"] <= 1.05
-        table = result.as_table()
-        assert len(table) == 3
+        relative = {row["approach"]: row["relative_progress_pct"] for row in figure.rows}
+        assert relative["no_isolation"] == pytest.approx(100.0)
+        assert 0 < relative["blind_isolation"] <= 105.0
+        assert len(figure.rows) == 3
 
     def test_unknown_approach_rejected(self):
-        comparison = IsolationComparison(qps=500, duration=0.5)
-        with pytest.raises(KeyError):
-            comparison.run(["warp_drive"])
+        with pytest.raises(ConfigError, match="unknown figure run"):
+            figures.fig8_comparison(qps=500, duration=0.5, grid={"run": ("warp_drive",)})
 
 
 class TestReporting:

@@ -15,7 +15,8 @@ from repro.fleet.model import ModeCalibration, mode_curve_matrix, quantile_grid
 @pytest.fixture(scope="module")
 def fig5_small():
     return figures.fig5_blind_isolation(
-        buffer_levels=(8,), qps_levels=(500.0,), duration=0.6, warmup=0.2, seed=3
+        grid={"qps": (500.0,), "run": ("standalone", "blind-8")},
+        duration=0.6, warmup=0.2, seed=3,
     )
 
 
@@ -43,22 +44,11 @@ class TestFigureHarnessPlumbing:
         colocated = figure.row(configuration="colocated+blind-isolation")
         assert colocated["busy_cpu_pct"] > figure.row(configuration="standalone")["busy_cpu_pct"]
 
-    def test_figure_from_matrix_scenario(self):
-        figure = figures.figure_from_scenario(
-            "no-isolation", grid={"bully_threads": (16,)},
-            qps=500.0, duration=0.6, warmup=0.2, seed=3,
-        )
-        assert figure.figure_id == "matrix/no-isolation"
-        assert len(figure.rows) == 1
-        row = figure.rows[0]
-        assert row["bully_threads"] == 16
-        assert "p99_ms" in row and "progress:cpu-bully" in row
-
     def test_fig6_and_fig7_structures(self):
-        fig6 = figures.fig6_static_cores(core_levels=(8,), qps_levels=(400.0,),
+        fig6 = figures.fig6_static_cores(grid={"qps": (400.0,), "run": ("standalone", "cores-8")},
                                          duration=0.5, warmup=0.1, seed=2)
         assert fig6.rows[0]["secondary_cores"] == 8
-        fig7 = figures.fig7_cpu_cycles(fractions=(0.25,), qps_levels=(400.0,),
+        fig7 = figures.fig7_cpu_cycles(grid={"qps": (400.0,), "run": ("standalone", "cycles-25")},
                                        duration=0.5, warmup=0.1, seed=2)
         assert fig7.rows[0]["cpu_fraction_pct"] == pytest.approx(25.0)
         assert "drop_rate_pct" in fig7.rows[0]

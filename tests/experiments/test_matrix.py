@@ -133,6 +133,22 @@ class TestExpansion:
         with pytest.raises(ConfigError, match="unknown common parameter"):
             matrix.get_scenario("standalone").expand(bogus=1)
 
+    def test_builder_keywords_are_forwarded(self):
+        (variant,) = matrix.expand(
+            "controller-arena", grid={"policy": ("pid",)}, slo_ms=20.0, **FAST
+        )
+        assert variant.spec.perfiso.pid.slo_p99 == pytest.approx(0.020)
+        with pytest.raises(ConfigError, match="unknown common parameter"):
+            matrix.expand("standalone", slo_ms=20.0)
+
+    def test_repeated_grid_value_is_an_error(self):
+        with pytest.raises(ConfigError, match="repeats a value"):
+            matrix.expand("no-isolation", grid={"bully_threads": (24, 24)}, **FAST)
+
+    def test_empty_grid_axis_is_an_error(self):
+        with pytest.raises(ConfigError, match="has no values"):
+            matrix.expand("no-isolation", grid={"bully_threads": ()}, **FAST)
+
     def test_common_params_not_in_signature_are_skipped(self):
         # ``diurnal`` owns its QPS (the phase axis decides it); forwarding
         # qps must not crash and must not leak into the spec.
@@ -168,12 +184,6 @@ class TestExecution:
             "no-isolation", runner=ExperimentRunner(max_workers=4, cache=ResultCache()), **FAST
         )
         assert serial.rows() == parallel.rows()
-
-    def test_run_matrix_shares_one_runner(self):
-        runner = ExperimentRunner(max_workers=1, cache=ResultCache())
-        results = matrix.run_matrix(["standalone", "standalone"], runner=runner, **FAST)
-        # The second scenario's only variant is the first one's cache entry.
-        assert results[1].cache_hits == 1
 
     def test_multi_secondary_composite_runs_and_reports_breakdown(self):
         runner = ExperimentRunner(max_workers=1, cache=ResultCache())
@@ -259,6 +269,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fleet-staged-rollout" in out
         assert "fleet)" in out  # the catalog footer counts fleet scenarios
+
+    def test_list_shows_figure_scenarios(self, capsys):
+        assert matrix.main(["--list"]) == 0
+        names = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()}
+        assert {"fig4", "fig5", "fig6", "fig7", "fig8", "headline"} <= names
+
+    def test_showdown_cli_rejects_a_repeated_controller(self, capsys):
+        from repro.experiments import showdown
+
+        code = showdown.main(
+            ["--controllers", "blind,blind", "--workloads", "flash_crowd",
+             "--duration", "0.3", "--warmup", "0.1"]
+        )
+        assert code == 2
+        assert "repeats a value" in capsys.readouterr().err
 
     def test_bad_grid_syntax_exits_nonzero(self, capsys):
         assert matrix.main(["--run", "no-isolation", "--grid", "oops"]) == 2

@@ -104,6 +104,26 @@ class TestCampaignCli:
         assert "unknown scenario" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
 
+    def test_repeated_grid_value_is_a_usage_error(self, tmp_path, capsys):
+        code = reporting.main(
+            ["--scenario", "no-isolation", "--seeds", "2", "--grid", "bully_threads=24,24",
+             "--bundle", str(tmp_path / "b")] + FAST_ARGS
+        )
+        assert code == EXIT_USAGE
+        assert "repeats a value" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
+
+    def test_fig8_campaign_bundle_validates(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "fig8"
+        code = reporting.main(
+            ["--scenario", "fig8", "--seeds", "2", "--qps", "600", "--duration", "0.5",
+             "--warmup", "0.1", "--workers", "2", "--bundle", str(bundle_dir)]
+        )
+        assert code == EXIT_OK
+        assert "2 of 2 replicates x 5 variants" in capsys.readouterr().out
+        assert reporting.main(["--validate", str(bundle_dir)]) == EXIT_OK
+        assert "kind=campaign name=fig8" in capsys.readouterr().out
+
     def test_validate_action(self, tmp_path, capsys):
         bundle_dir = tmp_path / "bundle"
         assert reporting.main(CAMPAIGN_ARGS + ["--bundle", str(bundle_dir)]) == EXIT_OK

@@ -68,7 +68,8 @@ class TestRunDeterminism:
     def test_figure_rows_bit_identical_serial_vs_parallel(self):
         """Identical seeds yield bit-identical figure output either way."""
         kwargs = dict(
-            buffer_levels=(4,), qps_levels=(350.0,), duration=0.6, warmup=0.2, seed=11
+            grid={"qps": (350.0,), "run": ("standalone", "blind-4")},
+            duration=0.6, warmup=0.2, seed=11,
         )
         serial = figures.fig5_blind_isolation(
             runner=ExperimentRunner(max_workers=1, cache=ResultCache()), **kwargs
