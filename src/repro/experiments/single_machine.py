@@ -194,7 +194,7 @@ class SingleMachineExperiment:
                 trace,
                 qps=spec.workload.qps,
                 duration=spec.workload.total_time,
-                submit=lambda query, arrival: primary.submit(query, arrival),
+                submit=primary.submit,
                 rng=streams.stream("arrivals"),
                 arrival_process=spec.workload.arrival_process,
             )
@@ -204,7 +204,7 @@ class SingleMachineExperiment:
                 trace,
                 rate_fn=arrival_model.rate_at,
                 duration=spec.workload.total_time,
-                submit=lambda query, arrival: primary.submit(query, arrival),
+                submit=primary.submit,
                 rng=streams.stream("arrivals"),
                 # The client's default floor of 1 qps would silently drive
                 # traffic through zero-QPS trace buckets.  A near-zero floor

@@ -10,7 +10,7 @@ beyond that.  Striped volumes split large requests across member disks.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, List, Optional
 
 import numpy as np
 
@@ -104,9 +104,11 @@ class DiskDevice:
         jitter: Optional[BatchedDraws] = None,
     ) -> None:
         self._engine = engine
+        # The engine's queue, pushed to directly once per chunk: the
+        # engine.schedule wrapper's checks and argument packing cost more.
+        self._equeue = engine._queue
         self._spec = spec
         self._name = name
-        self._rng = rng
         if jitter is None and rng is not None:
             jitter = jitter_source(rng)
         self._jitter = jitter
@@ -116,8 +118,6 @@ class DiskDevice:
         self.completed_requests = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        self.busy_time = 0.0
-        self.total_queue_delay = 0.0
 
     @property
     def name(self) -> str:
@@ -142,7 +142,7 @@ class DiskDevice:
         """Queue one chunk; ``done(queue_delay)`` fires when it completes."""
         if op not in _VALID_OPS:
             raise ResourceError(f"I/O op must be one of {_VALID_OPS}, got {op!r}")
-        entry = (self._engine.now, size_bytes, op, done)
+        entry = (self._engine._now, size_bytes, op, done)
         if self._in_service < self._spec.max_queue_depth:
             self._start(entry)
         else:
@@ -153,21 +153,18 @@ class DiskDevice:
         enqueue_time, size_bytes, op, done = entry
         self._in_service += 1
         spec = self._spec
-        engine = self._engine
         duration = spec.base_latency + size_bytes / spec.bandwidth_bytes_per_s
         if self._jitter is not None:
             # Mild service-time variability: +/-20 % uniform jitter, which is
             # enough to avoid artificial synchronisation between devices.
-            duration *= float(self._jitter.next())
-        queue_delay = engine.now - enqueue_time
-        self.total_queue_delay += queue_delay
-        self.busy_time += duration
+            duration *= self._jitter.next()
         if op == _READ:
             self.bytes_read += size_bytes
         else:
             self.bytes_written += size_bytes
-        engine.schedule(
-            duration, self._complete, done, queue_delay, priority=EventPriority.HARDWARE
+        now = self._engine._now
+        self._equeue.push(
+            now + duration, self._complete, (done, now - enqueue_time), EventPriority.HARDWARE
         )
 
     def _complete(self, done: Callable[[float], None], queue_delay: float) -> None:
@@ -212,8 +209,6 @@ class StripedVolume:
         self._next_disk = 0
         # statistics
         self.completed_requests = 0
-        self.completed_by_category: Dict[str, int] = {}
-        self.bytes_by_category: Dict[str, int] = {}
 
     @property
     def name(self) -> str:
@@ -240,7 +235,7 @@ class StripedVolume:
         callback: Optional[Callable[[IoRequest], None]] = None,
     ) -> IoRequest:
         """Submit a request; ``callback(request)`` fires on completion."""
-        now = self._engine.now
+        now = self._engine._now
         spec = self._spec
         request = IoRequest(owner, category, op, size_bytes, spec.name, callback, now)
         request.start_time = now
@@ -277,14 +272,8 @@ class StripedVolume:
         request.chunks_pending -= 1
         if request.chunks_pending > 0:
             return
-        request.complete_time = self._engine.now
+        request.complete_time = self._engine._now
         self.completed_requests += 1
-        self.completed_by_category[request.category] = (
-            self.completed_by_category.get(request.category, 0) + 1
-        )
-        self.bytes_by_category[request.category] = (
-            self.bytes_by_category.get(request.category, 0) + request.size_bytes
-        )
         if request.callback is not None:
             request.callback(request)
 

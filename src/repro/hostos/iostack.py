@@ -72,9 +72,10 @@ class IoStack:
         self._accounting = accounting
         self._limits: Dict[Tuple[str, str], IoLimits] = {}
         # statistics
-        self.submitted_requests = 0
-        self.completed_requests = 0
         self.throttle_delays = 0
+        #: The machine's one I/O ledger: completed requests and bytes per
+        #: (process, volume), read through :meth:`completions` (the DWRR
+        #: throttler's signal) and :meth:`completed_bytes`.
         self.completions_by_key: Dict[Tuple[str, str], int] = {}
         self.bytes_by_key: Dict[Tuple[str, str], int] = {}
 
@@ -129,7 +130,6 @@ class IoStack:
 
         ``callback`` fires when the request completes at the device.
         """
-        self.submitted_requests += 1
         limits = self._limits.get((process.name, volume_name))
         if limits is None or limits.unlimited:
             self._issue(process, volume_name, op, size_bytes, callback)
@@ -212,13 +212,12 @@ class IoStack:
         size_bytes: int,
         callback: Optional[Callable[[IoRequest], None]],
     ) -> None:
-        volume = self._machine.volume(volume_name)
-        volume.submit(
-            owner=process.name,
-            category=process.category,
-            op=op,
-            size_bytes=size_bytes,
-            callback=lambda request: self._complete(process, request, callback),
+        self._machine.volume(volume_name).submit(
+            process.name,
+            process.category,
+            op,
+            size_bytes,
+            lambda request: self._complete(process, request, callback),
         )
 
     def _complete(
@@ -227,11 +226,9 @@ class IoStack:
         request: IoRequest,
         callback: Optional[Callable[[IoRequest], None]],
     ) -> None:
-        self.completed_requests += 1
         key = (process.name, request.volume)
         self.completions_by_key[key] = self.completions_by_key.get(key, 0) + 1
         self.bytes_by_key[key] = self.bytes_by_key.get(key, 0) + request.size_bytes
-        process.charge_io(request.volume, request.size_bytes)
         self._accounting.charge_os(IO_REQUEST_OS_OVERHEAD)
         if callback is not None:
             callback(request)
@@ -246,5 +243,6 @@ class IoStack:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"IoStack(submitted={self.submitted_requests}, completed={self.completed_requests})"
+            f"IoStack(completed={sum(self.completions_by_key.values())}, "
+            f"throttle_delays={self.throttle_delays})"
         )

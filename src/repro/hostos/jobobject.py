@@ -27,15 +27,14 @@ class JobObject:
         #: by the scheduler on every placement; change it through
         #: :meth:`set_cpu_affinity` so the scheduler is notified.
         self.affinity_mask = ANY_CORE
-        # None means "unrestricted" for the other knobs.
-        self._cpu_rate_fraction: Optional[float] = None
+        #: The CPU rate cap as a fraction of machine CPU time (``None`` =
+        #: unrestricted), read by the scheduler on every dispatch; change it
+        #: through :meth:`set_cpu_rate` so the scheduler is notified.
+        self.cpu_rate_fraction: Optional[float] = None
         self._memory_limit_bytes: Optional[int] = None
         # Rate-control runtime state, managed by the scheduler.
         self.rate_budget = 0.0
         self.throttled = False
-        #: Number of member threads currently on a core (scheduler-maintained);
-        #: used to split the per-interval rate budget across concurrent threads.
-        self.running_threads = 0
         #: Observers notified when the affinity or rate limit changes so the
         #: scheduler can react immediately (preempt newly-disallowed cores).
         self._listeners: List[Callable[["JobObject"], None]] = []
@@ -71,10 +70,6 @@ class JobObject:
         mask = self.affinity_mask
         return None if mask == ANY_CORE else mask_cores(mask)
 
-    @property
-    def cpu_rate_fraction(self) -> Optional[float]:
-        return self._cpu_rate_fraction
-
     def set_cpu_affinity(self, cores: Optional[FrozenSet[int]]) -> None:
         """Restrict member threads to ``cores`` (``None`` removes the limit).
 
@@ -92,9 +87,9 @@ class JobObject:
         """Cap the job to ``fraction`` of total machine CPU time per interval."""
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise SchedulerError(f"cpu rate fraction must be in (0, 1], got {fraction}")
-        if fraction == self._cpu_rate_fraction:
+        if fraction == self.cpu_rate_fraction:
             return
-        self._cpu_rate_fraction = fraction
+        self.cpu_rate_fraction = fraction
         if fraction is None:
             self.throttled = False
         self._notify()
@@ -125,5 +120,5 @@ class JobObject:
         affinity = "all" if mask == ANY_CORE else mask.bit_count()
         return (
             f"JobObject({self.name!r}, processes={len(self.processes)}, "
-            f"affinity={affinity}, rate={self._cpu_rate_fraction})"
+            f"affinity={affinity}, rate={self.cpu_rate_fraction})"
         )

@@ -1,7 +1,7 @@
 """Simulated OS processes.
 
-A process groups threads, owns memory, accumulates CPU and I/O statistics and
-may be placed in a :class:`~repro.hostos.jobobject.JobObject` so PerfIso can
+A process groups threads, owns memory, accumulates CPU time (the kernel's I/O
+stack counts its I/O per volume) and may be placed in a :class:`~repro.hostos.jobobject.JobObject` so PerfIso can
 restrict it (affinity, CPU rate, memory) without knowing anything about the
 code it runs — exactly the interface the paper relies on.
 """
@@ -51,10 +51,6 @@ class OsProcess:
         # resource usage
         self.memory_bytes = 0
         self.cpu_time = 0.0
-        self.io_requests_completed = 0
-        self.io_bytes_completed = 0
-        self.io_requests_by_volume: Dict[str, int] = {}
-        self.io_bytes_by_volume: Dict[str, int] = {}
 
     # -------------------------------------------------------------- threads
     def live_threads(self) -> List["SimThread"]:
@@ -64,14 +60,6 @@ class OsProcess:
     # ------------------------------------------------------------ accounting
     def charge_cpu(self, seconds: float) -> None:
         self.cpu_time += seconds
-
-    def charge_io(self, volume: str, size_bytes: int) -> None:
-        self.io_requests_completed += 1
-        self.io_bytes_completed += size_bytes
-        self.io_requests_by_volume[volume] = self.io_requests_by_volume.get(volume, 0) + 1
-        self.io_bytes_by_volume[volume] = (
-            self.io_bytes_by_volume.get(volume, 0) + size_bytes
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

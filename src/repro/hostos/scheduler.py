@@ -30,6 +30,12 @@ because changing the production kernel is off the table (Section 3.1):
   visits only the set bits of the cores it forbids.  The idle mask is what the
   kernel syscall facade reports with O(1) cost — the low-latency signal blind
   isolation polls.
+* A **placement index** keeps, per ready-queue length, the mask of cores
+  whose local queue has that length, plus the shortest length.  Queueing a
+  thread takes the lowest core of the first length bucket that meets its
+  affinity (shortest queue, lowest core id), and work stealing walks the
+  buckets from the longest down — a few mask operations instead of a scan
+  over every allowed core or a sorted candidate list.
 
 There is deliberately **no** priority preemption between tenants: the primary
 and secondary compete as equals unless PerfIso intervenes.
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional
+from typing import Deque, Dict, FrozenSet, List, Optional
 
 from ..config.schema import SchedulerSpec
 from ..errors import SchedulerError
@@ -47,6 +53,7 @@ from ..hardware.topology import CpuTopology
 from ..simulation.engine import SimulationEngine
 from ..simulation.events import EventPriority
 from .accounting import CpuAccounting
+from .iostack import IoStack
 from .jobobject import JobObject
 from .process import OsProcess
 from .thread import SimThread, ThreadState, mask_cores
@@ -57,11 +64,12 @@ _EPSILON = 1e-12
 #: Tolerance used when deciding whether a CPU phase has finished; durations
 #: are milliseconds-scale so a nanosecond of residual work is "done".
 _WORK_EPSILON = 1e-9
-
-#: Signature of the I/O submission hook the kernel installs: it receives the
-#: blocked thread and the io phase parameters, and must eventually call the
-#: completion callback exactly once.
-IoSubmit = Callable[[SimThread, str, str, int, Callable[[], None]], None]
+_INF = math.inf
+_KERNEL = EventPriority.KERNEL
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+_BLOCKED = ThreadState.BLOCKED
+_TERMINATED = ThreadState.TERMINATED
 
 
 class Scheduler:
@@ -73,16 +81,17 @@ class Scheduler:
         topology: CpuTopology,
         spec: SchedulerSpec,
         accounting: CpuAccounting,
-        io_submit: Optional[IoSubmit] = None,
+        iostack: IoStack,
     ) -> None:
         self._engine = engine
         # The engine's queue, accessed directly on the slice-event hot path
         # (one push per dispatch, one lazy cancel per preemption).
         self._equeue = engine._queue
-        self._topology = topology
         self._spec = spec
         self._accounting = accounting
-        self._io_submit = io_submit
+        #: Where a thread's I/O phase is submitted; its completion resumes
+        #: the thread's program.
+        self._iostack = iostack
         core_count = topology.logical_core_count
         self._core_thread: List[Optional[SimThread]] = [None] * core_count
         self._last_tid_on_core: List[Optional[int]] = [None] * core_count
@@ -113,6 +122,12 @@ class Scheduler:
         self._local_queues: List[Deque[SimThread]] = [deque() for _ in range(core_count)]
         self._global_queue: Deque[SimThread] = deque()
         self._queued_threads = 0
+        #: The placement index: ``_len_masks[n]`` is the mask of cores whose
+        #: local queue holds exactly ``n`` threads (every core sits in exactly
+        #: one bucket, and the last bucket is never empty), and ``_shortest``
+        #: is the smallest ``n`` with a non-empty bucket.
+        self._len_masks: List[int] = [self._all_mask]
+        self._shortest = 0
         #: Ready-but-waiting threads grouped by the job object they belonged
         #: to at enqueue time (``None`` key counted separately).  The dispatch
         #: path consults these counts to skip full queue scans when nothing
@@ -122,14 +137,6 @@ class Scheduler:
         self._job_queued: Dict[JobObject, int] = {}
         self._rate_jobs: Dict[str, JobObject] = {}
         self._rate_refresh_events: Dict[str, object] = {}
-        # statistics
-        self.dispatches = 0
-        self.preemptions = 0
-        self.context_switches = 0
-        self.affinity_preemptions = 0
-        self.throttle_preemptions = 0
-        self.steals = 0
-        self.smt_shared_dispatches = 0
 
     # ----------------------------------------------------------------- hooks
     def set_speed_factor(self, factor: Optional[float]) -> None:
@@ -179,10 +186,10 @@ class Scheduler:
         if thread.state != ThreadState.NEW:
             raise SchedulerError(f"thread {thread.name!r} was already added")
         thread.process.threads[thread.tid] = thread
-        if thread.program[thread.phase_index][0] == "io":
+        if thread.program[0][0] == "io":
             # A program may start with I/O (e.g. a worker that reads the index
             # before computing); submit it straight away.
-            thread.state = ThreadState.BLOCKED
+            thread.state = _BLOCKED
             self._submit_io(thread)
             return
         self._make_ready(thread)
@@ -192,19 +199,18 @@ class Scheduler:
         if thread.terminated:
             return
         del thread.process.threads[thread.tid]
-        if thread.state == ThreadState.RUNNING:
+        if thread.state == _RUNNING:
             core_id = thread.core_id
             self._stop_running(thread)
-            thread.state = ThreadState.TERMINATED
+            thread.state = _TERMINATED
             thread.core_id = None
-            if core_id is not None:
-                self._dispatch_core(core_id)
-        elif thread.state == ThreadState.READY:
+            self._dispatch_core(core_id)
+        elif thread.state == _READY:
             self._remove_from_queues(thread)
-            thread.state = ThreadState.TERMINATED
+            thread.state = _TERMINATED
         else:
             # NEW or BLOCKED: the I/O completion path checks for termination.
-            thread.state = ThreadState.TERMINATED
+            thread.state = _TERMINATED
 
     def terminate_process(self, process: OsProcess) -> None:
         """Terminate every live thread of ``process`` in spawn order, which
@@ -223,26 +229,95 @@ class Scheduler:
 
     # ----------------------------------------------------------- ready queues
     def _make_ready(self, thread: SimThread) -> None:
-        thread.state = ThreadState.READY
-        thread.ready_since = self._engine._now
-        core = self._find_idle_core(thread)
-        if core is not None:
-            self._dispatch(thread, core)
-            return
+        """Run ``thread`` on an idle core of its affinity if one exists —
+        one on an empty physical core first, lowest id for determinism, like
+        a real scheduler — and queue it otherwise."""
+        thread.state = _READY
+        idle = self._idle_mask
+        if idle:
+            job = thread.process.job
+            if job is None:
+                idle &= thread.affinity_mask
+            elif job.throttled:
+                idle = 0
+            else:
+                idle &= thread.affinity_mask & job.affinity_mask
+            if idle:
+                free = idle & self._free_phys
+                if free:
+                    idle = free
+                self._dispatch(thread, (idle & -idle).bit_length() - 1)
+                return
         self._enqueue(thread)
 
-    def _note_queued(self, thread: SimThread) -> None:
-        """Account a thread entering a ready queue under its current job."""
+    def _enqueue(self, thread: SimThread) -> None:
+        self._queued_threads += 1
         job = thread.process.job
         thread.queued_job = job
         if job is None:
             self._nojob_queued += 1
+            allowed = thread.affinity_mask & self._all_mask
         else:
             counts = self._job_queued
             counts[job] = counts.get(job, 0) + 1
+            allowed = thread.affinity_mask & job.affinity_mask & self._all_mask
+        if not self._per_core or not allowed:
+            # The global queue; under per-core placement it parks a thread
+            # whose affinity mask is empty until the mask grows again.
+            thread.queued_core = None
+            self._global_queue.append(thread)
+            return
+        core_id = self._shortest_queue(allowed)
+        queue = self._local_queues[core_id]
+        self._enqueued_at(core_id, len(queue))
+        thread.queued_core = core_id
+        queue.append(thread)
+
+    def _shortest_queue(self, allowed: int) -> int:
+        """The core in ``allowed`` with the shortest local queue, lowest id on
+        ties: the lowest core of the first length bucket that meets the mask.
+        Every core sits in some bucket, so the walk ends by the last one."""
+        masks = self._len_masks
+        length = self._shortest
+        fit = masks[length] & allowed
+        while not fit:
+            length += 1
+            fit = masks[length] & allowed
+        return (fit & -fit).bit_length() - 1
+
+    def _enqueued_at(self, core_id: int, length: int) -> None:
+        """Move ``core_id`` up one length bucket: its local queue, holding
+        ``length`` threads, is about to gain one."""
+        bit = 1 << core_id
+        masks = self._len_masks
+        rest = masks[length] ^ bit
+        masks[length] = rest
+        if length + 1 < len(masks):
+            masks[length + 1] |= bit
+        else:
+            masks.append(bit)
+        if not rest and length == self._shortest:
+            self._shortest = length + 1
+
+    def _dequeued_at(self, core_id: int, length: int) -> None:
+        """Move ``core_id`` down one length bucket: its local queue just lost
+        a thread and now holds ``length``."""
+        bit = 1 << core_id
+        masks = self._len_masks
+        masks[length] |= bit
+        rest = masks[length + 1] ^ bit
+        if rest or length + 2 < len(masks):
+            masks[length + 1] = rest
+        else:
+            masks.pop()
+        if length < self._shortest:
+            self._shortest = length
 
     def _note_dequeued(self, thread: SimThread) -> None:
-        """Reverse :meth:`_note_queued` (keyed on the job stored at enqueue)."""
+        """Reverse the ready count :meth:`_enqueue` took (keyed on the job
+        stored at enqueue)."""
+        self._queued_threads -= 1
+        thread.queued_core = None
         job = thread.queued_job
         thread.queued_job = None
         if job is None:
@@ -266,64 +341,29 @@ class Scheduler:
                 return True
         return False
 
-    def _enqueue(self, thread: SimThread) -> None:
-        self._queued_threads += 1
-        self._note_queued(thread)
-        if not self._per_core:
-            thread.queued_core = None
-            self._global_queue.append(thread)
-            return
-        allowed = thread.effective_mask() & self._all_mask
-        if not allowed:
-            # Empty affinity mask: park the thread on a virtual queue; it
-            # will be re-placed when the mask grows again.
-            thread.queued_core = None
-            self._global_queue.append(thread)
-            return
-        best_core = (allowed & -allowed).bit_length() - 1
-        queues = self._local_queues
-        if self._queued_threads > 1:
-            # Every other queue is empty when this is the only queued thread;
-            # otherwise scan ascending, which keeps the deterministic
-            # tie-break (shortest queue, lowest core id).
-            best_len = len(queues[best_core])
-            for core_id in range(best_core + 1, allowed.bit_length()):
-                if allowed >> core_id & 1:
-                    queue_len = len(queues[core_id])
-                    if queue_len < best_len:
-                        best_core = core_id
-                        best_len = queue_len
-        thread.queued_core = best_core
-        queues[best_core].append(thread)
-
     def _remove_from_queues(self, thread: SimThread) -> None:
-        removed = False
-        if thread.queued_core is not None:
-            try:
-                self._local_queues[thread.queued_core].remove(thread)
-                removed = True
-            except ValueError:
-                pass
-        if not removed:
-            try:
-                self._global_queue.remove(thread)
-                removed = True
-            except ValueError:
-                pass
-        if removed:
-            self._queued_threads -= 1
-            self._note_dequeued(thread)
-        thread.queued_core = None
+        core_id = thread.queued_core
+        if core_id is None:
+            self._global_queue.remove(thread)
+        else:
+            queue = self._local_queues[core_id]
+            queue.remove(thread)
+            self._dequeued_at(core_id, len(queue))
+        self._note_dequeued(thread)
 
-    def _pop_eligible(self, queue: Deque[SimThread], core_id: int) -> Optional[SimThread]:
+    def _pop_eligible(
+        self, queue: Deque[SimThread], core_id: int, owner: Optional[int] = None
+    ) -> Optional[SimThread]:
+        """Take the first thread in ``queue`` that may run on ``core_id``;
+        ``owner`` is the core whose local queue it is (``None`` for the
+        global queue)."""
         # Eligibility (not terminated, job not throttled, affinity admits the
         # core) is checked inline: this loop runs for every queued thread on
         # every dispatch, so per-thread method calls are too expensive.
         index = 0
         bit = 1 << core_id
-        terminated = ThreadState.TERMINATED
         for thread in queue:
-            if thread.state != terminated:
+            if thread.state != _TERMINATED:
                 job = thread.process.job
                 if (
                     thread.affinity_mask & bit
@@ -334,8 +374,8 @@ class Scheduler:
                         queue.popleft()
                     else:
                         del queue[index]
-                    self._queued_threads -= 1
-                    thread.queued_core = None
+                    if owner is not None:
+                        self._dequeued_at(owner, len(queue))
                     self._note_dequeued(thread)
                     return thread
             index += 1
@@ -353,30 +393,32 @@ class Scheduler:
         if self._per_core:
             local = self._local_queues[core_id]
             if local:
-                thread = self._pop_eligible(local, core_id)
+                thread = self._pop_eligible(local, core_id, core_id)
             if thread is None and self._global_queue:
                 thread = self._pop_eligible(self._global_queue, core_id)
             if thread is None:
-                # Work stealing: scan the other cores' queues, longest first
-                # (ties by lowest core id), so load spreads out once cores
-                # become idle.  Only non-empty queues are considered.
-                queues = self._local_queues
-                candidates = [
-                    (-len(queue), victim)
-                    for victim, queue in enumerate(queues)
-                    if queue and victim != core_id
-                ]
-                if candidates:
-                    candidates.sort()
-                    for _, victim in candidates:
-                        thread = self._pop_eligible(queues[victim], core_id)
-                        if thread is not None:
-                            self.steals += 1
-                            break
+                thread = self._steal(core_id)
         elif self._global_queue:
             thread = self._pop_eligible(self._global_queue, core_id)
         if thread is not None:
             self._dispatch(thread, core_id)
+
+    def _steal(self, core_id: int) -> Optional[SimThread]:
+        """Work stealing: the other cores' queues, longest first (ties by
+        lowest core id), so load spreads out once cores become idle."""
+        masks = self._len_masks
+        queues = self._local_queues
+        others = ~(1 << core_id)
+        for length in range(len(masks) - 1, 0, -1):
+            victims = masks[length] & others
+            while victims:
+                low = victims & -victims
+                victim = low.bit_length() - 1
+                thread = self._pop_eligible(queues[victim], core_id, victim)
+                if thread is not None:
+                    return thread
+                victims ^= low
+        return None
 
     def _fill_idle_cores(self) -> None:
         idle = self._idle_mask
@@ -389,33 +431,13 @@ class Scheduler:
                 self._dispatch_core(core_id)
             idle ^= low
 
-    def _find_idle_core(self, thread: SimThread) -> Optional[int]:
-        idle = self._idle_mask
-        if not idle:
-            return None
-        job = thread.process.job
-        if job is None:
-            idle &= thread.affinity_mask
-        elif job.throttled:
-            return None
-        else:
-            idle &= thread.affinity_mask & job.affinity_mask
-        if not idle:
-            return None
-        # Prefer cores whose hyper-thread siblings are all idle (an empty
-        # physical core), like a real scheduler; lowest id for determinism.
-        free = idle & self._free_phys
-        if free:
-            idle = free
-        return (idle & -idle).bit_length() - 1
-
     # --------------------------------------------------------------- running
     def _dispatch(self, thread: SimThread, core_id: int) -> None:
-        if self._core_thread[core_id] is not None:
+        core_thread = self._core_thread
+        if core_thread[core_id] is not None:
             raise SchedulerError(f"core {core_id} is already running a thread")
         if thread.program[thread.phase_index][0] != "cpu":
             raise SchedulerError(f"thread {thread.name!r} dispatched while not in a CPU phase")
-        engine = self._engine
         spec = self._spec
         process = thread.process
         idle = self._idle_mask
@@ -424,50 +446,37 @@ class Scheduler:
         shared = (idle & phys) != phys
         self._idle_mask = idle & ~(1 << core_id)
         self._free_phys &= ~phys
-        self._core_thread[core_id] = thread
+        core_thread[core_id] = thread
         category = process.category
         cat_running = self._cat_running
         cat_running[category] = cat_running.get(category, 0) + 1
-        now = engine._now
-        if thread.ready_since is not None:
-            thread.total_ready_wait += now - thread.ready_since
-            thread.ready_since = None
-        thread.state = ThreadState.RUNNING
+        now = self._engine._now
+        thread.state = _RUNNING
         thread.core_id = core_id
-        thread.queued_core = None
-        self.dispatches += 1
-        if self._last_tid_on_core[core_id] != thread.tid:
-            self.context_switches += 1
-            thread.context_switches += 1
+        tid = thread.tid
+        if self._last_tid_on_core[core_id] != tid:
+            self._last_tid_on_core[core_id] = tid
             self._accounting.charge_os(spec.context_switch_cost)
-        self._last_tid_on_core[core_id] = thread.tid
-
         rate = spec.smt_slowdown if shared else 1.0
-        if rate < 1.0:
-            self.smt_shared_dispatches += 1
         if self._speed_factor is not None:
             rate *= self._speed_factor
         remaining = thread.remaining_in_phase
         quantum = spec.quantum
-        if remaining == math.inf:
+        if remaining == _INF:
             slice_length = quantum
         else:
             wall_needed = remaining / rate
             slice_length = quantum if quantum < wall_needed else wall_needed
         job = process.job
-        if job is None:
+        if job is None or job.cpu_rate_fraction is None:
             thread.slice_reserved = False
         else:
-            job.running_threads += 1
-            if job.cpu_rate_fraction is not None:
-                # Reserve budget at dispatch time so concurrently running
-                # threads cannot collectively overshoot the duty cycle; the
-                # unused part of a reservation is refunded on preemption.
-                duty = job.cpu_rate_fraction * spec.rate_interval
-                slice_length = min(slice_length, duty, max(job.rate_budget, _EPSILON))
-                thread.slice_reserved = True
-            else:
-                thread.slice_reserved = False
+            # Reserve budget at dispatch time so concurrently running threads
+            # cannot collectively overshoot the duty cycle; the unused part of
+            # a reservation is refunded on preemption.
+            duty = job.cpu_rate_fraction * spec.rate_interval
+            slice_length = min(slice_length, duty, max(job.rate_budget, _EPSILON))
+            thread.slice_reserved = True
         if slice_length < _EPSILON:
             slice_length = _EPSILON
         if thread.slice_reserved:
@@ -478,16 +487,20 @@ class Scheduler:
         # Direct queue push — the engine.schedule wrapper (delay validation,
         # *args packing) costs real time at ~one dispatch per quantum per core.
         thread.slice_event = self._equeue.push(
-            now + slice_length, self._slice_end, (thread,), EventPriority.KERNEL
+            now + slice_length, self._slice_end, (thread,), _KERNEL
         )
 
     def _stop_running(self, thread: SimThread) -> float:
         """Charge the elapsed part of the current slice and free the core."""
-        if thread.state != ThreadState.RUNNING or thread.core_id is None:
+        core_id = thread.core_id
+        if thread.state != _RUNNING or core_id is None:
             raise SchedulerError(f"thread {thread.name!r} is not running")
-        engine = self._engine
-        elapsed = engine._now - thread.dispatched_at
-        elapsed = min(max(elapsed, 0.0), thread.slice_length)
+        elapsed = self._engine._now - thread.dispatched_at
+        if elapsed < 0.0:
+            elapsed = 0.0
+        slice_length = thread.slice_length
+        if elapsed > slice_length:
+            elapsed = slice_length
         event = thread.slice_event
         if event is not None:
             # Inline engine.cancel: the slice event is never already
@@ -496,27 +509,24 @@ class Scheduler:
             if event.in_queue:
                 self._equeue.notify_cancel()
             thread.slice_event = None
-        core_id = thread.core_id
         self._core_thread[core_id] = None
         idle = self._idle_mask | 1 << core_id
         self._idle_mask = idle
         phys = self._phys_mask[core_id]
         if idle & phys == phys:
             self._free_phys |= phys
-        self._cat_running[thread.process.category] -= 1
-        job_of_thread = thread.process.job
-        if job_of_thread is not None:
-            if job_of_thread.running_threads > 0:
-                job_of_thread.running_threads -= 1
-            if thread.slice_reserved and job_of_thread.cpu_rate_fraction is not None:
+        process = thread.process
+        self._cat_running[process.category] -= 1
+        if thread.slice_reserved:
+            job = process.job
+            if job is not None and job.cpu_rate_fraction is not None:
                 # Refund the unused part of the budget reserved at dispatch.
-                job_of_thread.rate_budget += max(0.0, thread.slice_length - elapsed)
-        thread.slice_reserved = False
+                job.rate_budget += max(0.0, slice_length - elapsed)
+            thread.slice_reserved = False
         if elapsed > 0:
-            process = thread.process
             thread.total_cpu_time += elapsed
             remaining = thread.remaining_in_phase
-            if remaining != math.inf:
+            if remaining != _INF:
                 remaining -= elapsed * thread.slice_rate
                 thread.remaining_in_phase = remaining if remaining > 0.0 else 0.0
             self._accounting.charge(process.category, elapsed)
@@ -532,7 +542,7 @@ class Scheduler:
 
     def _slice_end(self, thread: SimThread) -> None:
         thread.slice_event = None
-        if thread.state != ThreadState.RUNNING:
+        if thread.state != _RUNNING:
             return
         core_id = thread.core_id
         self._stop_running(thread)
@@ -553,38 +563,42 @@ class Scheduler:
             self._continue_program(thread)
             self._dispatch_core(core_id)
             return
-        self.preemptions += 1
         # Hand the freed core to waiting threads first (round robin), then
         # requeue the preempted thread.
         self._dispatch_core(core_id)
         self._make_ready(thread)
 
     def _continue_program(self, thread: SimThread) -> None:
-        """Advance a thread past a finished phase."""
-        if not thread.advance_phase():
-            thread.state = ThreadState.TERMINATED
+        """Advance a thread past a finished phase: make it ready for the next
+        CPU phase, block it on the next I/O phase, or end it."""
+        index = thread.phase_index + 1
+        thread.phase_index = index
+        program = thread.program
+        if index >= len(program):
+            thread.state = _TERMINATED
             del thread.process.threads[thread.tid]
             if thread.on_complete is not None:
                 thread.on_complete(thread)
             return
-        if thread.program[thread.phase_index][0] == "cpu":
+        phase = program[index]
+        if phase[0] == "cpu":
+            thread.remaining_in_phase = float(phase[1])
             self._make_ready(thread)
         else:
-            thread.state = ThreadState.BLOCKED
+            thread.remaining_in_phase = 0.0
+            thread.state = _BLOCKED
             self._submit_io(thread)
 
     def _submit_io(self, thread: SimThread) -> None:
-        if self._io_submit is None:
-            raise SchedulerError(
-                "no I/O submission hook installed; build the scheduler through Kernel"
-            )
-        _, volume, op, size_bytes = thread.current_phase
-        self._io_submit(thread, volume, op, size_bytes, lambda: self._io_done(thread))
+        """Submit the thread's current I/O phase; its completion resumes the
+        program unless the thread was terminated while blocked."""
 
-    def _io_done(self, thread: SimThread) -> None:
-        if thread.terminated:
-            return
-        self._continue_program(thread)
+        def done(_request) -> None:
+            if thread.state != _TERMINATED:
+                self._continue_program(thread)
+
+        _, volume, op, size_bytes = thread.program[thread.phase_index]
+        self._iostack.submit(thread.process, volume, op, size_bytes, done)
 
     # ---------------------------------------------------------- rate control
     def _preempt_job_threads(self, job: JobObject) -> None:
@@ -598,8 +612,7 @@ class Scheduler:
             if self._phase_finished(running):
                 self._continue_program(running)
             else:
-                running.state = ThreadState.READY
-                running.ready_since = self._engine.now
+                running.state = _READY
                 self._enqueue(running)
             self._dispatch_core(core_id)
 
@@ -644,19 +657,15 @@ class Scheduler:
         for core_id, running in enumerate(self._core_thread):
             if running is None or running.process.job is not job:
                 continue
-            self.throttle_preemptions += 1
             self._stop_running(running)
             running.core_id = None
-            running.state = ThreadState.READY
-            running.ready_since = self._engine.now
+            running.state = _READY
             self._enqueue(running)
             self._dispatch_core(core_id)
 
     # ------------------------------------------------------------- affinity
     def _enforce_affinity(self, job: JobObject) -> None:
-        # Preempt member threads running on newly-forbidden cores.  The scan
-        # cannot be gated on ``job.running_threads``: threads dispatched
-        # before their process joined the job are not counted there.
+        # Preempt member threads running on newly-forbidden cores.
         self._preempt_forbidden(job)
         # Re-place member threads queued at cores they may no longer use.  A
         # thread is queued inside its own mask, so only the queues at cores
@@ -666,23 +675,24 @@ class Scheduler:
             outside = self._all_mask & ~job.affinity_mask
             while outside:
                 low = outside & -outside
-                queue = queues[low.bit_length() - 1]
+                core_id = low.bit_length() - 1
+                queue = queues[core_id]
                 outside ^= low
                 if not queue:
                     continue
                 stranded = [t for t in queue if t.process.job is job]
                 for thread in stranded:
                     queue.remove(thread)
-                    self._queued_threads -= 1
+                    self._dequeued_at(core_id, len(queue))
                     self._note_dequeued(thread)
-                    thread.queued_core = None
                     self._make_ready(thread)
 
     def _preempt_forbidden(self, job: JobObject) -> None:
         # Only busy cores outside the mask (every busy core while the job is
         # throttled) can run a member thread that must go.  No member thread
         # can be dispatched to such a core during the walk, so the snapshot
-        # taken on entry misses none.
+        # taken on entry misses none.  Membership is checked per core: a
+        # thread dispatched before its process joined the job runs anywhere.
         forbidden = self._all_mask & ~self._idle_mask
         if not job.throttled:
             forbidden &= ~job.affinity_mask
@@ -694,14 +704,12 @@ class Scheduler:
             running = core_thread[core_id]
             if running is None or running.process.job is not job:
                 continue
-            self.affinity_preemptions += 1
             self._stop_running(running)
             running.core_id = None
             if self._phase_finished(running):
                 self._continue_program(running)
             else:
-                running.state = ThreadState.READY
-                running.ready_since = self._engine.now
+                running.state = _READY
                 self._enqueue(running)
             self._dispatch_core(core_id)
 

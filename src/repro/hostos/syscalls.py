@@ -39,9 +39,7 @@ class Kernel:
         spec = scheduler_spec if scheduler_spec is not None else SchedulerSpec()
         self.accounting = CpuAccounting(machine.logical_cores, start_time=engine.now)
         self.iostack = IoStack(engine, machine, self.accounting)
-        self.scheduler = Scheduler(
-            engine, machine.topology, spec, self.accounting, io_submit=self._io_for_thread
-        )
+        self.scheduler = Scheduler(engine, machine.topology, spec, self.accounting, self.iostack)
         self._processes: Dict[int, OsProcess] = {}
         self._jobs: Dict[str, JobObject] = {}
         self._next_pid = 1000
@@ -132,13 +130,13 @@ class Kernel:
         tid = self._next_tid
         self._next_tid = tid + 1
         thread = SimThread(
-            tid=tid,
-            name=name or f"{process.name}-t{tid}",
-            process=process,
-            program=program,
-            created_at=self._engine.now,
-            affinity=affinity,
-            on_complete=on_complete,
+            tid,
+            name or f"{process.name}-t{tid}",
+            process,
+            program,
+            self._engine._now,
+            affinity,
+            on_complete,
         )
         self.scheduler.add_thread(thread)
         return thread
@@ -185,17 +183,6 @@ class Kernel:
     ) -> None:
         """Asynchronous I/O submission (no thread is blocked)."""
         self.iostack.submit(process, volume, op, size_bytes, callback)
-
-    # ------------------------------------------------------------- internals
-    def _io_for_thread(
-        self,
-        thread: SimThread,
-        volume: str,
-        op: str,
-        size_bytes: int,
-        done: Callable[[], None],
-    ) -> None:
-        self.iostack.submit(thread.process, volume, op, size_bytes, lambda _request: done())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Kernel({self._machine.name!r}, processes={len(self._processes)})"

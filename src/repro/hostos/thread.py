@@ -96,7 +96,6 @@ class SimThread:
         "on_complete",
         "total_cpu_time",
         "created_at",
-        "ready_since",
         "dispatched_at",
         "slice_event",
         "slice_length",
@@ -104,8 +103,6 @@ class SimThread:
         "slice_reserved",
         "queued_core",
         "queued_job",
-        "context_switches",
-        "total_ready_wait",
     )
 
     def __init__(
@@ -127,14 +124,14 @@ class SimThread:
         # per thread); any other sequence is copied so callers keep ownership.
         self.program: List[Phase] = program if type(program) is list else list(program)
         self.phase_index = 0
-        self.remaining_in_phase = self._phase_cpu_duration(self.program[0])
+        first = self.program[0]
+        self.remaining_in_phase = float(first[1]) if first[0] == "cpu" else 0.0
         self.state = ThreadState.NEW
         self.affinity_mask = ANY_CORE if affinity is None else core_mask(affinity)
         self.core_id: Optional[int] = None
         self.on_complete = on_complete
         self.total_cpu_time = 0.0
         self.created_at = created_at
-        self.ready_since: Optional[float] = None
         self.dispatched_at: Optional[float] = None
         self.slice_event = None
         self.slice_length = 0.0
@@ -145,8 +142,6 @@ class SimThread:
         # scheduler's ready-thread accounting is keyed on it (valid only
         # while the thread sits in a ready queue).
         self.queued_job = None
-        self.context_switches = 0
-        self.total_ready_wait = 0.0
 
     # ------------------------------------------------------------ properties
     @property
@@ -176,23 +171,11 @@ class SimThread:
         return self.state == ThreadState.TERMINATED
 
     # ------------------------------------------------------------ program
-    def advance_phase(self) -> bool:
-        """Move to the next phase; return False when the program is finished."""
-        self.phase_index += 1
-        if self.phase_index >= len(self.program):
-            return False
-        self.remaining_in_phase = self._phase_cpu_duration(self.current_phase)
-        return True
-
     def extend_program(self, phases: Sequence[Phase]) -> None:
         """Append phases to a thread that has not terminated yet."""
         if self.terminated:
             raise SchedulerError(f"cannot extend terminated thread {self.name!r}")
         self.program.extend(phases)
-
-    @staticmethod
-    def _phase_cpu_duration(phase: Phase) -> float:
-        return float(phase[1]) if phase[0] == "cpu" else 0.0
 
     def effective_mask(self) -> int:
         """Bitmask of the thread's own affinity and its job object's."""

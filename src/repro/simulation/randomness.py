@@ -109,8 +109,10 @@ class BatchedDraws:
     def next(self) -> float:
         batch = self._batch
         index = self._index
-        if batch is None or index == batch.shape[0]:
-            batch = self._draw(self.BATCH)
+        if batch is None or index == len(batch):
+            # Python floats: every consumer does scalar arithmetic on them,
+            # which costs numpy-scalar overhead per draw otherwise.
+            batch = self._draw(self.BATCH).tolist()
             self._batch = batch
             index = 0
         self._index = index + 1

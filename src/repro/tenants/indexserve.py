@@ -98,6 +98,8 @@ class IndexServeTenant(Tenant):
         name: str = "indexserve",
     ) -> None:
         super().__init__(kernel, name)
+        # The clock is read as ``engine._now`` on the per-query path.
+        self._engine = kernel.engine
         self._spec = spec
         self._rng = rng
         self._collector = collector if collector is not None else LatencyCollector()
@@ -154,8 +156,9 @@ class IndexServeTenant(Tenant):
         if not self._started or self._stopped:
             raise TenantError("IndexServe is not running")
         kernel = self._kernel
+        engine = self._engine
         spec = self._spec
-        now = kernel.now
+        now = engine._now
         arrival = now if arrival_time is None else arrival_time
         self.submitted += 1
         kernel.accounting.charge_os(QUERY_OS_OVERHEAD)
@@ -199,7 +202,7 @@ class IndexServeTenant(Tenant):
             callback=callback,
         )
         self._queries[runtime_id] = runtime
-        runtime.timeout_event = kernel.engine.schedule(
+        runtime.timeout_event = engine.schedule(
             max(0.0, arrival + spec.timeout - now),
             self._timeout,
             runtime_id,
@@ -251,16 +254,16 @@ class IndexServeTenant(Tenant):
         if runtime is None or runtime.dropped:
             return
         runtime.done = True
+        engine = self._engine
         if runtime.timeout_event is not None:
-            self._kernel.engine.cancel(runtime.timeout_event)
-        now = self._kernel.now
+            engine.cancel(runtime.timeout_event)
+        now = engine._now
         latency = now - runtime.arrival_time
         self.completed += 1
         self._collector.record(now, latency)
         # Ship the response and write the (asynchronous) log record.
-        self._kernel.machine.nic.send(
-            self._name, self._spec.response_bytes, priority=self._kernel.machine.nic.HIGH
-        )
+        nic = self._kernel.machine.nic
+        nic.send(self._name, self._spec.response_bytes, priority=nic.HIGH)
         if self._spec.log_bytes_per_query > 0:
             self._kernel.submit_io(
                 self._process, "hdd", "write", self._spec.log_bytes_per_query

@@ -85,11 +85,11 @@ class OpenLoopClient:
     # ------------------------------------------------------------- internals
     def _next_gap(self) -> float:
         if self._poisson:
-            return float(self._gaps.next() * self._scale)
+            return self._gaps.next() * self._scale
         return self._scale
 
     def _arrive(self) -> None:
-        now = self._engine.now
+        now = self._engine._now
         if now >= self._end_time:
             self._finished = True
             return
@@ -168,7 +168,7 @@ class VariableRateClient:
     def _gap(self, now: float) -> float:
         # Scale exactly as Generator.exponential(1.0 / rate) would, so the
         # gap sequence stays bit-identical to the unbatched draws.
-        return float(self._gaps.next() * (1.0 / self.current_rate(now)))
+        return self._gaps.next() * (1.0 / self.current_rate(now))
 
     def _idle(self, now: float) -> bool:
         return self._idle_recheck is not None and self._rate_fn(now) <= 0.0

@@ -83,8 +83,8 @@ class QueryTrace:
             if workers < 1:
                 raise TenantError("must sample at least one worker burst")
             draws = lognormal(mean=mu, sigma=sigma, size=workers)
-            demands = tuple(float(d) for d in minimum(draws * scale, cap))
-            misses = tuple(bool(m) for m in random(workers) < miss_rate)
+            demands = tuple(minimum(draws * scale, cap).tolist())
+            misses = tuple((random(workers) < miss_rate).tolist())
             append(
                 QueryDescriptor(query_id=query_id, worker_demands=demands, cache_misses=misses)
             )

@@ -76,14 +76,6 @@ class TestStripedVolume:
         engine.run()
         assert results["striped"] < results["single"]
 
-    def test_category_accounting(self, engine):
-        volume = make_volume(engine)
-        volume.submit("a", "primary", "read", 4096)
-        volume.submit("b", "secondary", "write", 8192)
-        engine.run()
-        assert volume.completed_by_category == {"primary": 1, "secondary": 1}
-        assert volume.bytes_by_category["secondary"] == 8192
-
     def test_invalid_size_rejected(self, engine):
         volume = make_volume(engine)
         with pytest.raises(ResourceError):

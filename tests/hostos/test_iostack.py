@@ -19,13 +19,14 @@ class TestSubmission:
         engine.run()
         assert len(done) == 1
         assert kernel.iostack.completions("batch", "hdd") == 1
-        assert process.io_bytes_completed == 64 * 1024
+        assert kernel.iostack.completed_bytes("batch", "hdd") == 64 * 1024
 
     def test_process_per_volume_accounting(self, engine, kernel, process):
         kernel.iostack.submit(process, "hdd", "write", 1024)
         kernel.iostack.submit(process, "ssd", "read", 2048)
         engine.run()
-        assert process.io_requests_by_volume == {"hdd": 1, "ssd": 1}
+        assert kernel.iostack.completions("batch", "hdd") == 1
+        assert kernel.iostack.completions("batch", "ssd") == 1
         assert kernel.iostack.completed_bytes("batch", "ssd") == 2048
 
     def test_os_overhead_charged_per_request(self, engine, kernel, process):

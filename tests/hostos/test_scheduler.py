@@ -242,7 +242,7 @@ class TestIoPhases:
         assert len(finished) == 1
         # Total time exceeds pure CPU time because of the blocking read.
         assert finished[0] > millis(2)
-        assert process.io_requests_completed == 1
+        assert kernel.iostack.completions("svc", "ssd") == 1
 
     def test_program_starting_with_io(self, engine):
         kernel = make_kernel(engine, cores=1)

@@ -53,13 +53,21 @@ class TestSimThread:
         thread = make_thread([cpu_phase(math.inf)])
         assert thread.is_runnable_forever
 
-    def test_advance_phase(self):
-        thread = make_thread([cpu_phase(0.001), io_phase("ssd", "read", 1024), cpu_phase(0.002)])
-        assert thread.advance_phase()
+    def test_advance_phase(self, engine, kernel):
+        # The scheduler advances the program: the first CPU phase, then
+        # blocked on the read, then the last CPU phase at its full length.
+        process = kernel.create_process("svc", TenantCategory.PRIMARY)
+        thread = kernel.spawn_thread(
+            process, [cpu_phase(0.001), io_phase("ssd", "read", 1024), cpu_phase(0.002)]
+        )
+        engine.run(until=0.001)
+        assert thread.state == ThreadState.BLOCKED
         assert thread.is_io_phase
-        assert thread.advance_phase()
+        engine.run(max_events=1)  # the read completes; the thread is dispatched
+        assert thread.phase_index == 2
         assert thread.remaining_in_phase == pytest.approx(0.002)
-        assert not thread.advance_phase()
+        engine.run()
+        assert thread.terminated
 
     def test_extend_program(self):
         thread = make_thread([cpu_phase(0.001)])

@@ -3,7 +3,8 @@
 Random spawns, job-mask changes, rate limits, terminations, a process joining
 the job while its threads run, and time steps, on 2-8 logical cores with and
 without SMT under both placements.  After every step the idle mask, the ready
-queues and the live-thread tables must agree with what the cores run.
+queues, the placement index and the live-thread tables must agree with what
+the cores run.
 """
 
 import math
@@ -60,10 +61,19 @@ def _scenario(draw):
     batch = draw(st.integers(min_value=cores, max_value=2 * cores))
     operations = [("spawn", "secondary", math.inf, False, None)] * batch
     operations += draw(st.lists(_operation(cores), min_size=10, max_size=60))
-    return physical, smt, placement, operations
+    probes = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << cores) - 1), min_size=1, max_size=4)
+    )
+    return physical, smt, placement, operations, probes
 
 
-def _check(kernel, threads, exempt):
+def _shortest_queue_scan(lengths, allowed):
+    """The reference placement: the allowed core with the shortest local
+    queue, lowest core id on ties, found by scanning every core."""
+    return min((lengths[core], core) for core in range(len(lengths)) if allowed >> core & 1)[1]
+
+
+def _check(kernel, threads, exempt, probes):
     scheduler = kernel.scheduler
     running = scheduler._core_thread
     cores = len(running)
@@ -96,6 +106,18 @@ def _check(kernel, threads, exempt):
     # The ready-queue count is exact.
     assert scheduler.ready_queue_length() == len(queued)
 
+    # The placement index: each core's bit sits in exactly the bucket of its
+    # local queue's length, the last bucket is not empty, the stored shortest
+    # length is the minimum, and the index picks the scan's core.
+    lengths = [len(queue) for queue in scheduler._local_queues]
+    masks = scheduler._len_masks
+    assert len(masks) == max(lengths) + 1
+    for length, mask in enumerate(masks):
+        assert mask == sum(1 << core for core in range(cores) if lengths[core] == length)
+    assert scheduler._shortest == min(lengths)
+    for allowed in probes:
+        assert scheduler._shortest_queue(allowed) == _shortest_queue_scan(lengths, allowed)
+
     # Each process holds exactly its live threads, in spawn order.
     for thread in threads:
         assert (thread.tid in thread.process.threads) == (not thread.terminated)
@@ -108,7 +130,7 @@ class TestSchedulerInvariants:
     @given(_scenario())
     @settings(max_examples=60, deadline=None)
     def test_bookkeeping_matches_the_cores(self, scenario):
-        physical, smt, placement, operations = scenario
+        physical, smt, placement, operations, probes = scenario
         engine = SimulationEngine()
         spec = MachineSpec(sockets=1, cores_per_socket=physical, threads_per_core=smt)
         kernel = Kernel(
@@ -149,4 +171,4 @@ class TestSchedulerInvariants:
                     exempt.add(processes["late"])
             else:
                 engine.run(until=engine.now + operation[1])
-            _check(kernel, threads, exempt)
+            _check(kernel, threads, exempt, probes)

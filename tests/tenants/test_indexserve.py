@@ -75,7 +75,7 @@ class TestQueryProcessing:
     def test_log_written_to_hdd(self, engine, primary, trace):
         primary.submit(trace[0])
         engine.run(until=1.0)
-        assert primary.process.io_requests_by_volume.get("hdd", 0) >= 1
+        assert primary.kernel.iostack.completions("indexserve", "hdd") >= 1
 
     def test_response_sent_on_nic(self, engine, big_kernel, primary, trace):
         primary.submit(trace[0])
@@ -89,7 +89,7 @@ class TestQueryProcessing:
         trace = QueryTrace(spec, size=5, rng=streams.stream("ssd-trace"))
         tenant.submit(trace[0])
         engine.run(until=1.0)
-        assert tenant.process.io_requests_by_volume.get("ssd", 0) == trace[0].worker_count
+        assert big_kernel.iostack.completions("is-ssd", "ssd") == trace[0].worker_count
 
 
 class TestTimeouts:
