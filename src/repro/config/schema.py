@@ -660,7 +660,7 @@ class PerfIsoSpec:
             raise ConfigError(
                 f"cpu_policy must be one of {self.VALID_POLICIES}, got {self.cpu_policy!r}"
             )
-        if self.poll_interval <= 0:
+        if not self.poll_interval > 0:
             raise ConfigError("poll_interval must be positive")
 
 

@@ -103,10 +103,9 @@ class DiskDevice:
         rng: Optional[np.random.Generator] = None,
         jitter: Optional[BatchedDraws] = None,
     ) -> None:
+        # Completions go through the engine's unchecked push, once per chunk:
+        # schedule()'s delay check and argument packing cost more.
         self._engine = engine
-        # The engine's queue, pushed to directly once per chunk: the
-        # engine.schedule wrapper's checks and argument packing cost more.
-        self._equeue = engine._queue
         self._spec = spec
         self._name = name
         if jitter is None and rng is not None:
@@ -163,7 +162,7 @@ class DiskDevice:
         else:
             self.bytes_written += size_bytes
         now = self._engine._now
-        self._equeue.push(
+        self._engine.push(
             now + duration, self._complete, (done, now - enqueue_time), EventPriority.HARDWARE
         )
 

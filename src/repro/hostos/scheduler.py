@@ -84,9 +84,6 @@ class Scheduler:
         iostack: IoStack,
     ) -> None:
         self._engine = engine
-        # The engine's queue, accessed directly on the slice-event hot path
-        # (one push per dispatch, one lazy cancel per preemption).
-        self._equeue = engine._queue
         self._spec = spec
         self._accounting = accounting
         #: Where a thread's I/O phase is submitted; its completion resumes
@@ -484,9 +481,9 @@ class Scheduler:
         thread.dispatched_at = now
         thread.slice_length = slice_length
         thread.slice_rate = rate
-        # Direct queue push — the engine.schedule wrapper (delay validation,
-        # *args packing) costs real time at ~one dispatch per quantum per core.
-        thread.slice_event = self._equeue.push(
+        # Unchecked push: schedule()'s delay check and *args packing cost
+        # real time at about one dispatch per quantum per core.
+        thread.slice_event = self._engine.push(
             now + slice_length, self._slice_end, (thread,), _KERNEL
         )
 
@@ -501,13 +498,10 @@ class Scheduler:
         slice_length = thread.slice_length
         if elapsed > slice_length:
             elapsed = slice_length
-        event = thread.slice_event
-        if event is not None:
-            # Inline engine.cancel: the slice event is never already
-            # cancelled, so only the pending/popped distinction matters.
-            event.cancelled = True
-            if event.in_queue:
-                self._equeue.notify_cancel()
+        # ``_slice_end`` clears the event before it gets here; a preemption
+        # or a termination still has one to cancel.
+        if thread.slice_event is not None:
+            self._engine.cancel(thread.slice_event)
             thread.slice_event = None
         self._core_thread[core_id] = None
         idle = self._idle_mask | 1 << core_id

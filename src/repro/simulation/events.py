@@ -1,31 +1,17 @@
 """Event primitives for the discrete-event simulation kernel.
 
-An :class:`Event` is a callback scheduled at an absolute simulation time.
-Events are ordered by ``(time, priority, sequence)`` so that ties at the same
-timestamp are resolved first by priority (lower runs earlier) and then by
-insertion order, which keeps the simulation fully deterministic.
-
-Performance notes
------------------
-The heap holds ``(time, priority, seq, event)`` tuples rather than bare
-:class:`Event` objects: ``seq`` is unique, so heap comparisons resolve
-entirely inside the C tuple-comparison fast path and never call back into
-``Event.__lt__``.  Cancellation stays lazy (O(1) ``cancel`` + skip-on-pop).
-:meth:`EventQueue.pop_batch` is the public same-timestamp batch-pop API; its
-ordering contract (identical to a naive single-pop loop) is pinned by a
-hypothesis property test.  The engine's run loop keeps its own inlined
-variant of the same batching because it additionally needs the raw heap
-entries to requeue an unexecuted tail (stop/max_events mid-batch, or a
-callback scheduling a same-timestamp event that sorts earlier); any change
-to one batching must be mirrored in the other.
+An :class:`Event` is the handle of one scheduled callback.  Its time and
+ordering key live only in the engine's heap entry ``(time, priority, seq,
+event)``: ties at one timestamp resolve by priority (lower runs earlier), then
+by insertion order, which keeps the simulation fully deterministic.  The
+handle itself carries the callback, its arguments and one ``pending`` flag.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable
 
-__all__ = ["Event", "EventQueue", "EventPriority"]
+__all__ = ["Event", "EventPriority"]
 
 
 class EventPriority:
@@ -51,135 +37,20 @@ class Event:
     """A single scheduled callback.
 
     Events should not be constructed directly; use
-    :meth:`repro.simulation.engine.SimulationEngine.schedule`.
+    :meth:`repro.simulation.engine.SimulationEngine.schedule`.  ``pending`` is
+    true while the event is queued and not cancelled: the engine clears it
+    when the event runs or is cancelled, so each event leaves the engine's
+    live count exactly once.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled", "in_queue")
+    __slots__ = ("callback", "args", "pending")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: tuple,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
+    def __init__(self, callback: Callable[..., Any], args: tuple) -> None:
         self.callback = callback
         self.args = args
-        self.cancelled = False
-        # True while the event is counted in its queue's live total; cleared
-        # when the event is popped (or its cancellation is acknowledged) so a
-        # late cancel of an already-popped event cannot skew the live count.
-        self.in_queue = True
-
-    def cancel(self) -> None:
-        """Mark the event so the engine skips it when its time arrives."""
-        self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
+        self.pending = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = "pending" if self.pending else "done"
         name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"Event(t={self.time:.6f}, prio={self.priority}, {name}, {state})"
-
-
-#: One heap entry: ``(time, priority, seq, event)``.
-_Entry = Tuple[float, int, int, Event]
-
-
-class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects.
-
-    Cancelled events are skipped lazily when popped, which keeps cancellation
-    O(1) at the cost of occasionally holding dead entries in the heap.
-    """
-
-    __slots__ = ("_heap", "_seq", "_live")
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-        self._seq = 0
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = EventPriority.DEFAULT,
-    ) -> Event:
-        """Insert a new event and return it (so callers may cancel it later)."""
-        seq = self._seq
-        event = Event(time, priority, seq, callback, args)
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if event.cancelled:
-                # Its cancellation already adjusted the live count.
-                event.in_queue = False
-                continue
-            event.in_queue = False
-            self._live -= 1
-            return event
-        self._live = 0
-        return None
-
-    def pop_batch(self) -> List[Event]:
-        """Remove and return every live event at the earliest timestamp.
-
-        The returned list is in exactly the order :meth:`pop` would have
-        produced — ``(priority, insertion order)`` within the shared
-        timestamp — so batch consumers observe identical semantics to a
-        single-pop loop.  Returns an empty list when the queue is empty.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap and heap[0][3].cancelled:
-            heappop(heap)[3].in_queue = False
-        if not heap:
-            self._live = 0
-            return []
-        time = heap[0][0]
-        batch: List[Event] = []
-        while heap and heap[0][0] == time:
-            event = heappop(heap)[3]
-            event.in_queue = False
-            if not event.cancelled:
-                self._live -= 1
-                batch.append(event)
-        return batch
-
-    def peek_time(self) -> Optional[float]:
-        """Return the timestamp of the next live event without removing it."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)[3].in_queue = False
-        if not heap:
-            self._live = 0
-            return None
-        return heap[0][0]
-
-    def notify_cancel(self) -> None:
-        """Record that one previously-pushed event has been cancelled."""
-        if self._live > 0:
-            self._live -= 1
-
-    def clear(self) -> None:
-        """Drop all pending events."""
-        self._heap.clear()
-        self._live = 0
+        return f"Event({name}, {state})"

@@ -61,6 +61,12 @@ class TestErrors:
         with pytest.raises(ConfigError):
             loader.load_json(MachineSpec, "{not json")
 
+    def test_nan_poll_interval_rejected(self):
+        # JSON's NaN literal parses to a float that every ``<= 0`` check lets
+        # through; a NaN poll interval would schedule no controller polls.
+        with pytest.raises(ConfigError, match="poll_interval"):
+            loader.load_json(PerfIsoSpec, '{"poll_interval": NaN}')
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             loader.load_file(MachineSpec, tmp_path / "nope.json")

@@ -63,7 +63,10 @@ class TestSimThread:
         engine.run(until=0.001)
         assert thread.state == ThreadState.BLOCKED
         assert thread.is_io_phase
-        engine.run(max_events=1)  # the read completes; the thread is dispatched
+        # The 1 KiB read takes about 0.1 ms; by 1.5 ms it has completed and
+        # the thread is dispatched for its 2 ms phase, which is not yet charged.
+        engine.run(until=0.0015)
+        assert thread.state == ThreadState.RUNNING
         assert thread.phase_index == 2
         assert thread.remaining_in_phase == pytest.approx(0.002)
         engine.run()

@@ -9,25 +9,22 @@ from repro.core.policies import BlindIsolationPolicy
 from repro.hardware.memory import MemorySubsystem
 from repro.hardware.topology import CpuTopology
 from repro.metrics.latency import LatencyCollector
-from repro.simulation.events import EventQueue
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
 
 
 class TestEventQueueProperties:
+    """The engine's event queue: time order and lazy cancellation."""
+
     @given(st.lists(st.floats(min_value=0.0, max_value=1e6, allow_nan=False), max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_events_pop_in_nondecreasing_time_order(self, times):
-        queue = EventQueue()
-        for time in times:
-            queue.push(time, lambda: None)
+        engine = SimulationEngine()
         popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event.time)
-        assert popped == sorted(popped)
-        assert len(popped) == len(times)
+        for time in times:
+            engine.schedule_at(time, lambda: popped.append(engine.now))
+        engine.run()
+        assert popped == sorted(times)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False), min_size=1, max_size=100),
@@ -35,18 +32,16 @@ class TestEventQueueProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_cancellation_never_loses_live_events(self, times, data):
-        queue = EventQueue()
-        events = [queue.push(time, lambda: None) for time in times]
+        engine = SimulationEngine()
+        events = [engine.schedule_at(time, lambda: None) for time in times]
         to_cancel = data.draw(st.sets(st.integers(min_value=0, max_value=len(events) - 1)))
         for index in to_cancel:
-            if not events[index].cancelled:
-                events[index].cancel()
-                queue.notify_cancel()
+            engine.cancel(events[index])
         live = len(times) - len(to_cancel)
-        popped = 0
-        while queue.pop() is not None:
-            popped += 1
-        assert popped == live
+        assert engine.pending_events == live
+        engine.run()
+        assert engine.events_executed == live
+        assert engine.pending_events == 0
 
 
 class TestBlindIsolationProperties:

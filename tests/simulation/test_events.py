@@ -1,76 +1,68 @@
-"""Tests for the event queue primitives."""
+"""Tests for the engine's event queue and its event handles."""
 
-from repro.simulation.events import Event, EventPriority, EventQueue
+from repro.simulation.engine import SimulationEngine
+from repro.simulation.events import EventPriority
+
+_DEFAULT = EventPriority.DEFAULT
 
 
 class TestEventQueue:
+    """The engine's event queue, filled through the unchecked ``push`` that
+    the scheduler and the disks use."""
+
     def test_len_counts_live_events(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
+        engine = SimulationEngine()
+        first = engine.push(1.0, lambda: None, (), _DEFAULT)
+        second = engine.push(2.0, lambda: None, (), _DEFAULT)
+        assert engine.pending_events == 2
+        engine.cancel(first)
+        engine.cancel(first)
+        assert engine.pending_events == 1
+        engine.run()
+        assert engine.pending_events == 0
+        # Cancelling an event that already ran leaves the count alone.
+        engine.cancel(second)
+        assert engine.pending_events == 0
 
     def test_pop_returns_events_in_order(self):
-        queue = EventQueue()
-        queue.push(2.0, lambda: None, ("b",))
-        queue.push(1.0, lambda: None, ("a",))
-        assert queue.pop().args == ("a",)
-        assert queue.pop().args == ("b",)
-        assert queue.pop() is None
-
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        first.cancel()
-        queue.notify_cancel()
-        assert queue.peek_time() == 2.0
+        engine = SimulationEngine()
+        seen = []
+        engine.push(2.0, seen.append, ("b",), _DEFAULT)
+        engine.push(1.0, seen.append, ("a",), _DEFAULT)
+        engine.run()
+        assert seen == ["a", "b"]
 
     def test_cancelled_events_are_skipped_by_pop(self):
-        queue = EventQueue()
-        first = queue.push(1.0, lambda: None, ("a",))
-        queue.push(2.0, lambda: None, ("b",))
-        first.cancel()
-        queue.notify_cancel()
-        assert queue.pop().args == ("b",)
+        engine = SimulationEngine()
+        seen = []
+        engine.push(1.0, seen.append, ("a",), _DEFAULT)
+        engine.cancel(engine.push(2.0, seen.append, ("b",), _DEFAULT))
+        engine.run()
+        # The dead entry is dropped without running or moving the clock.
+        assert seen == ["a"]
+        assert engine.now == 1.0
 
     def test_priority_breaks_ties(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, ("later",), priority=EventPriority.TENANT)
-        queue.push(1.0, lambda: None, ("earlier",), priority=EventPriority.HARDWARE)
-        assert queue.pop().args == ("earlier",)
+        engine = SimulationEngine()
+        seen = []
+        engine.push(1.0, seen.append, ("later",), EventPriority.TENANT)
+        engine.push(1.0, seen.append, ("earlier",), EventPriority.HARDWARE)
+        engine.run()
+        assert seen == ["earlier", "later"]
 
     def test_insertion_order_breaks_remaining_ties(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None, ("first",))
-        queue.push(1.0, lambda: None, ("second",))
-        assert queue.pop().args == ("first",)
-
-    def test_clear_empties_queue(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert len(queue) == 0
-        assert queue.pop() is None
-
-    def test_peek_on_empty_queue(self):
-        assert EventQueue().peek_time() is None
+        engine = SimulationEngine()
+        seen = []
+        engine.push(1.0, seen.append, ("first",), _DEFAULT)
+        engine.push(1.0, seen.append, ("second",), _DEFAULT)
+        engine.run()
+        assert seen == ["first", "second"]
 
 
 class TestEvent:
-    def test_ordering_uses_time_then_priority_then_seq(self):
-        early = Event(1.0, 0, 0, lambda: None, ())
-        late = Event(2.0, 0, 1, lambda: None, ())
-        assert early < late
-        high = Event(1.0, 0, 2, lambda: None, ())
-        low = Event(1.0, 10, 3, lambda: None, ())
-        assert high < low
-        first = Event(1.0, 5, 4, lambda: None, ())
-        second = Event(1.0, 5, 5, lambda: None, ())
-        assert first < second
-
     def test_cancel_marks_event(self):
-        event = Event(1.0, 0, 0, lambda: None, ())
-        assert not event.cancelled
-        event.cancel()
-        assert event.cancelled
+        engine = SimulationEngine()
+        event = engine.schedule(1.0, lambda: None)
+        assert event.pending
+        engine.cancel(event)
+        assert not event.pending

@@ -23,6 +23,8 @@ def test_interval_must_be_positive():
         engine.subscribe(lambda now: None, 0.0)
     with pytest.raises(SimulationError, match="positive"):
         engine.subscribe(lambda now: None, -1.0)
+    with pytest.raises(SimulationError, match="positive"):
+        engine.subscribe(lambda now: None, float("nan"))
 
 
 def test_probe_fires_at_interval_while_work_remains():
@@ -47,6 +49,19 @@ def test_probe_never_keeps_engine_alive():
     assert subscription.fired > 0
 
 
+def test_probe_stops_when_only_cancelled_events_remain():
+    engine = SimulationEngine()
+    engine.schedule(0.1, lambda: None)
+    engine.cancel(engine.schedule(10.0, lambda: None))
+    subscription = engine.subscribe(lambda now: None, 0.01)
+    engine.run(until=1.0)
+    # The cancelled entry still sits in the heap, but it is not live work: the
+    # probe must go dormant after 0.1 s, not keep ticking until ``until``.
+    assert subscription.fired <= 11
+    assert subscription.event is None
+    assert engine.pending_events == 0
+
+
 def test_unsubscribe_stops_probing_and_is_idempotent():
     engine = SimulationEngine()
     seen = []
@@ -56,7 +71,7 @@ def test_unsubscribe_stops_probing_and_is_idempotent():
     engine.unsubscribe(subscription)
     engine.unsubscribe(subscription)  # idempotent
     assert engine.subscriber_count == 0
-    engine.run()
+    engine.run(until=2.0)  # bounded, so a probe that survives fails, not hangs
     assert seen == pytest.approx([0.25, 0.5])
 
 
@@ -107,7 +122,7 @@ def test_subscribe_unsubscribe_leaves_disabled_state():
     engine.unsubscribe(subscription)
     assert engine._probes is None  # fully back to the zero-cost disabled path
     before = engine.events_executed
-    engine.run()
+    engine.run(until=1.0)  # bounded, so a probe that survives fails, not hangs
     assert engine.events_executed - before == 1
 
 
