@@ -1,10 +1,10 @@
-"""Golden rows for the single-machine paper figures (Figures 4–8, headline).
+"""Golden rows for the paper figures (Figures 4–10, headline).
 
 Each case calls one figure harness at a short, seeded setting and pins its
 whole result (id, title, rows and notes) against a checked-in JSON file under
-``tests/experiments/goldens/figures/``.  The harnesses get only ``duration``,
-``warmup``, ``seed`` and a runner, so the pinned rows hold however a figure
-defines and submits its runs.
+``tests/experiments/goldens/figures/``.  The harnesses get only their public
+arguments and a runner, so the pinned rows hold however a figure defines and
+submits its runs.
 
 When a change intentionally moves the rows, regenerate the files and review
 the diff like any other code change:
@@ -24,17 +24,28 @@ from repro.runtime import ExperimentRunner, ResultCache
 
 GOLDEN_DIR = Path(__file__).parent / "goldens" / "figures"
 
-#: Every figure at its default loads and levels, on runs short enough for the
-#: fast tier.
+#: Every single-machine figure at its default loads and levels, on runs short
+#: enough for the fast tier.
 PARAMS = dict(duration=0.3, warmup=0.1, seed=5)
 
+#: Each figure's harness and its arguments: the cluster figure on a 2 x 2
+#: layout, the production hour in two buckets over a short calibration.
 FIGURES = {
-    "fig4": figures.fig4_no_isolation,
-    "fig5": figures.fig5_blind_isolation,
-    "fig6": figures.fig6_static_cores,
-    "fig7": figures.fig7_cpu_cycles,
-    "fig8": figures.fig8_comparison,
-    "headline": figures.headline_utilization,
+    "fig4": (figures.fig4_no_isolation, PARAMS),
+    "fig5": (figures.fig5_blind_isolation, PARAMS),
+    "fig6": (figures.fig6_static_cores, PARAMS),
+    "fig7": (figures.fig7_cpu_cycles, PARAMS),
+    "fig8": (figures.fig8_comparison, PARAMS),
+    "headline": (figures.headline_utilization, PARAMS),
+    "fig9": (
+        figures.fig9_cluster,
+        dict(partitions=2, rows=2, tla_machines=2, total_qps=2000.0, duration=0.3,
+             warmup=0.1, seed=5),
+    ),
+    "fig10": (
+        figures.fig10_production,
+        dict(duration=600.0, bucket=300.0, calibration_duration=0.3, seed=5),
+    ),
 }
 
 
@@ -46,7 +57,8 @@ def runner():
 
 
 def _observed(name: str, runner) -> dict:
-    figure = FIGURES[name](runner=runner, **PARAMS)
+    harness, params = FIGURES[name]
+    figure = harness(runner=runner, **params)
     observed = {
         "figure_id": figure.figure_id,
         "title": figure.title,
