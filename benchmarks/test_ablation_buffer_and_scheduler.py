@@ -1,13 +1,19 @@
-"""Ablations for the design choices called out in DESIGN.md.
+"""Ablations of three PerfIso design choices (Sections 3.1, 4 and 4.1).
 
-A1 — buffer-core sweep: how the size of the idle-core buffer trades tail
-     protection against batch throughput (extends Figure 5 beyond 4/8).
-A2 — controller poll interval: the poll/update split means polling can be
-     fast without causing update churn; a slow poll leaves bursts unprotected
+A1 — buffer-core sweep: how the size of blind isolation's idle-core buffer
+     (Section 3.1, sized by Section 4.1's burst profiling) trades tail
+     protection against batch throughput; extends Figure 5 beyond 4/8.
+A2 — controller poll interval: the controller polls continuously but updates
+     the job object only when the allocation moves (Section 4), so polling
+     can be fast without update churn; a slow poll leaves bursts unprotected
      for longer.
-A3 — scheduler placement model: the per-core ready queues are what make
-     unmanaged colocation catastrophic; with an idealised global queue the
-     interference is milder, which would understate the paper's problem.
+A3 — scheduler placement model: PerfIso lives with an unmodified OS
+     scheduler (Section 3.1), whose per-core ready queues are what make
+     unmanaged colocation catastrophic (Figure 4); with an idealised global
+     queue the interference is milder, which would understate the problem.
+
+Each ablation submits its runs as one batch to the default runner, which fans
+them out across workers and serves repeated runs from its cache.
 """
 
 import dataclasses
@@ -16,27 +22,38 @@ from conftest import SEED, run_once
 
 from repro.experiments import scenarios
 from repro.experiments.reporting import print_figure
-from repro.experiments.single_machine import SingleMachineExperiment
+from repro.runtime import ExperimentTask, default_runner
 
 DURATION = 3.0
 WARMUP = 0.5
 
 
-def _run(spec, label):
-    return SingleMachineExperiment(spec, label).run()
+def _run(specs):
+    """Run ``{label: spec}`` as one batch on the default runner; returns
+    ``{label: result}``."""
+    outcomes = default_runner().run_batch(
+        [ExperimentTask(spec, scenario=label) for label, spec in specs.items()]
+    )
+    return {label: outcome.result for label, outcome in zip(specs, outcomes)}
 
 
 def test_ablation_buffer_cores(benchmark):
+    buffers = (0, 2, 4, 8, 16)
+
     def sweep():
-        baseline = _run(scenarios.standalone(qps=4000, duration=DURATION, warmup=WARMUP,
-                                             seed=SEED), "standalone")
-        rows = []
-        for buffer_cores in (0, 2, 4, 8, 16):
-            result = _run(
-                scenarios.blind_isolation(buffer_cores, qps=4000, duration=DURATION,
-                                          warmup=WARMUP, seed=SEED),
-                f"blind-{buffer_cores}",
+        specs = {
+            "standalone": scenarios.standalone(qps=4000, duration=DURATION, warmup=WARMUP,
+                                               seed=SEED),
+        }
+        for buffer_cores in buffers:
+            specs[f"blind-{buffer_cores}"] = scenarios.blind_isolation(
+                buffer_cores, qps=4000, duration=DURATION, warmup=WARMUP, seed=SEED
             )
+        results = _run(specs)
+        baseline = results["standalone"]
+        rows = []
+        for buffer_cores in buffers:
+            result = results[f"blind-{buffer_cores}"]
             rows.append(
                 {
                     "buffer_cores": buffer_cores,
@@ -58,15 +75,22 @@ def test_ablation_buffer_cores(benchmark):
 
 
 def test_ablation_poll_interval(benchmark):
+    polls_ms = (0.5, 1.0, 5.0, 20.0)
+
     def sweep():
+        spec = scenarios.blind_isolation(8, qps=4000, duration=DURATION, warmup=WARMUP,
+                                         seed=SEED)
+        results = _run(
+            {
+                f"poll-{poll_ms}ms": dataclasses.replace(
+                    spec, perfiso=dataclasses.replace(spec.perfiso, poll_interval=poll_ms / 1000.0)
+                )
+                for poll_ms in polls_ms
+            }
+        )
         rows = []
-        for poll_ms in (0.5, 1.0, 5.0, 20.0):
-            spec = scenarios.blind_isolation(8, qps=4000, duration=DURATION, warmup=WARMUP,
-                                             seed=SEED)
-            spec = dataclasses.replace(
-                spec, perfiso=dataclasses.replace(spec.perfiso, poll_interval=poll_ms / 1000.0)
-            )
-            result = _run(spec, f"poll-{poll_ms}ms")
+        for poll_ms in polls_ms:
+            result = results[f"poll-{poll_ms}ms"]
             rows.append(
                 {
                     "poll_interval_ms": poll_ms,
@@ -93,17 +117,24 @@ def test_ablation_poll_interval(benchmark):
 
 
 def test_ablation_scheduler_placement(benchmark):
+    placements = ("per_core", "global")
+
     def compare():
-        rows = []
-        for placement in ("per_core", "global"):
-            spec = scenarios.no_isolation(48, qps=2000, duration=DURATION, warmup=WARMUP,
-                                          seed=SEED)
-            spec = dataclasses.replace(
-                spec, scheduler=dataclasses.replace(spec.scheduler, placement=placement)
-            )
-            result = _run(spec, f"no-isolation-{placement}")
-            rows.append({"placement": placement, "p99_ms": result.summary()["p99_ms"]})
-        return rows
+        spec = scenarios.no_isolation(48, qps=2000, duration=DURATION, warmup=WARMUP,
+                                      seed=SEED)
+        results = _run(
+            {
+                f"no-isolation-{placement}": dataclasses.replace(
+                    spec, scheduler=dataclasses.replace(spec.scheduler, placement=placement)
+                )
+                for placement in placements
+            }
+        )
+        return [
+            {"placement": placement,
+             "p99_ms": results[f"no-isolation-{placement}"].summary()["p99_ms"]}
+            for placement in placements
+        ]
 
     rows = run_once(benchmark, compare)
     print_figure("Ablation A3 — ready-queue placement model (no isolation, high secondary)", rows)

@@ -91,7 +91,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------ kill switch
-    controller = experiment.controller
+    controller = experiment.assembly.controller
     controller.disable()
     print("\nkill switch engaged: secondary affinity =", controller.secondary_affinity,
           "(None = unrestricted, as for live-site debugging)")

@@ -11,7 +11,9 @@ the whole cluster: this is why per-machine isolation matters.
 This example runs a scaled-down event-driven cluster (per-machine load is the
 same as the paper's: every machine of a row serves every request routed to
 that row) in two configurations, then uses the sampled tail-at-scale model to
-show how the fan-out width amplifies the local tail.
+show how the fan-out width amplifies the local tail.  Each configuration is
+one node spec, a single-machine scenario that every IndexServe machine of the
+cluster runs.
 
 Run:  python examples/cluster_serving.py
 """
@@ -25,39 +27,32 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.cluster.sampled import SampledClusterModel
 from repro.cluster.simulated import ClusterScenario, SimulatedCluster
-from repro.config.schema import ClusterSpec, CpuBullySpec, HdfsSpec, PerfIsoSpec
+from repro.config.schema import ClusterSpec, HdfsSpec
 from repro.experiments import scenarios
 from repro.experiments.reporting import print_figure
 
 PARTITIONS = 3
 ROWS = 2
-TOTAL_QPS = 8000.0  # 4,000 QPS per row, as in the paper
-DURATION = 1.5
-WARMUP = 0.3
+#: Per-machine load: 4,000 QPS per machine, so 8,000 QPS across the two rows,
+#: as in the paper.
+NODE = dict(qps=4000.0, duration=1.5, warmup=0.3, seed=11)
 
 
-def run_cluster(label: str, **kwargs):
+def run_cluster(label: str, node):
+    """Run the cluster with every IndexServe machine built from ``node``,
+    which also runs HDFS, as every machine of the paper's cluster does."""
     scenario = ClusterScenario(
         cluster=ClusterSpec(partitions=PARTITIONS, rows=ROWS, tla_machines=2),
-        node=scenarios.base_spec(qps=TOTAL_QPS / ROWS, duration=DURATION, warmup=WARMUP),
-        total_qps=TOTAL_QPS,
-        duration=DURATION,
-        warmup=WARMUP,
-        seed=11,
-        hdfs=HdfsSpec(),
-        **kwargs,
+        node=node.replace(hdfs=HdfsSpec()),
     )
     print(f"running cluster scenario: {label} ...")
     return SimulatedCluster(scenario, name=label).run()
 
 
 def main() -> None:
-    standalone = run_cluster("standalone")
-    colocated = run_cluster(
-        "cpu-bound secondary + PerfIso",
-        cpu_bully=CpuBullySpec(threads=48),
-        perfiso=PerfIsoSpec(cpu_policy="blind"),
-    )
+    standalone = run_cluster("standalone", scenarios.standalone(**NODE))
+    # A high CPU bully (48 threads) under blind isolation with 8 buffer cores.
+    colocated = run_cluster("cpu-bound secondary + PerfIso", scenarios.blind_isolation(**NODE))
 
     rows = []
     for result in (standalone, colocated):
@@ -86,7 +81,7 @@ def main() -> None:
         scenarios.standalone(qps=4000, duration=2.0, warmup=0.3, seed=12), "sample-source"
     )
     single.run()
-    local_samples = single.primary.collector.samples()
+    local_samples = single.assembly.collector.samples()
     model = SampledClusterModel(ClusterSpec(), local_samples, seed=12)
     curve = model.tail_at_scale_curve([1, 2, 4, 8, 22], num_requests=20000)
     print_figure(

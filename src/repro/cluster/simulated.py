@@ -1,7 +1,9 @@
 """Event-driven multi-machine cluster simulation (Figure 3 / Section 6.2).
 
-Every IndexServe machine is a full single-machine simulation (hardware,
-kernel, primary, secondaries, PerfIso) sharing one event engine.  Requests
+Every IndexServe machine is the single-machine assembly
+(:class:`~repro.experiments.single_machine.MachineAssembly`: hardware,
+kernel, primary, secondaries, PerfIso, sampler and faults) built from
+``ClusterScenario.node``, and all of them share one event engine.  Requests
 enter at a top-level aggregator (TLA), are load-balanced round-robin across
 rows, forwarded to a mid-level aggregator (MLA, which is one of the row's
 IndexServe machines), fanned out to every partition in the row, aggregated at
@@ -22,32 +24,19 @@ because every machine of a row serves every request routed to that row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..config.schema import (
-    ClusterSpec,
-    CpuBullySpec,
-    DiskBullySpec,
-    ExperimentSpec,
-    HdfsSpec,
-    PerfIsoSpec,
-)
+from ..config.schema import ClusterSpec, ExperimentSpec
 from ..config.validation import validate_cluster, validate_experiment
-from ..core.controller import PerfIsoController
-from ..errors import ClusterError
-from ..hardware.machine import Machine
-from ..hostos.syscalls import Kernel
+from ..errors import ConfigError
+from ..experiments.single_machine import MachineAssembly
 from ..hostos.thread import cpu_phase
-from ..metrics.cpu import CpuBreakdown, CpuUtilizationSampler
+from ..metrics.cpu import CpuBreakdown
 from ..metrics.latency import LatencyCollector, LatencyStats
 from ..simulation.engine import SimulationEngine
 from ..simulation.events import EventPriority
 from ..simulation.randomness import RandomStreams
-from ..tenants.base import SecondaryTenant
-from ..tenants.cpu_bully import CpuBullyTenant
-from ..tenants.disk_bully import DiskBullyTenant
-from ..tenants.hdfs import HdfsTenant
-from ..tenants.indexserve import IndexServeTenant, QueryOutcome
+from ..tenants.indexserve import QueryOutcome
 from ..workloads.arrival import OpenLoopClient
 from ..workloads.query_trace import QueryTrace
 from .layout import ClusterLayout, IndexMachineInfo
@@ -57,18 +46,16 @@ __all__ = ["ClusterScenario", "ClusterResult", "SimulatedCluster"]
 
 @dataclass(frozen=True)
 class ClusterScenario:
-    """Configuration of one cluster experiment."""
+    """Configuration of one cluster experiment.
+
+    ``node`` configures every IndexServe machine: its primary, secondaries
+    and PerfIso, its per-machine load ``node.workload.qps`` (so the
+    cluster's offered load is that times ``cluster.rows``), and the run's
+    duration, warm-up and seed.
+    """
 
     cluster: ClusterSpec = field(default_factory=ClusterSpec)
     node: ExperimentSpec = field(default_factory=ExperimentSpec)
-    perfiso: Optional[PerfIsoSpec] = None
-    cpu_bully: Optional[CpuBullySpec] = None
-    disk_bully: Optional[DiskBullySpec] = None
-    hdfs: Optional[HdfsSpec] = None
-    total_qps: float = 8000.0
-    duration: float = 5.0
-    warmup: float = 1.0
-    seed: int = 1
 
 
 @dataclass
@@ -80,9 +67,7 @@ class ClusterResult:
     mla_latency: LatencyStats
     tla_latency: LatencyStats
     cpu: CpuBreakdown
-    requests_submitted: int
     requests_completed: int
-    per_machine_p99: Dict[str, float]
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -101,62 +86,12 @@ class ClusterResult:
         }
 
 
-class _IndexNode:
-    """Runtime state of one IndexServe machine in the cluster."""
-
-    def __init__(
-        self,
-        info: IndexMachineInfo,
-        engine: SimulationEngine,
-        scenario: ClusterScenario,
-        streams: RandomStreams,
-        warmup_end: float,
-    ) -> None:
-        self.info = info
-        node_streams = streams.spawn(info.name)
-        spec = scenario.node
-        self.machine = Machine(engine, spec.machine, name=info.name, rng=node_streams.stream("disks"))
-        self.kernel = Kernel(engine, self.machine, spec.scheduler)
-        self.collector = LatencyCollector(warmup_end=warmup_end)
-        self.primary = IndexServeTenant(
-            self.kernel,
-            spec.indexserve,
-            rng=node_streams.stream("indexserve"),
-            collector=self.collector,
-            name=f"indexserve-{info.name}",
-        )
-        self.primary.start()
-        self.sampler = CpuUtilizationSampler(engine, self.kernel, interval=1.0, warmup_end=warmup_end)
-        self.sampler.start()
-        self.secondaries: List[SecondaryTenant] = []
-        if scenario.cpu_bully is not None:
-            self.secondaries.append(CpuBullyTenant(self.kernel, scenario.cpu_bully))
-        if scenario.disk_bully is not None:
-            self.secondaries.append(
-                DiskBullyTenant(self.kernel, scenario.disk_bully, rng=node_streams.stream("disk-bully"))
-            )
-        if scenario.hdfs is not None:
-            self.secondaries.append(
-                HdfsTenant(self.kernel, scenario.hdfs, rng=node_streams.stream("hdfs"))
-            )
-        self.controller: Optional[PerfIsoController] = None
-        if scenario.perfiso is not None:
-            self.controller = PerfIsoController(self.kernel, scenario.perfiso)
-            self.controller.observe_primary(self.primary.process)
-        for secondary in self.secondaries:
-            secondary.start()
-            if self.controller is not None:
-                self.controller.manage(secondary)
-        if self.controller is not None:
-            self.controller.start()
-
-
 class _RequestState:
     """Per-request fan-out bookkeeping at the MLA."""
 
     __slots__ = ("remaining", "mla_start", "tla_start", "mla_node", "request_id")
 
-    def __init__(self, request_id: int, remaining: int, tla_start: float, mla_start: float, mla_node: _IndexNode) -> None:
+    def __init__(self, request_id: int, remaining: int, tla_start: float, mla_start: float, mla_node: MachineAssembly) -> None:
         self.request_id = request_id
         self.remaining = remaining
         self.tla_start = tla_start
@@ -170,27 +105,39 @@ class SimulatedCluster:
     def __init__(self, scenario: ClusterScenario, name: str = "cluster") -> None:
         validate_cluster(scenario.cluster)
         validate_experiment(scenario.node)
+        workload = scenario.node.workload
+        # One constant-rate client drives the whole cluster; a node's arrival
+        # model would reach only its controller's forecast, not its load.
+        if workload.arrival_kind != "constant":
+            raise ConfigError(
+                "cluster nodes need a constant-rate workload, got a "
+                f"{workload.arrival_kind!r} arrival model"
+            )
         self._scenario = scenario
         self._name = name
         self.engine = SimulationEngine()
-        self._streams = RandomStreams(scenario.seed)
+        self._streams = RandomStreams(scenario.node.seed)
         self._layout = ClusterLayout(scenario.cluster)
-        warmup_end = scenario.warmup
-        self._nodes: Dict[str, _IndexNode] = {
-            info.name: _IndexNode(info, self.engine, scenario, self._streams, warmup_end)
+        self._nodes: Dict[str, MachineAssembly] = {
+            info.name: MachineAssembly(
+                self.engine, scenario.node, self._streams.spawn(info.name), name=info.name
+            )
             for info in self._layout.index_machines
         }
-        self._mla_collector = LatencyCollector(warmup_end=warmup_end)
-        self._tla_collector = LatencyCollector(warmup_end=warmup_end)
+        self._mla_collector = LatencyCollector(warmup_end=workload.warmup)
+        self._tla_collector = LatencyCollector(warmup_end=workload.warmup)
+        self._total_qps = workload.qps * scenario.cluster.rows
         self._trace = QueryTrace(
             scenario.node.indexserve,
-            size=min(50_000, max(2000, int(scenario.total_qps * (scenario.duration + scenario.warmup) / 4))),
+            size=min(
+                workload.trace_queries,
+                max(2000, int(self._total_qps * workload.total_time / 4)),
+            ),
             rng=self._streams.stream("cluster-trace"),
         )
         self._next_row = 0
         self._next_mla = 0
         self._next_request = 0
-        self.requests_submitted = 0
         self.requests_completed = 0
 
     @property
@@ -198,27 +145,28 @@ class SimulatedCluster:
         return self._layout
 
     @property
-    def nodes(self) -> Dict[str, _IndexNode]:
+    def nodes(self) -> Dict[str, MachineAssembly]:
+        """Every IndexServe machine's assembly, keyed by its layout name."""
         return dict(self._nodes)
 
     # ------------------------------------------------------------------- run
     def run(self) -> ClusterResult:
-        scenario = self._scenario
+        workload = self._scenario.node.workload
         client = OpenLoopClient(
             self.engine,
             self._trace,
-            qps=scenario.total_qps,
-            duration=scenario.duration + scenario.warmup,
+            qps=self._total_qps,
+            duration=workload.total_time,
             submit=self._submit_request,
             rng=self._streams.stream("cluster-arrivals"),
+            arrival_process=workload.arrival_process,
         )
         client.start()
-        self.engine.run(until=scenario.duration + scenario.warmup)
+        self.engine.run(until=workload.total_time)
         return self._collect()
 
     # ------------------------------------------------------------- internals
     def _submit_request(self, query, arrival_time: float) -> None:
-        self.requests_submitted += 1
         request_id = self._next_request
         self._next_request += 1
         cluster = self._scenario.cluster
@@ -269,13 +217,13 @@ class SimulatedCluster:
                 priority=EventPriority.TENANT,
             )
 
-    def _local_submit(self, node: _IndexNode, query, state: _RequestState) -> None:
+    def _local_submit(self, node: MachineAssembly, query, state: _RequestState) -> None:
         node.primary.submit(
             query,
             callback=lambda outcome, s=state, n=node: self._local_done(n, s, outcome),
         )
 
-    def _local_done(self, node: _IndexNode, state: _RequestState, outcome: QueryOutcome) -> None:
+    def _local_done(self, node: MachineAssembly, state: _RequestState, outcome: QueryOutcome) -> None:
         cluster = self._scenario.cluster
         hop = 0.0 if node is state.mla_node else cluster.network_hop_latency
         self.engine.schedule(hop, self._mla_response, state, priority=EventPriority.TENANT)
@@ -307,7 +255,6 @@ class SimulatedCluster:
         self.requests_completed += 1
 
     def _collect(self) -> ClusterResult:
-        locals_stats = [node.collector.stats() for node in self._nodes.values()]
         # Pool every machine's post-warm-up samples for the "Local IndexServe"
         # bars, exactly as the paper averages across IndexServe machines.
         pooled = LatencyCollector()
@@ -321,18 +268,11 @@ class SimulatedCluster:
             os=sum(b.os for b in breakdowns) / count,
             idle=sum(b.idle for b in breakdowns) / count,
         )
-        per_machine_p99 = {
-            name: node.collector.stats().p99 for name, node in self._nodes.items()
-        }
-        if not locals_stats:
-            raise ClusterError("cluster produced no local latency statistics")
         return ClusterResult(
             scenario=self._name,
             local_latency=pooled.stats(),
             mla_latency=self._mla_collector.stats(),
             tla_latency=self._tla_collector.stats(),
             cpu=cpu,
-            requests_submitted=self.requests_submitted,
             requests_completed=self.requests_completed,
-            per_machine_p99=per_machine_p99,
         )

@@ -946,8 +946,6 @@ class ClusterSpec:
     network_hop_latency: float = micros(200)
     mla_aggregation_cost: float = micros(400)
     tla_aggregation_cost: float = micros(300)
-    #: Request timeout measured at the TLA.
-    request_timeout: float = millis(500)
 
     def __post_init__(self) -> None:
         if self.partitions < 1 or self.rows < 1 or self.tla_machines < 1:

@@ -23,18 +23,7 @@ import numpy as np
 
 from ..cluster.sampled import SampledClusterModel
 from ..cluster.simulated import ClusterScenario, SimulatedCluster
-from ..config.schema import (
-    BlindIsolationSpec,
-    ClusterSpec,
-    CpuBullySpec,
-    DiskBullySpec,
-    ExperimentSpec,
-    FleetSpec,
-    HdfsSpec,
-    IoThrottleSpec,
-    MachineGroupSpec,
-    PerfIsoSpec,
-)
+from ..config.schema import ClusterSpec, ExperimentSpec, FleetSpec, HdfsSpec, MachineGroupSpec
 from ..errors import ConfigError
 from ..fleet.model import (
     COLOCATED,
@@ -290,37 +279,28 @@ def fig9_cluster(
     from ..runtime.spec_hash import versioned_namespace
 
     cluster = ClusterSpec(partitions=partitions, rows=rows, tla_machines=tla_machines)
-    node = scenarios.base_spec(qps=total_qps / rows, duration=duration, warmup=warmup, seed=seed)
-    perfiso = PerfIsoSpec(
-        cpu_policy="blind",
-        blind=BlindIsolationSpec(buffer_cores=buffer_cores),
-        io_throttle=IoThrottleSpec(),
-    )
+    # Every machine of the paper's cluster runs HDFS beside IndexServe.
+    load = dict(qps=total_qps / rows, duration=duration, warmup=warmup, seed=seed)
+    nodes = {
+        "standalone": scenarios.standalone(**load).replace(hdfs=HdfsSpec()),
+        "cpu-bound secondary": scenarios.blind_isolation(buffer_cores, **load).replace(
+            hdfs=HdfsSpec()
+        ),
+        "disk-bound secondary": scenarios.disk_bound_with_throttling(
+            buffer_cores=buffer_cores, **load
+        ),
+    }
     figure = FigureResult(
         figure_id="fig9",
         title="Cluster latency per layer (standalone / CPU-bound / disk-bound secondary)",
     )
-    cases = {
-        "standalone": ClusterScenario(
-            cluster=cluster, node=node, perfiso=None, hdfs=HdfsSpec(),
-            total_qps=total_qps, duration=duration, warmup=warmup, seed=seed,
-        ),
-        "cpu-bound secondary": ClusterScenario(
-            cluster=cluster, node=node, perfiso=perfiso, cpu_bully=CpuBullySpec(),
-            hdfs=HdfsSpec(), total_qps=total_qps, duration=duration, warmup=warmup, seed=seed,
-        ),
-        "disk-bound secondary": ClusterScenario(
-            cluster=cluster, node=node, perfiso=perfiso, disk_bully=DiskBullySpec(),
-            hdfs=HdfsSpec(), total_qps=total_qps, duration=duration, warmup=warmup, seed=seed,
-        ),
-    }
     active = runner if runner is not None else default_runner()
     results = active.map(
         _run_cluster_case,
-        [(label, scenario) for label, scenario in cases.items()],
+        [(label, ClusterScenario(cluster=cluster, node=node)) for label, node in nodes.items()],
         cache_namespace=versioned_namespace("cluster"),
     )
-    for label, result in zip(cases, results):
+    for label, result in zip(nodes, results):
         row: Dict[str, object] = {"scenario": label}
         row.update(result.summary())
         figure.rows.append(row)

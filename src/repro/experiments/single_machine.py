@@ -1,8 +1,10 @@
 """Single-machine colocation experiments (Section 6.1).
 
-This module assembles one machine — hardware, kernel, primary, secondaries,
-optionally PerfIso — replays an open-loop query workload against it, and
-returns the measurements the paper reports: query latency percentiles, the
+:class:`MachineAssembly` builds one machine — hardware, kernel, primary,
+secondaries, optionally PerfIso — from its :class:`ExperimentSpec`; every
+node of the event-driven cluster is one too.  :class:`SingleMachineExperiment`
+replays an open-loop query workload against one assembly and returns the
+measurements the paper reports: query latency percentiles, the
 Primary/Secondary/OS/Idle CPU breakdown, dropped queries and the secondary's
 progress.
 """
@@ -15,7 +17,6 @@ from typing import Dict, List, Optional
 from ..config.schema import ExperimentSpec
 from ..config.validation import validate_experiment
 from ..core.controller import PerfIsoController
-from ..errors import ExperimentError
 from ..faults.injector import (
     DegradedForecast,
     DegradedLatencyWindow,
@@ -43,7 +44,7 @@ from ..workloads.arrival_models import (
 )
 from ..workloads.query_trace import QueryTrace
 
-__all__ = ["SingleMachineResult", "SingleMachineExperiment"]
+__all__ = ["MachineAssembly", "SingleMachineResult", "SingleMachineExperiment"]
 
 #: In-process memo of generated query traces.  A trace is a pure function of
 #: ``(indexserve spec, size, seed)`` — the "trace" random stream it consumes
@@ -114,42 +115,26 @@ class SingleMachineResult:
         return row
 
 
-class SingleMachineExperiment:
-    """Builds and runs one single-machine colocation experiment."""
+class MachineAssembly:
+    """One IndexServe machine, built and started from its :class:`ExperimentSpec`.
 
-    def __init__(self, spec: ExperimentSpec, scenario: str = "custom") -> None:
-        validate_experiment(spec)
-        self._spec = spec
-        self._scenario = scenario
-        # Assembled on run(); kept as attributes so tests can inspect them.
-        self.engine: Optional[SimulationEngine] = None
-        self.kernel: Optional[Kernel] = None
-        self.primary: Optional[IndexServeTenant] = None
-        self.controller: Optional[PerfIsoController] = None
-        self.secondaries: List[SecondaryTenant] = []
-        self.arrival_model = None
-        self.fault_injector: Optional[SingleMachineFaultInjector] = None
+    Builds the hardware, kernel, latency collector, IndexServe primary,
+    secondaries, PerfIso controller (with its forecast, latency window and
+    fault proxies), CPU sampler and fault injector on ``engine``, drawing
+    from ``streams``, and starts them.  The load is the caller's: a
+    single-machine run replays its workload against ``primary.submit``, and
+    every node of a cluster serves the requests routed to its row.
+    """
 
-    @property
-    def spec(self) -> ExperimentSpec:
-        return self._spec
-
-    # ------------------------------------------------------------------- run
-    def run(self, telemetry=None) -> SingleMachineResult:
-        """Run the experiment; ``telemetry`` optionally instruments it.
-
-        ``telemetry`` is a :class:`~repro.telemetry.stream.TelemetrySession`.
-        Instrumentation is strictly observational — probes draw from no
-        random stream and a sliding latency window only *tees* samples the
-        collector already took — so the result is byte-identical with or
-        without it (pinned by ``tests/telemetry``).
-        """
-        spec = self._spec
-        streams = RandomStreams(spec.seed)
-        engine = SimulationEngine()
-        machine = Machine(engine, spec.machine, name="node-0", rng=streams.stream("disks"))
-        kernel = Kernel(engine, machine, spec.scheduler)
-        self.engine, self.kernel = engine, kernel
+    def __init__(
+        self,
+        engine: SimulationEngine,
+        spec: ExperimentSpec,
+        streams: RandomStreams,
+        name: str = "node-0",
+    ) -> None:
+        self.machine = Machine(engine, spec.machine, name=name, rng=streams.stream("disks"))
+        kernel = self.kernel = Kernel(engine, self.machine, spec.scheduler)
 
         warmup_end = spec.workload.warmup
         # Latency-feedback policies (capability flag ``uses_latency``) read a
@@ -158,64 +143,28 @@ class SingleMachineExperiment:
         latency_window = None
         if spec.perfiso is not None and policy_class(spec.perfiso.cpu_policy).uses_latency:
             latency_window = SlidingLatencyWindow(window=spec.perfiso.pid.window)
+        self.latency_window = latency_window
         # Telemetry without a latency-feedback policy reads its windowed P99
         # straight off the collector's sample buffer at probe time (see
         # TelemetrySession.attach_single_machine) — maintaining a second
         # window structure just for probes taxed every served query and blew
         # the telemetry-overhead benchmark budget.
-        collector = LatencyCollector(warmup_end=warmup_end, observer=latency_window)
-        primary = IndexServeTenant(
-            kernel, spec.indexserve, rng=streams.stream("indexserve"), collector=collector
+        self.collector = LatencyCollector(warmup_end=warmup_end, observer=latency_window)
+        primary = self.primary = IndexServeTenant(
+            kernel, spec.indexserve, rng=streams.stream("indexserve"), collector=self.collector
         )
         primary.start()
-        self.primary = primary
 
-        # Time-varying workloads size the query trace by their mean offered
-        # rate; for the stationary client mean_qps == qps, so legacy specs
-        # draw the identical trace they always did.
-        trace = _trace_for(
-            spec,
-            size=min(spec.workload.trace_queries, max(1000, int(spec.workload.mean_qps * spec.workload.total_time))),
-            streams=streams,
-        )
         # Arrival models draw only from their own named stream (the bursty
         # state path), so a trace-driven workload cannot perturb the draws of
-        # any other component; constant-rate specs never touch the stream and
-        # keep the PR-4 batched-gap fast path through OpenLoopClient.
-        arrival_model = build_arrival_model(
+        # any other component; constant-rate specs never touch the stream.
+        arrival_model = self.arrival_model = build_arrival_model(
             spec.workload,
             horizon=spec.workload.total_time,
             rng=streams.stream(ARRIVAL_MODEL_STREAM),
         )
-        self.arrival_model = arrival_model
-        if arrival_model is None:
-            client = OpenLoopClient(
-                engine,
-                trace,
-                qps=spec.workload.qps,
-                duration=spec.workload.total_time,
-                submit=primary.submit,
-                rng=streams.stream("arrivals"),
-                arrival_process=spec.workload.arrival_process,
-            )
-        else:
-            client = VariableRateClient(
-                engine,
-                trace,
-                rate_fn=arrival_model.rate_at,
-                duration=spec.workload.total_time,
-                submit=primary.submit,
-                rng=streams.stream("arrivals"),
-                # The client's default floor of 1 qps would silently drive
-                # traffic through zero-QPS trace buckets.  A near-zero floor
-                # plus the idle-recheck poll keeps idle windows genuinely
-                # idle while still noticing when the rate comes back.
-                min_rate=1e-9,
-                idle_recheck=spec.workload.duration / 256.0,
-            )
 
-        secondaries = self._build_secondaries(kernel, streams)
-        self.secondaries = secondaries
+        secondaries = self.secondaries = _build_secondaries(kernel, spec, streams)
 
         # An all-disabled fault plan is exactly no plan: nothing is wrapped,
         # nothing is scheduled, and the run is byte-identical to a faultless
@@ -229,9 +178,9 @@ class SingleMachineExperiment:
         latency_proxy: Optional[DegradedLatencyWindow] = None
         forecast_proxy: Optional[DegradedForecast] = None
 
-        controller: Optional[PerfIsoController] = None
+        controller = self.controller = None
         if spec.perfiso is not None:
-            controller = PerfIsoController(kernel, spec.perfiso)
+            controller = self.controller = PerfIsoController(kernel, spec.perfiso)
             controller.observe_primary(primary.process)
             # Forecast-driven policies ask the arrival model for the exact
             # peak over their horizon; constant workloads forecast trivially.
@@ -251,23 +200,22 @@ class SingleMachineExperiment:
                     latency_proxy = DegradedLatencyWindow(latency_window)
                     controller_window = latency_proxy
             controller.attach_telemetry(forecast=forecast, latency_window=controller_window)
-            self.controller = controller
 
-        sampler = CpuUtilizationSampler(engine, kernel, interval=0.5, warmup_end=warmup_end)
-        sampler.start()
+        self.sampler = CpuUtilizationSampler(engine, kernel, interval=0.5, warmup_end=warmup_end)
+        self.sampler.start()
 
-        # Start everything: secondaries first (they are immediately placed
-        # under the controller), then the controller, then the load.
+        # Secondaries start first (they are immediately placed under the
+        # controller), then the controller, then the fault schedule.
         for secondary in secondaries:
             secondary.start()
             if controller is not None:
                 controller.manage(secondary)
         if controller is not None:
             controller.start()
-        client.start()
 
+        self.fault_injector: Optional[SingleMachineFaultInjector] = None
         if faults is not None:
-            injector = SingleMachineFaultInjector(
+            self.fault_injector = SingleMachineFaultInjector(
                 faults,
                 engine=engine,
                 kernel=kernel,
@@ -275,69 +223,132 @@ class SingleMachineExperiment:
                 latency_proxy=latency_proxy,
                 forecast_proxy=forecast_proxy,
             )
-            injector.install()
-            self.fault_injector = injector
+            self.fault_injector.install()
+
+
+def _build_secondaries(
+    kernel: Kernel, spec: ExperimentSpec, streams: RandomStreams
+) -> List[SecondaryTenant]:
+    # Random streams are keyed by job name, so the singleton jobs (whose
+    # names match the historical stream names) simulate bit-identically
+    # and additional jobs cannot perturb anyone else's draws.
+    secondaries: List[SecondaryTenant] = []
+    for job in spec.secondary_jobs():
+        if job.kind == "cpu_bully":
+            secondaries.append(CpuBullyTenant(kernel, job.tenant_spec, name=job.name))
+        elif job.kind == "disk_bully":
+            secondaries.append(
+                DiskBullyTenant(
+                    kernel, job.tenant_spec, rng=streams.stream(job.name), name=job.name
+                )
+            )
+        elif job.kind == "hdfs":
+            secondaries.append(
+                HdfsTenant(kernel, job.tenant_spec, rng=streams.stream(job.name), name=job.name)
+            )
+        else:
+            secondaries.append(
+                MlTrainingTenant(
+                    kernel, job.tenant_spec, rng=streams.stream(job.name), name=job.name
+                )
+            )
+    return secondaries
+
+
+class SingleMachineExperiment:
+    """Builds and runs one single-machine colocation experiment."""
+
+    def __init__(self, spec: ExperimentSpec, scenario: str = "custom") -> None:
+        validate_experiment(spec)
+        self._spec = spec
+        self._scenario = scenario
+        # Built on run(); kept as attributes so tests can inspect them.
+        self.engine: Optional[SimulationEngine] = None
+        self.assembly: Optional[MachineAssembly] = None
+
+    @property
+    def spec(self) -> ExperimentSpec:
+        return self._spec
+
+    # ------------------------------------------------------------------- run
+    def run(self, telemetry=None) -> SingleMachineResult:
+        """Run the experiment; ``telemetry`` optionally instruments it.
+
+        ``telemetry`` is a :class:`~repro.telemetry.stream.TelemetrySession`.
+        Instrumentation is strictly observational — probes draw from no
+        random stream and a sliding latency window only *tees* samples the
+        collector already took — so the result is byte-identical with or
+        without it (pinned by ``tests/telemetry``).
+        """
+        spec = self._spec
+        streams = RandomStreams(spec.seed)
+        engine = self.engine = SimulationEngine()
+        node = self.assembly = MachineAssembly(engine, spec, streams)
+
+        # Time-varying workloads size the query trace by their mean offered
+        # rate; for the stationary client mean_qps == qps, so legacy specs
+        # draw the identical trace they always did.
+        trace = _trace_for(
+            spec,
+            size=min(spec.workload.trace_queries, max(1000, int(spec.workload.mean_qps * spec.workload.total_time))),
+            streams=streams,
+        )
+        # Constant-rate specs keep the batched-gap fast path through
+        # OpenLoopClient; arrival models drive a variable-rate client.
+        if node.arrival_model is None:
+            client = OpenLoopClient(
+                engine,
+                trace,
+                qps=spec.workload.qps,
+                duration=spec.workload.total_time,
+                submit=node.primary.submit,
+                rng=streams.stream("arrivals"),
+                arrival_process=spec.workload.arrival_process,
+            )
+        else:
+            client = VariableRateClient(
+                engine,
+                trace,
+                rate_fn=node.arrival_model.rate_at,
+                duration=spec.workload.total_time,
+                submit=node.primary.submit,
+                rng=streams.stream("arrivals"),
+                # The client's default floor of 1 qps would silently drive
+                # traffic through zero-QPS trace buckets.  A near-zero floor
+                # plus the idle-recheck poll keeps idle windows genuinely
+                # idle while still noticing when the rate comes back.
+                min_rate=1e-9,
+                idle_recheck=spec.workload.duration / 256.0,
+            )
+        client.start()
 
         if telemetry is not None:
             telemetry.attach_single_machine(
                 engine,
-                kernel,
-                collector,
+                node.kernel,
+                node.collector,
                 client,
-                primary,
+                node.primary,
                 spec,
-                controller=controller,
-                arrival_model=arrival_model,
-                latency_window=latency_window,
+                controller=node.controller,
+                arrival_model=node.arrival_model,
+                latency_window=node.latency_window,
                 label=self._scenario,
             )
 
         engine.run(until=spec.workload.total_time)
 
-        return self._collect(collector, sampler, client)
+        return self._collect(node, client)
 
     # ------------------------------------------------------------- internals
-    def _build_secondaries(self, kernel: Kernel, streams: RandomStreams) -> List[SecondaryTenant]:
-        # Random streams are keyed by job name, so the singleton jobs (whose
-        # names match the historical stream names) simulate bit-identically
-        # and additional jobs cannot perturb anyone else's draws.
-        secondaries: List[SecondaryTenant] = []
-        for job in self._spec.secondary_jobs():
-            if job.kind == "cpu_bully":
-                secondaries.append(CpuBullyTenant(kernel, job.tenant_spec, name=job.name))
-            elif job.kind == "disk_bully":
-                secondaries.append(
-                    DiskBullyTenant(
-                        kernel, job.tenant_spec, rng=streams.stream(job.name), name=job.name
-                    )
-                )
-            elif job.kind == "hdfs":
-                secondaries.append(
-                    HdfsTenant(kernel, job.tenant_spec, rng=streams.stream(job.name), name=job.name)
-                )
-            else:
-                secondaries.append(
-                    MlTrainingTenant(
-                        kernel, job.tenant_spec, rng=streams.stream(job.name), name=job.name
-                    )
-                )
-        return secondaries
-
-    def _collect(
-        self,
-        collector: LatencyCollector,
-        sampler: CpuUtilizationSampler,
-        client,
-    ) -> SingleMachineResult:
-        if self.kernel is None or self.primary is None:
-            raise ExperimentError("experiment has not been run")
+    def _collect(self, node: MachineAssembly, client) -> SingleMachineResult:
         spec = self._spec
         breakdown = {
             secondary.name: {
                 "progress": secondary.progress(),
                 "cpu_seconds": sum(p.cpu_time for p in secondary.processes()),
             }
-            for secondary in self.secondaries
+            for secondary in node.secondaries
         }
         secondary_cpu = sum(entry["cpu_seconds"] for entry in breakdown.values())
         progress = sum(entry["progress"] for entry in breakdown.values())
@@ -345,21 +356,21 @@ class SingleMachineExperiment:
             scenario=self._scenario,
             qps=spec.workload.qps,
             duration=spec.workload.duration,
-            latency=collector.stats(),
-            cpu=sampler.overall(),
-            cpu_timeseries=sampler.timeseries(),
+            latency=node.collector.stats(),
+            cpu=node.sampler.overall(),
+            cpu_timeseries=node.sampler.timeseries(),
             queries_submitted=client.submitted,
-            queries_completed=self.primary.completed,
-            queries_dropped=self.primary.dropped,
+            queries_completed=node.primary.completed,
+            queries_dropped=node.primary.dropped,
             secondary_progress=progress,
             secondary_cpu_seconds=secondary_cpu,
             secondary_breakdown=breakdown,
         )
-        if self.controller is not None:
-            result.controller_polls = self.controller.polls
-            result.controller_updates = self.controller.updates_applied
-            result.secondary_core_history = list(self.controller.core_count_history)
-        if self.arrival_model is not None:
+        if node.controller is not None:
+            result.controller_polls = node.controller.polls
+            result.controller_updates = node.controller.updates_applied
+            result.secondary_core_history = list(node.controller.core_count_history)
+        if node.arrival_model is not None:
             # The offered-load curve over the measured window, summarised so
             # trace-driven goldens pin the *shape* of the workload too.  The
             # mean is a 128-point sample of the curve; the peak is computed
@@ -367,21 +378,21 @@ class SingleMachineExperiment:
             # step).
             offered = TimeSeries.from_function(
                 "offered_qps",
-                self.arrival_model.rate_at,
+                node.arrival_model.rate_at,
                 start=spec.workload.warmup,
                 stop=spec.workload.total_time,
                 step=spec.workload.duration / 128.0,
                 unit="qps",
             )
             result.extra["offered_mean_qps"] = offered.mean()
-            result.extra["offered_peak_qps"] = self.arrival_model.peak_in(
+            result.extra["offered_peak_qps"] = node.arrival_model.peak_in(
                 spec.workload.warmup, spec.workload.total_time
             )
-        if self.fault_injector is not None:
+        if node.fault_injector is not None:
             # Only fault-bearing specs gain these keys, so zero-fault results
             # (and their pinned goldens) keep their exact historical shape.
-            result.extra["fault_events"] = float(len(self.fault_injector.events))
+            result.extra["fault_events"] = float(len(node.fault_injector.events))
             result.extra["controller_restarts"] = float(
-                self.fault_injector.controller_restarts
+                node.fault_injector.controller_restarts
             )
         return result

@@ -88,7 +88,7 @@ def _execute_single_machine(
     spec, scenario = payload
     experiment = SingleMachineExperiment(spec, scenario=scenario)
     result = experiment.run()
-    return result, experiment.primary.collector.samples()
+    return result, experiment.assembly.collector.samples()
 
 
 def _call(payload: Tuple[Callable[..., Any], tuple]) -> Any:

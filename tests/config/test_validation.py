@@ -70,9 +70,9 @@ class TestValidateCluster:
     def test_default_cluster_valid(self):
         validate_cluster(ClusterSpec())
 
-    def test_timeout_must_exceed_network(self):
+    def test_implausible_row_count_rejected(self):
         with pytest.raises(ConfigError):
-            validate_cluster(ClusterSpec(request_timeout=1e-6))
+            validate_cluster(ClusterSpec(partitions=1, rows=5))
 
 
 class TestWarnings:

@@ -106,7 +106,7 @@ class TestMultiSecondaryExperiment:
         )
         experiment = SingleMachineExperiment(spec, "three-bullies")
         result = experiment.run()
-        assert [s.name for s in experiment.secondaries] == [
+        assert [s.name for s in experiment.assembly.secondaries] == [
             "cpu-bully", "bully-b", "bully-c"
         ]
         assert set(result.secondary_breakdown) == {"cpu-bully", "bully-b", "bully-c"}

@@ -60,7 +60,7 @@ class TestDegradedCores:
         spec = sc.chaos_degraded_cores(**SHORT)
         experiment = SingleMachineExperiment(spec)
         experiment.run()
-        events = experiment.fault_injector.events
+        events = experiment.assembly.fault_injector.events
         assert [text for _, text in events] == [
             "cores degraded: 1.5x slowdown",
             "cores recovered: full speed",

@@ -20,7 +20,8 @@ def test_finished_threads_are_freed_without_the_collector():
     gc.disable()
     try:
         experiment.run()
-        processes = {id(process) for process in experiment.kernel.processes()}
+        kernel = experiment.assembly.kernel
+        processes = {id(process) for process in kernel.processes()}
         kept = sum(
             1
             for obj in gc.get_objects()
@@ -29,9 +30,10 @@ def test_finished_threads_are_freed_without_the_collector():
     finally:
         if was_enabled:
             gc.enable()
-    live = sum(len(process.live_threads()) for process in experiment.kernel.processes())
-    in_flight = sum(len(query.worker_threads) for query in experiment.primary._queries.values())
-    spawned = experiment.kernel._next_tid - 1
+    live = sum(len(process.live_threads()) for process in kernel.processes())
+    queries = experiment.assembly.primary._queries.values()
+    in_flight = sum(len(query.worker_threads) for query in queries)
+    spawned = kernel._next_tid - 1
     assert spawned > 1000
     assert kept <= live + in_flight, f"{kept} of {spawned} spawned threads still reachable"
 
