@@ -19,7 +19,8 @@ The public API is organised in layers:
 * :mod:`repro.experiments`, :mod:`repro.metrics` — the harnesses reproducing
   every figure of the paper's evaluation.
 * :mod:`repro.runtime` — the parallel experiment runtime: process fan-out
-  over ``ExperimentSpec`` batches plus a content-addressed result cache.
+  over ``ExperimentSpec`` and ``ClusterScenario`` batches plus a
+  content-addressed result cache.
 * :mod:`repro.fleet` — fleet operations: staged PerfIso rollout, secondary
   placement and capacity-reclamation accounting over sharded execution.
 """

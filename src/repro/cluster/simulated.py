@@ -23,12 +23,11 @@ because every machine of a row serves every request routed to that row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
-from ..config.schema import ClusterSpec, ExperimentSpec
-from ..config.validation import validate_cluster, validate_experiment
-from ..errors import ConfigError
+from ..config.schema import ClusterScenario
+from ..config.validation import validate_cluster_scenario
 from ..experiments.single_machine import MachineAssembly
 from ..hostos.thread import cpu_phase
 from ..metrics.cpu import CpuBreakdown
@@ -42,20 +41,6 @@ from ..workloads.query_trace import QueryTrace
 from .layout import ClusterLayout, IndexMachineInfo
 
 __all__ = ["ClusterScenario", "ClusterResult", "SimulatedCluster"]
-
-
-@dataclass(frozen=True)
-class ClusterScenario:
-    """Configuration of one cluster experiment.
-
-    ``node`` configures every IndexServe machine: its primary, secondaries
-    and PerfIso, its per-machine load ``node.workload.qps`` (so the
-    cluster's offered load is that times ``cluster.rows``), and the run's
-    duration, warm-up and seed.
-    """
-
-    cluster: ClusterSpec = field(default_factory=ClusterSpec)
-    node: ExperimentSpec = field(default_factory=ExperimentSpec)
 
 
 @dataclass
@@ -103,16 +88,8 @@ class SimulatedCluster:
     """Builds and runs the event-driven cluster experiment."""
 
     def __init__(self, scenario: ClusterScenario, name: str = "cluster") -> None:
-        validate_cluster(scenario.cluster)
-        validate_experiment(scenario.node)
+        validate_cluster_scenario(scenario)
         workload = scenario.node.workload
-        # One constant-rate client drives the whole cluster; a node's arrival
-        # model would reach only its controller's forecast, not its load.
-        if workload.arrival_kind != "constant":
-            raise ConfigError(
-                "cluster nodes need a constant-rate workload, got a "
-                f"{workload.arrival_kind!r} arrival model"
-            )
         self._scenario = scenario
         self._name = name
         self.engine = SimulationEngine()

@@ -57,6 +57,7 @@ __all__ = [
     "ConfigPushFaultSpec",
     "FaultPlanSpec",
     "ExperimentSpec",
+    "ClusterScenario",
     "MachineGroupSpec",
     "PlacementSpec",
     "RolloutSpec",
@@ -1406,6 +1407,25 @@ class ExperimentSpec:
                 jobs.append(SecondaryJobSpec(name, **{kind: spec}))
         jobs.extend(self.extra_secondaries)
         return tuple(jobs)
+
+
+@dataclass(frozen=True)
+class ClusterScenario:
+    """Configuration of one cluster experiment.
+
+    ``node`` configures every IndexServe machine: its primary, secondaries
+    and PerfIso, its per-machine load ``node.workload.qps`` (so the
+    cluster's offered load is that times ``cluster.rows``), and the run's
+    duration, warm-up and seed.
+    """
+
+    cluster: ClusterSpec = field(default_factory=ClusterSpec)
+    node: ExperimentSpec = field(default_factory=ExperimentSpec)
+
+    @property
+    def seed(self) -> int:
+        """The run's seed, which the node spec carries."""
+        return self.node.seed
 
 
 # --------------------------------------------------------------------------- campaign

@@ -12,11 +12,12 @@ from __future__ import annotations
 from typing import List
 
 from ..errors import ConfigError
-from .schema import ClusterSpec, ExperimentSpec, FaultPlanSpec, FleetSpec
+from .schema import ClusterScenario, ClusterSpec, ExperimentSpec, FaultPlanSpec, FleetSpec
 
 __all__ = [
     "validate_experiment",
     "validate_cluster",
+    "validate_cluster_scenario",
     "validate_fleet",
     "validate_fault_plan",
     "collect_warnings",
@@ -183,6 +184,22 @@ def validate_cluster(spec: ClusterSpec) -> None:
     """Raise :class:`ConfigError` if a cluster layout is inconsistent."""
     if spec.rows > spec.partitions * 4:
         raise ConfigError("more rows than is plausible for the number of partitions")
+
+
+def validate_cluster_scenario(scenario: ClusterScenario) -> None:
+    """Raise :class:`ConfigError` if a cluster experiment cannot run: its
+    layout, its node spec, or a node workload that is not constant-rate.
+
+    One constant-rate client drives the whole cluster; a node's arrival
+    model would reach only its controller's forecast, not its load.
+    """
+    validate_cluster(scenario.cluster)
+    validate_experiment(scenario.node)
+    kind = scenario.node.workload.arrival_kind
+    if kind != "constant":
+        raise ConfigError(
+            f"cluster nodes need a constant-rate workload, got a {kind!r} arrival model"
+        )
 
 
 def validate_fleet(spec: FleetSpec) -> None:

@@ -4,13 +4,14 @@ Every function reproduces one figure or table of the paper's evaluation and
 returns a :class:`FigureResult` with the rows the paper plots.  Durations are
 parameters so tests can use short runs while the benchmarks use longer ones.
 
-A single-machine figure (Figures 4–8 and the headline utilisation) is a
-catalog scenario plus a renderer: ``fig5_blind_isolation`` runs the ``fig5``
+A simulated figure (Figures 4–9 and the headline utilisation) is a catalog
+scenario plus a renderer: ``fig5_blind_isolation`` runs the ``fig5``
 scenario with :func:`~repro.experiments.matrix.run_scenario` and renders its
 runs as Figure 5's rows.  ``grid`` reshapes the scenario's axes, its loads
 (``qps``) and its named runs (``run``), and ``python -m repro.reporting
 --scenario fig5`` replicates the same runs over seeds.  The runner's cache
-serves the standalone baselines that figures share.
+serves the standalone baselines that figures share.  Figure 10 blends
+calibration runs per bucket, so it stays a harness of its own.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cluster.sampled import SampledClusterModel
-from ..cluster.simulated import ClusterScenario, SimulatedCluster
-from ..config.schema import ClusterSpec, ExperimentSpec, FleetSpec, HdfsSpec, MachineGroupSpec
+from ..config.schema import ClusterSpec, FleetSpec, MachineGroupSpec
 from ..errors import ConfigError
 from ..fleet.model import (
     COLOCATED,
@@ -53,7 +53,7 @@ __all__ = [
 #: A ``grid`` override of a figure scenario's axes.
 Grid = Optional[Mapping[str, Sequence[Any]]]
 #: A figure scenario's variants in grid order: ``(axis values, spec, result)``.
-Runs = List[Tuple[Dict[str, Any], ExperimentSpec, SingleMachineResult]]
+Runs = List[Tuple[Dict[str, Any], Any, Any]]
 
 #: Summary columns of a latency row (Figures 4–7), after its label and load.
 _LATENCY_COLUMNS = (
@@ -169,7 +169,12 @@ def _utilization_rows(runs: Runs) -> List[Dict[str, object]]:
     return rows
 
 
-#: Each single-machine figure's row renderer and the paper's claim it checks.
+def _cluster_rows(runs: Runs) -> List[Dict[str, object]]:
+    """One row per cluster run: its latency per layer and its CPU breakdown."""
+    return [{"scenario": axes["run"], **result.summary()} for axes, _, result in runs]
+
+
+#: Each figure's row renderer and the paper's claim it checks.
 _FIGURES = {
     "fig4": (_load_sweep_rows, "paper: mid raises P99 by up to 42%, high by up to 29x with "
              "11-32% of queries dropped"),
@@ -184,6 +189,8 @@ _FIGURES = {
              "work; CPU cycles fails"),
     "headline": (_utilization_rows, "paper: 21% -> 66% average CPU utilisation without "
                  "impacting tail latency"),
+    "fig9": (_cluster_rows, "paper: with PerfIso the per-layer P99 stays within ~1.2 ms of "
+             "the standalone cluster"),
 }
 
 
@@ -251,11 +258,6 @@ def headline_utilization(
     )
 
 
-def _run_cluster_case(label: str, scenario: ClusterScenario):
-    """Module-level worker entry point so cluster cases can cross processes."""
-    return SimulatedCluster(scenario, name=label).run()
-
-
 # --------------------------------------------------------------------- Fig 9
 def fig9_cluster(
     partitions: int = 5,
@@ -275,39 +277,11 @@ def fig9_cluster(
     row); pass ``partitions=22, rows=2, tla_machines=31`` for the paper's full
     75-machine layout if you can afford the run time.
     """
-    from ..runtime.runner import default_runner
-    from ..runtime.spec_hash import versioned_namespace
-
-    cluster = ClusterSpec(partitions=partitions, rows=rows, tla_machines=tla_machines)
-    # Every machine of the paper's cluster runs HDFS beside IndexServe.
-    load = dict(qps=total_qps / rows, duration=duration, warmup=warmup, seed=seed)
-    nodes = {
-        "standalone": scenarios.standalone(**load).replace(hdfs=HdfsSpec()),
-        "cpu-bound secondary": scenarios.blind_isolation(buffer_cores, **load).replace(
-            hdfs=HdfsSpec()
-        ),
-        "disk-bound secondary": scenarios.disk_bound_with_throttling(
-            buffer_cores=buffer_cores, **load
-        ),
-    }
-    figure = FigureResult(
-        figure_id="fig9",
-        title="Cluster latency per layer (standalone / CPU-bound / disk-bound secondary)",
+    return _figure(
+        "fig9", None, runner, partitions=partitions, rows=rows, tla_machines=tla_machines,
+        buffer_cores=buffer_cores, qps=total_qps / rows, duration=duration, warmup=warmup,
+        seed=seed,
     )
-    active = runner if runner is not None else default_runner()
-    results = active.map(
-        _run_cluster_case,
-        [(label, ClusterScenario(cluster=cluster, node=node)) for label, node in nodes.items()],
-        cache_namespace=versioned_namespace("cluster"),
-    )
-    for label, result in zip(nodes, results):
-        row: Dict[str, object] = {"scenario": label}
-        row.update(result.summary())
-        figure.rows.append(row)
-    figure.notes.append(
-        "paper: with PerfIso the per-layer P99 stays within ~1.2 ms of the standalone cluster"
-    )
-    return figure
 
 
 # -------------------------------------------------------------------- Fig 10

@@ -1,10 +1,10 @@
 """Declarative scenario matrix over the parallel experiment runtime.
 
-A :class:`Scenario` is data — a builder returning an :class:`ExperimentSpec`,
-plus named axes whose value grids are expanded into labelled spec batches —
-and every scenario lives in a process-wide registry populated by
-:mod:`repro.experiments.scenarios` (the paper's single-machine figures
-included) and :mod:`repro.fleet.scenarios`.
+A :class:`Scenario` is data — a builder returning a spec, plus named axes
+whose value grids are expanded into labelled spec batches — and every
+scenario lives in a process-wide registry populated by
+:mod:`repro.experiments.scenarios` (the paper's figures included) and
+:mod:`repro.fleet.scenarios`.
 
 The registry feeds every consumer that defines or runs an experiment:
 
@@ -34,11 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ...config.schema import ExperimentSpec
-from ...config.validation import validate_experiment, validate_fleet
+from ...config.validation import (
+    validate_cluster_scenario,
+    validate_experiment,
+    validate_fleet,
+)
 from ...errors import ConfigError
 from ..reporting import format_table
-from ..single_machine import SingleMachineResult
 
 __all__ = [
     "Scenario",
@@ -61,6 +63,14 @@ COMMON_PARAMS = ("qps", "duration", "warmup", "seed")
 
 _REGISTRY: Dict[str, "Scenario"] = {}
 
+#: Each scenario kind's spec validator, which ``Scenario.expand`` applies to
+#: every variant.
+_VALIDATORS = {
+    "experiment": validate_experiment,
+    "cluster": validate_cluster_scenario,
+    "fleet": validate_fleet,
+}
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -72,14 +82,18 @@ class Scenario:
     pytest tier the scenario's regression test lives in (``fast`` scenarios
     are cheap enough for the inner loop; ``slow`` ones run nightly).
     ``kind`` selects the execution engine: ``"experiment"`` builders return
-    an :class:`ExperimentSpec` run on the single-machine simulator;
-    ``"fleet"`` builders return a :class:`~repro.config.schema.FleetSpec`
-    run by :class:`~repro.fleet.simulate.FleetSimulation`.
+    an :class:`~repro.config.schema.ExperimentSpec` run on the single-machine
+    simulator; ``"cluster"`` builders return a
+    :class:`~repro.config.schema.ClusterScenario` run by
+    :class:`~repro.cluster.simulated.SimulatedCluster` (both through the
+    runner's cached batches); ``"fleet"`` builders return a
+    :class:`~repro.config.schema.FleetSpec` run by
+    :class:`~repro.fleet.simulate.FleetSimulation`.
     """
 
     name: str
     description: str
-    builder: Callable[..., ExperimentSpec]
+    builder: Callable[..., Any]
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     tags: Tuple[str, ...] = ()
     tier: str = "fast"
@@ -88,9 +102,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.tier not in ("fast", "slow"):
             raise ConfigError(f"scenario tier must be 'fast' or 'slow', got {self.tier!r}")
-        if self.kind not in ("experiment", "fleet"):
+        if self.kind not in _VALIDATORS:
             raise ConfigError(
-                f"scenario kind must be 'experiment' or 'fleet', got {self.kind!r}"
+                f"scenario kind must be one of {', '.join(_VALIDATORS)}, got {self.kind!r}"
             )
         parameters = inspect.signature(self.builder).parameters
         for axis, values in self.axes:
@@ -171,14 +185,12 @@ class Scenario:
             for key, value in common.items()
             if value is not None and key in parameters and key not in axis_names
         }
+        validate = _VALIDATORS[self.kind]
         variants: List[ScenarioVariant] = []
         for combo in itertools.product(*(values for _, values in merged)):
             axis_values = dict(zip((axis for axis, _ in merged), combo))
             spec = self.builder(**axis_values, **forwarded)
-            if self.kind == "fleet":
-                validate_fleet(spec)
-            else:
-                validate_experiment(spec)
+            validate(spec)
             variants.append(
                 ScenarioVariant(
                     scenario=self.name,
@@ -197,7 +209,7 @@ class ScenarioVariant:
     scenario: str
     label: str
     axis_values: Tuple[Tuple[str, Any], ...]
-    spec: ExperimentSpec
+    spec: Any
 
 
 @dataclass
@@ -206,7 +218,7 @@ class MatrixResult:
 
     scenario: Scenario
     variants: List[ScenarioVariant]
-    results: List[SingleMachineResult]
+    results: List[Any]
     cache_hits: int = 0
 
     def rows(self) -> List[Dict[str, Any]]:
@@ -257,14 +269,14 @@ def scenario(
     tags: Iterable[str] = (),
     tier: str = "fast",
     kind: str = "experiment",
-) -> Callable[[Callable[..., ExperimentSpec]], Callable[..., ExperimentSpec]]:
+) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator registering a builder function as a named scenario.
 
     The builder itself is returned unchanged, so decorated functions remain
     ordinary spec builders that other builders and tests call directly.
     """
 
-    def decorate(builder: Callable[..., ExperimentSpec]) -> Callable[..., ExperimentSpec]:
+    def decorate(builder: Callable[..., Any]) -> Callable[..., Any]:
         register(
             Scenario(
                 name=name,
@@ -335,7 +347,8 @@ def run_scenario(
     bypasses the result cache — a cache hit would have no snapshots to
     publish).  Fleet-kind scenarios keep their shard fan-out; their
     per-bucket snapshots are produced in the parent.  Results are identical
-    either way.
+    either way.  Cluster-kind scenarios have no telemetry seam and reject a
+    session.
     """
     from ...runtime.runner import ExperimentTask, default_runner
 
@@ -357,6 +370,10 @@ def run_scenario(
             cache_hits=active.cache.hits - hits_before,
         )
     if telemetry is not None:
+        if scenario_obj.kind == "cluster":
+            raise ConfigError(
+                f"scenario {name!r} is a cluster scenario, which cannot stream telemetry"
+            )
         from ..single_machine import SingleMachineExperiment
 
         results = [

@@ -1,17 +1,18 @@
 """Scenario builders and the registered scenario catalog.
 
-Every builder returns a fully-populated :class:`ExperimentSpec`.  All
-scenarios share the same machine, primary and workload parameters so results
-are directly comparable — only the secondary mix and the isolation policy
-change.
+Every builder returns a fully-populated :class:`ExperimentSpec`, except
+:func:`cluster_run`, whose :class:`ClusterScenario` builds every machine of
+Figure 9's cluster from one such spec.  All scenarios share the same
+machine, primary and workload parameters so results are directly comparable
+— only the secondary mix and the isolation policy change.
 
 Each builder is additionally registered in the scenario matrix
 (:mod:`repro.experiments.matrix`) via the ``@matrix.scenario`` decorator — a
 scenario is the builder plus default sweep grids over its parameters — and
 derived views (wider sweeps, 2-D grids over the same builders, and the
-paper's single-machine figures over :func:`figure_run`) are registered
-explicitly at the bottom of the module.  ``python -m repro.experiments.matrix
---list`` prints the resulting catalog.
+paper's figures over :func:`figure_run` and :func:`cluster_run`) are
+registered explicitly at the bottom of the module.  ``python -m
+repro.experiments.matrix --list`` prints the resulting catalog.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Optional
 from ..config.schema import (
     BlindIsolationSpec,
     BurstySpec,
+    ClusterScenario,
+    ClusterSpec,
     ControllerCrashSpec,
     CpuBullySpec,
     CpuCycleSpec,
@@ -98,6 +101,7 @@ __all__ = [
     "chaos_telemetry_dropout",
     "chaos_degraded_cores",
     "figure_run",
+    "cluster_run",
 ]
 
 #: The paper's approximation of average and peak per-machine load (Section 5.3).
@@ -1065,8 +1069,9 @@ def chaos_degraded_cores(
 
 # ------------------------------------------------------------- paper figures
 # Figures 4-8 and the abstract's headline run, registered at the bottom of the
-# module as scenarios over one builder.  A run is named as its figure names
-# it; the per-load figures list each load's standalone baseline first.
+# module as scenarios over one builder, and Figure 9's cluster runs over
+# another.  A run is named as its figure names it; the per-load figures list
+# each load's standalone baseline first.
 _FIGURE_RUNS = {
     "standalone": standalone,
     "mid-secondary": partial(no_isolation, MID_BULLY_THREADS),
@@ -1102,6 +1107,46 @@ def figure_run(
         return _FIGURE_LEVELS[prefix](int(level), **common)
     known = ", ".join([*_FIGURE_RUNS, "blind-N", "cores-N", "cycles-PERCENT"])
     raise ConfigError(f"unknown figure run {run!r}; expected one of {known}")
+
+
+#: Figure 9's node specs, by the names the figure gives its runs.  Every
+#: machine of the paper's cluster runs HDFS beside IndexServe.
+_CLUSTER_RUNS = {
+    "standalone": lambda buffer_cores, **load: standalone(**load).replace(hdfs=HdfsSpec()),
+    "cpu-bound secondary": lambda buffer_cores, **load: blind_isolation(
+        buffer_cores, **load
+    ).replace(hdfs=HdfsSpec()),
+    "disk-bound secondary": lambda buffer_cores, **load: disk_bound_with_throttling(
+        buffer_cores=buffer_cores, **load
+    ),
+}
+
+
+def cluster_run(
+    run: str = "standalone",
+    partitions: int = 5,
+    rows: int = 2,
+    tla_machines: int = 4,
+    buffer_cores: int = 8,
+    qps: float = PEAK_LOAD_QPS,
+    duration: float = 2.0,
+    warmup: float = 0.5,
+    seed: int = 1,
+) -> ClusterScenario:
+    """One run of Figure 9's cluster, by the name the figure gives it.
+
+    ``qps`` is each IndexServe machine's load, so the cluster serves
+    ``qps * rows`` queries per second.
+    """
+    if run not in _CLUSTER_RUNS:
+        raise ConfigError(
+            f"unknown cluster run {run!r}; expected one of {', '.join(_CLUSTER_RUNS)}"
+        )
+    node = _CLUSTER_RUNS[run](buffer_cores, qps=qps, duration=duration, warmup=warmup, seed=seed)
+    return ClusterScenario(
+        cluster=ClusterSpec(partitions=partitions, rows=rows, tla_machines=tla_machines),
+        node=node,
+    )
 
 
 # ------------------------------------------------------------- derived views
@@ -1207,7 +1252,7 @@ matrix.register(
     )
 )
 
-# The paper's single-machine figures (see "paper figures" above).
+# The paper's figures (see "paper figures" above).
 _LOADS = (("qps", (AVERAGE_LOAD_QPS, PEAK_LOAD_QPS)),)
 for _name, _description, _axes in (
     ("fig4", "Standalone vs colocation with an unrestricted secondary",
@@ -1226,3 +1271,8 @@ for _name, _description, _axes in (
     matrix.register(matrix.Scenario(
         _name, _description, figure_run, _axes, tags=("paper", "figure"), tier="slow"
     ))
+matrix.register(matrix.Scenario(
+    "fig9", "Cluster latency per layer (standalone / CPU-bound / disk-bound secondary)",
+    cluster_run, (("run", tuple(_CLUSTER_RUNS)),), tags=("paper", "figure"), tier="slow",
+    kind="cluster",
+))

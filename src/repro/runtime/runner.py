@@ -1,10 +1,10 @@
 """Parallel experiment runtime.
 
-Single-machine experiments are embarrassingly parallel — each one owns its
-engine, kernel and named random streams, and is a pure function of its
-``ExperimentSpec`` — so the figure harnesses fan whole batches of specs
-across worker processes instead of running them back to back.  Three
-properties the harnesses rely on:
+Simulations are embarrassingly parallel — each single machine or cluster
+owns its engine, kernels and named random streams, and is a pure function of
+its ``ExperimentSpec`` or ``ClusterScenario`` — so the figure harnesses fan
+whole batches of specs across worker processes instead of running them back
+to back.  Three properties the harnesses rely on:
 
 * **Deterministic ordering** — results come back in task order regardless of
   which worker finished first, so figure rows are byte-identical whether a
@@ -28,11 +28,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..config.schema import ExperimentSpec
+from ..cluster.simulated import ClusterResult, SimulatedCluster
+from ..config.schema import ClusterScenario, ExperimentSpec
 from ..errors import ConfigError
 from ..experiments.single_machine import SingleMachineExperiment, SingleMachineResult
 from .cache import ResultCache, default_cache
@@ -49,43 +50,43 @@ __all__ = [
 #: Environment variable overriding the worker count (0 or 1 forces serial).
 WORKERS_ENV = "REPRO_RUNNER_WORKERS"
 
-#: Cache-miss sentinel so a legitimately cached ``None`` is still a hit.
-_MISS = object()
+#: The cache namespace of each kind of spec the runner simulates.
+_NAMESPACES = {ExperimentSpec: "single-machine", ClusterScenario: "cluster"}
 
-
-def _single_machine_namespace() -> str:
-    """Version-stamped cache namespace for single-machine experiment runs."""
-    return versioned_namespace("single-machine")
+#: Any spec the runner simulates, and its result.
+Spec = Union[ExperimentSpec, ClusterScenario]
+Result = Union[SingleMachineResult, ClusterResult]
 
 
 @dataclass(frozen=True)
 class ExperimentTask:
-    """One single-machine run requested from the runner.
+    """One single-machine or cluster run requested from the runner.
 
     ``scenario`` is a presentation label only — it does not participate in the
     cache key, so the same spec run under different labels is computed once.
     """
 
-    spec: ExperimentSpec
+    spec: Spec
     scenario: str = "custom"
 
 
 @dataclass
 class RunOutcome:
-    """A completed (or cache-served) single-machine run."""
+    """A completed (or cache-served) run."""
 
-    result: SingleMachineResult
-    #: Post-warm-up latency samples (seconds) — what calibration interpolates.
+    result: Result
+    #: A single machine's post-warm-up latency samples (seconds) — what
+    #: calibration interpolates.  Empty for a cluster run.
     latency_samples: np.ndarray = field(default_factory=lambda: np.empty(0))
     key: str = ""
     from_cache: bool = False
 
 
-def _execute_single_machine(
-    payload: Tuple[ExperimentSpec, str],
-) -> Tuple[SingleMachineResult, np.ndarray]:
-    """Worker entry point: run one experiment and return result + samples."""
+def _execute(payload: Tuple[Spec, str]) -> Tuple[Result, np.ndarray]:
+    """Worker entry point: run one spec and return its result and samples."""
     spec, scenario = payload
+    if isinstance(spec, ClusterScenario):
+        return SimulatedCluster(spec, name=scenario).run(), np.empty(0)
     experiment = SingleMachineExperiment(spec, scenario=scenario)
     result = experiment.run()
     return result, experiment.assembly.collector.samples()
@@ -187,84 +188,36 @@ class ExperimentRunner:
         return [fn(payload) for payload in payloads]
 
     # --------------------------------------------------------------- mapping
-    def map(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[tuple],
-        cache_namespace: Optional[str] = None,
-    ) -> List[Any]:
+    def map(self, fn: Callable[..., Any], items: Sequence[tuple]) -> List[Any]:
         """Run ``fn(*args)`` for every args-tuple with deterministic ordering.
 
         ``fn`` must be a module-level callable and its arguments and return
-        value picklable.  Used for coarse-grained work that is not a
-        single-machine experiment (e.g. full cluster simulations, fleet
-        shards).  Without a ``cache_namespace`` (or on a ``use_cache=False``
-        runner) this is a plain ordered fan-out: every payload runs, no key
-        is computed, and every result is its own object.  With one, each call
-        is cached under the hash of ``(fn, args)`` in that namespace —
-        only sound when ``fn`` is a deterministic function of its arguments
-        — identical payloads in one batch execute once, and every keyed
-        result is handed out as a deep copy.
+        value picklable.  This is a plain ordered fan-out for work that is
+        not a simulation spec (the fleet's shards): every payload runs, no
+        key is computed, nothing is cached, and every result is its own
+        object.
         """
-        payloads = [(fn, tuple(args)) for args in items]
-        if cache_namespace is None or not self._use_cache:
-            return self._fan_out(_call, payloads)
-        keys: List[Optional[str]] = []
-        for _, args in payloads:
-            try:
-                keys.append(
-                    spec_hash(
-                        [fn.__module__, fn.__qualname__, list(args)],
-                        namespace=cache_namespace,
-                    )
-                )
-            except TypeError:
-                # Unencodable argument: run this payload as-is, uncached.
-                keys.append(None)
-
-        results: List[Any] = [_MISS] * len(payloads)
-        pending: List[int] = []
-        first: Dict[str, int] = {}
-        for index, key in enumerate(keys):
-            if key is not None:
-                if key in first:
-                    continue  # duplicate payload: computed once, copied below
-                first[key] = index
-                hit = self._cache.get(key, default=_MISS)
-                if hit is not _MISS:
-                    results[index] = hit
-                    continue
-            pending.append(index)
-
-        values = self._fan_out(_call, [payloads[index] for index in pending])
-        for index, value in zip(pending, values):
-            results[index] = value
-            if keys[index] is not None:
-                self._cache.put(keys[index], value)
-
-        # Every keyed value is shared with the cache (and with any duplicate
-        # payloads), so no caller may receive it un-copied.
-        return [
-            results[index] if key is None else copy.deepcopy(results[first[key]])
-            for index, key in enumerate(keys)
-        ]
+        return self._fan_out(_call, [(fn, tuple(args)) for args in items])
 
     # --------------------------------------------------------------- batches
     def run_batch(self, tasks: Sequence[ExperimentTask]) -> List[RunOutcome]:
         """Run every task, returning outcomes in task order.
 
         Cache hits are served without simulating; identical specs appearing
-        multiple times in the batch are simulated once.
+        multiple times in the batch are simulated once.  Each kind of spec
+        is keyed in its own cache namespace.
         """
-        namespace = _single_machine_namespace()
-        keys = [spec_hash(task.spec, namespace=namespace) for task in tasks]
-        cached: Dict[str, Tuple[SingleMachineResult, np.ndarray]] = {}
+        keys = [
+            spec_hash(task.spec, namespace=versioned_namespace(_NAMESPACES[type(task.spec)]))
+            for task in tasks
+        ]
+        cached: Dict[str, Tuple[Result, np.ndarray]] = {}
         pending: Dict[str, ExperimentTask] = {}
         for task, key in zip(tasks, keys):
             if key in cached or key in pending:
                 continue
-            hit = self._cache.get(key, default=_MISS) if self._use_cache else _MISS
-            if hit is not _MISS:
+            hit = self._cache.get(key) if self._use_cache else None
+            if hit is not None:
                 cached[key] = hit
             else:
                 pending[key] = task
@@ -293,19 +246,19 @@ class ExperimentRunner:
             )
         return outcomes
 
-    def run(self, spec: ExperimentSpec, scenario: str = "custom") -> SingleMachineResult:
+    def run(self, spec: Spec, scenario: str = "custom") -> Result:
         """Convenience wrapper: run (or fetch) one experiment."""
         return self.run_batch([ExperimentTask(spec, scenario)])[0].result
 
     # ------------------------------------------------------------- internals
     def _execute_pending(
         self, pending: Dict[str, ExperimentTask]
-    ) -> Dict[str, Tuple[SingleMachineResult, np.ndarray]]:
+    ) -> Dict[str, Tuple[Result, np.ndarray]]:
         if not pending:
             return {}
         keys = list(pending)
         payloads = [(pending[key].spec, pending[key].scenario) for key in keys]
-        return dict(zip(keys, self._fan_out(_execute_single_machine, payloads)))
+        return dict(zip(keys, self._fan_out(_execute, payloads)))
 
 
 _default: Optional[ExperimentRunner] = None

@@ -16,14 +16,22 @@ cache key for deterministic runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from enum import Enum
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-__all__ = ["OMIT_IF_DEFAULT", "canonical_encoding", "spec_hash", "versioned_namespace"]
+__all__ = [
+    "OMIT_IF_DEFAULT",
+    "canonical_encoding",
+    "source_digest",
+    "spec_hash",
+    "versioned_namespace",
+]
 
 #: Field-metadata flag: a dataclass field declared with
 #: ``field(default=None, metadata={OMIT_IF_DEFAULT: True})`` is left out of
@@ -34,17 +42,34 @@ __all__ = ["OMIT_IF_DEFAULT", "canonical_encoding", "spec_hash", "versioned_name
 OMIT_IF_DEFAULT = "repro_hash_omit_if_default"
 
 
+def package_digest(package: Path) -> str:
+    """SHA-256 over a package's ``.py`` files: each file's path relative to
+    the package's parent directory, then its bytes, in sorted path order."""
+    files = sorted(
+        (path.relative_to(package.parent).as_posix(), path) for path in package.rglob("*.py")
+    )
+    digest = hashlib.sha256()
+    for relative, path in files:
+        digest.update(relative.encode("utf-8"))
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """Digest of the ``repro`` package's sources, computed once per process."""
+    return package_digest(Path(__file__).resolve().parent.parent)
+
+
 def versioned_namespace(tag: str) -> str:
-    """A cache namespace stamped with the simulator version.
+    """A cache namespace stamped with the simulator's source code.
 
     Cached results are only bit-identical to a recomputation while the
-    simulator code is unchanged, so persistent (on-disk) cache keys carry the
-    package version: after an upgrade, old entries simply stop matching
-    instead of silently serving stale figures.
+    simulator code is unchanged, so persistent (on-disk) cache keys carry a
+    digest of every source file: after any code change, old entries simply
+    stop matching instead of silently serving stale figures.
     """
-    from .. import __version__
-
-    return f"{tag}/v{__version__}"
+    return f"{tag}/{source_digest()}"
 
 
 def _encode(value: Any) -> Any:

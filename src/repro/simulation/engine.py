@@ -42,7 +42,7 @@ class ProbeSubscription:
 
     Handed out by :meth:`SimulationEngine.subscribe`; pass it back to
     :meth:`SimulationEngine.unsubscribe` to stop probing.  ``fired`` counts
-    deliveries (a cheap liveness signal for tests and the console).
+    deliveries (a cheap liveness signal for tests).
     """
 
     __slots__ = ("callback", "interval", "event", "fired")

@@ -16,8 +16,6 @@ simulation in the repo — a single machine, a controller showdown, a
 * :mod:`repro.telemetry.stream` — the snapshot publisher: a
   :class:`TelemetrySession` wires a metrics registry, a span tracer and a
   JSONL writer onto a running simulation through the engine's probe seam;
-* :mod:`repro.telemetry.serve` — a stdlib-only local HTTP console that
-  streams live snapshots (``python -m repro.telemetry.serve run.jsonl``);
 * :mod:`repro.telemetry.log` — the structured stderr logger the CLIs use;
 * :mod:`repro.telemetry.profiling` — the one profiling entry point (both the
   offline buffer-core profiler and the ``--profile`` cProfile wrapper).

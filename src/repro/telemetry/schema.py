@@ -4,8 +4,8 @@ A telemetry stream is a JSONL file.  Line one is a ``meta`` record naming the
 schema version, the producing source and the run's identity; every following
 line is a ``snapshot`` (one probe's metric readings), a ``span`` (one closed
 trace span) or a ``log`` (one structured diagnostic).  The schema is
-versioned so the console and any downstream tooling can refuse streams they
-do not understand instead of misreading them.
+versioned so downstream tooling can refuse streams it does not understand
+instead of misreading them.
 """
 
 from __future__ import annotations

@@ -166,8 +166,8 @@ class SnapshotWriter:
 
     The meta record is emitted immediately on construction so even a run that
     crashes before its first probe leaves a valid (if empty) stream behind.
-    Meta, snapshot and log records flush as written — the live console tails
-    the file while the run is still producing — while the much more frequent
+    Meta, snapshot and log records flush as written — a reader can tail the
+    file while the run is still producing — while the much more frequent
     span records buffer until the next flush (see :meth:`write_span`).
 
     Telemetry is an observer, never a participant: an :class:`OSError` from
@@ -256,7 +256,7 @@ class SnapshotWriter:
             record["label"] = label
         # Snapshots fire at probe cadence from inside the engine's hot loop;
         # like spans they use the cached compact encoder, but keep the
-        # per-record flush so the live console can tail mid-run.
+        # per-record flush so a reader can tail the stream mid-run.
         if self.disabled:
             return seq
         if self._handle is None:
@@ -274,8 +274,7 @@ class SnapshotWriter:
     def write_span(self, span: Span) -> None:
         # Spans can be very frequent (one per controller poll); they buffer
         # until the next snapshot flush instead of paying a flush syscall
-        # each, and use the known-shape fast serialiser.  The console's
-        # tailer tolerates the trailing partial line.
+        # each, and use the known-shape fast serialiser.
         if self.disabled:
             return
         if self._handle is None:

@@ -4,11 +4,16 @@ import json
 
 import pytest
 
-from repro.config.schema import FleetSpec, SecondaryJobSpec
-from repro.config.validation import validate_experiment, validate_fleet
+from repro.config.schema import ClusterScenario, ExperimentSpec, FleetSpec, SecondaryJobSpec
+from repro.config.validation import (
+    validate_cluster_scenario,
+    validate_experiment,
+    validate_fleet,
+)
 from repro.errors import ConfigError
 from repro.experiments import matrix
 from repro.experiments import scenarios as sc
+from repro.reporting.bundle import validate_bundle
 from repro.runtime import ExperimentRunner, ResultCache
 
 FAST = dict(qps=500.0, duration=0.5, warmup=0.1, seed=5)
@@ -28,15 +33,36 @@ class TestCatalog:
             assert len(variant.spec.secondary_jobs()) >= 2
 
     def test_every_scenario_expands_to_valid_specs(self):
+        kinds = {
+            "experiment": (ExperimentSpec, validate_experiment),
+            "cluster": (ClusterScenario, validate_cluster_scenario),
+            "fleet": (FleetSpec, validate_fleet),
+        }
         for scenario in matrix.iter_scenarios():
             variants = scenario.expand(**FAST)
             assert len(variants) == scenario.variant_count()
+            spec_type, validate = kinds[scenario.kind]
             for variant in variants:
-                if scenario.kind == "fleet":
-                    assert isinstance(variant.spec, FleetSpec)
-                    validate_fleet(variant.spec)
-                else:
-                    validate_experiment(variant.spec)
+                assert isinstance(variant.spec, spec_type)
+                validate(variant.spec)
+
+    def test_fig9_expands_to_three_valid_cluster_specs(self):
+        variants = matrix.expand("fig9", qps=500.0, duration=0.5, warmup=0.1, seed=5)
+        assert [v.axis_values for v in variants] == [
+            (("run", "standalone"),),
+            (("run", "cpu-bound secondary"),),
+            (("run", "disk-bound secondary"),),
+        ]
+        for variant in variants:
+            validate_cluster_scenario(variant.spec)
+            assert variant.spec.node.workload.qps == 500.0
+            assert variant.spec.seed == variant.spec.node.seed == 5
+            assert variant.spec.node.hdfs is not None  # HDFS runs on every machine
+        standalone, cpu_bound, disk_bound = (v.spec.node for v in variants)
+        assert standalone.perfiso is None and standalone.cpu_bully is None
+        assert cpu_bound.perfiso.blind.buffer_cores == 8 and cpu_bound.cpu_bully is not None
+        assert disk_bound.disk_bully is not None
+        assert disk_bound.perfiso.io_throttle is not None
 
     def test_fleet_scenarios_are_registered(self):
         fleet = [s for s in matrix.iter_scenarios() if s.kind == "fleet"]
@@ -185,6 +211,19 @@ class TestExecution:
         )
         assert serial.rows() == parallel.rows()
 
+    def test_cluster_scenario_rejects_telemetry(self, tmp_path):
+        from repro.telemetry import TelemetrySession
+
+        session = TelemetrySession.to_path(str(tmp_path / "t.jsonl"), source="test")
+        try:
+            with pytest.raises(ConfigError, match="cluster scenario"):
+                matrix.run_scenario(
+                    "fig9", telemetry=session, grid={"run": ("standalone",)},
+                    duration=0.2, warmup=0.1,
+                )
+        finally:
+            session.close()
+
     def test_multi_secondary_composite_runs_and_reports_breakdown(self):
         runner = ExperimentRunner(max_workers=1, cache=ResultCache())
         result = matrix.run_scenario(
@@ -273,7 +312,21 @@ class TestCli:
     def test_list_shows_figure_scenarios(self, capsys):
         assert matrix.main(["--list"]) == 0
         names = {line.split()[0] for line in capsys.readouterr().out.splitlines() if line.strip()}
-        assert {"fig4", "fig5", "fig6", "fig7", "fig8", "headline"} <= names
+        assert {"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "headline"} <= names
+
+    def test_fig9_bundle_validates(self, tmp_path, capsys):
+        bundle_dir = tmp_path / "fig9"
+        code = matrix.main(
+            ["--run", "fig9", "--grid", "run=standalone", "--qps", "300",
+             "--duration", "0.2", "--warmup", "0.1", "--seed", "5", "--out", "json",
+             "--bundle", str(bundle_dir)]
+        )
+        assert code == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["run"] == "standalone" and row["tla_p99_ms"] > 0
+        manifest = validate_bundle(bundle_dir)
+        assert manifest["seeds"] == [5]
+        assert manifest["rows"]["count"] == 1
 
     def test_showdown_cli_rejects_a_repeated_controller(self, capsys):
         from repro.experiments import showdown

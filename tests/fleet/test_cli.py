@@ -1,9 +1,14 @@
-"""Tests for the ``python -m repro.fleet`` command line."""
+"""Tests for the fleet command lines.
+
+``python -m repro.fleet`` builds the default fleet from its flags; the
+catalog's fleet scenarios run through ``python -m repro.experiments.matrix``.
+"""
 
 import json
 
 import pytest
 
+from repro.experiments import matrix
 from repro.fleet import cli
 
 TINY_ARGS = [
@@ -15,10 +20,10 @@ TINY_ARGS = [
 
 class TestCli:
     def test_list_prints_fleet_catalog(self, capsys):
-        assert cli.main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "fleet-staged-rollout" in out
-        assert "fleet-guardrail-breach" in out
+        assert matrix.main(["--list"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        kinds = {row[0]: row[1] for row in rows if row and row[0].startswith("fleet-")}
+        assert kinds["fleet-staged-rollout"] == kinds["fleet-guardrail-breach"] == "fleet"
 
     def test_default_fleet_json_output(self, capsys):
         assert cli.main(TINY_ARGS + ["--out", "json"]) == 0
@@ -46,27 +51,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "stage-1" in out and "reclaimed_core_hours" in out
 
-    def test_scenario_flag_runs_catalog_entry(self, capsys):
-        assert cli.main(["--scenario", "fleet-guardrail-breach", "--out", "json"]) == 0
+    def test_catalog_scenario_runs_through_matrix(self, capsys):
+        assert matrix.main(["--run", "fleet-guardrail-breach", "--out", "json"]) == 0
         (row,) = json.loads(capsys.readouterr().out)
         assert row["status"] == "halted"
 
     def test_unknown_scenario_exits_nonzero_with_suggestion(self, capsys):
-        assert cli.main(["--scenario", "fleet-guardrail-breech"]) == 2
+        assert matrix.main(["--run", "fleet-guardrail-breech"]) == 2
         err = capsys.readouterr().err
         assert "did you mean" in err and "fleet-guardrail-breach" in err
 
-    def test_experiment_scenario_rejected(self, capsys):
-        assert cli.main(["--scenario", "standalone"]) == 2
-        assert "not a fleet scenario" in capsys.readouterr().err
-
-    def test_scenario_with_fleet_shaping_flags_rejected(self, capsys):
-        code = cli.main(
-            ["--scenario", "fleet-guardrail-breach", "--machines", "48"]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--machines" in err and "ignored" in err
+    def test_scenario_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--scenario", "fleet-guardrail-breach"])
+        assert excinfo.value.code == 2
+        assert "--scenario" in capsys.readouterr().err
 
     def test_too_few_machines_exits_cleanly(self, capsys):
         assert cli.main(["--machines", "2"]) == 2
@@ -84,8 +83,8 @@ class TestCli:
 
 
 class TestFailureIsolation:
-    """A scenario raising mid-batch yields exit 1, an error table, and the
-    completed scenarios' rows — never a bare traceback."""
+    """A fleet scenario raising mid-batch on the matrix CLI yields exit 1, an
+    error table, and the completed scenarios' rows — never a bare traceback."""
 
     @pytest.fixture()
     def boom_scenario(self):
@@ -106,13 +105,13 @@ class TestFailureIsolation:
         matrix._REGISTRY.pop("boom-fleet", None)
 
     def test_partial_results_flushed_with_error_table(self, boom_scenario, capsys):
-        code = cli.main(["--scenario", f"{boom_scenario},fleet-guardrail-breach"])
+        code = matrix.main(["--run", f"{boom_scenario},fleet-guardrail-breach"])
         assert code == 1
         out = capsys.readouterr().out
         assert "halted" in out  # the healthy scenario still ran and printed
-        assert "1 scenarios failed" in out
+        assert "1 of 2 scenarios failed" in out
         assert "RuntimeError: injected fleet failure" in out
 
     def test_unknown_name_still_rejected_before_running(self, boom_scenario, capsys):
         # Caller mistakes keep their pre-run exit-2 contract even in a batch.
-        assert cli.main(["--scenario", f"{boom_scenario},no-such-fleet"]) == 2
+        assert matrix.main(["--run", f"{boom_scenario},no-such-fleet"]) == 2

@@ -74,6 +74,22 @@ class TestRunCampaign:
         # The scenario's axis is an input, not a measured metric.
         assert "bully_threads" not in {row["metric"] for row in summary}
 
+    def test_cluster_scenario_replicates(self):
+        spec = make_campaign(
+            "fig9", replicates=2, base_seed=5, grid={"run": ("standalone",)},
+            qps=300.0, duration=0.2, warmup=0.1,
+        )
+        runner = _runner(2)
+        result = run_campaign(spec, runner=runner)
+        assert not result.failures
+        assert result.variant_count == 1 and len(result.spec_hashes) == 2
+        assert [row["run"] for row in result.raw_rows()] == ["standalone", "standalone"]
+        metrics = {row["metric"] for row in result.summary_rows()}
+        assert {"local_p99_ms", "mla_p99_ms", "tla_p99_ms"} <= metrics
+        assert "run" not in metrics
+        # A re-run is served from the cache, run for run.
+        assert run_campaign(spec, runner=runner).cache_hits == 2
+
     def test_rows_are_worker_invariant(self):
         serial = run_campaign(_campaign(), runner=_runner(1))
         parallel = run_campaign(_campaign(), runner=_runner(4))

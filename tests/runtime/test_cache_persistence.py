@@ -1,12 +1,15 @@
 """Persistence tests for the on-disk result cache layer (``REPRO_CACHE_DIR``).
 
 The disk layer must behave like a cache, never like a dependency: reloads are
-hits, version drift and corruption are silent misses that fall back to
+hits, source changes and corruption are silent misses that fall back to
 recomputation, and nothing in this file may crash a run.
 """
 
+import importlib
 import os
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,9 @@ from repro.runtime.cache import (
 )
 from repro.runtime.runner import reset_default_runner
 from repro.runtime.spec_hash import spec_hash, versioned_namespace
+
+# The package re-exports the spec_hash *function* under the same name.
+spec_hash_module = importlib.import_module("repro.runtime.spec_hash")
 
 
 def tiny_spec(seed=5):
@@ -65,22 +71,45 @@ class TestReloadHits:
 
 
 class TestVersionStamp:
+    """Cache keys follow the code: every namespace carries a digest of the
+    package's ``.py`` sources, so a changed simulator never reads old entries."""
+
     def test_namespace_carries_package_version(self):
-        assert repro.__version__ in versioned_namespace("single-machine")
+        digest = spec_hash_module.source_digest()
+        assert len(digest) == 64
+        assert versioned_namespace("single-machine") == f"single-machine/{digest}"
+
+    def test_source_byte_change_changes_every_namespace(self, tmp_path, monkeypatch):
+        package = Path(repro.__file__).parent
+        copy = shutil.copytree(
+            package, tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert spec_hash_module.package_digest(copy) == spec_hash_module.source_digest()
+        source = copy / "simulation" / "engine.py"
+        text = source.read_bytes()
+        source.write_bytes(text[:-1] + bytes([text[-1] ^ 1]))
+        changed = spec_hash_module.package_digest(copy)
+        assert changed != spec_hash_module.source_digest()
+
+        tags = ("single-machine", "cluster")
+        before = {tag: versioned_namespace(tag) for tag in tags}
+        monkeypatch.setattr(spec_hash_module, "source_digest", lambda: changed)
+        for tag in tags:
+            assert versioned_namespace(tag) != before[tag]
 
     def test_version_bump_changes_cache_keys(self, monkeypatch):
         spec = tiny_spec()
         old = spec_hash(spec, namespace=versioned_namespace("single-machine"))
-        monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        monkeypatch.setattr(spec_hash_module, "source_digest", lambda: "0" * 64)
         new = spec_hash(spec, namespace=versioned_namespace("single-machine"))
         assert old != new
 
     def test_entries_from_another_version_are_misses(self, tmp_path, monkeypatch):
         spec = tiny_spec()
         fresh_runner(tmp_path).run_batch([ExperimentTask(spec)])
-        # A "newer simulator" process computes different keys, so the stale
-        # entry is simply never consulted and the run recomputes.
-        monkeypatch.setattr(repro, "__version__", "0.0.0-test")
+        # A process running changed simulator code computes different keys,
+        # so the stale entry is simply never consulted and the run recomputes.
+        monkeypatch.setattr(spec_hash_module, "source_digest", lambda: "0" * 64)
         outcome = fresh_runner(tmp_path).run_batch([ExperimentTask(spec)])[0]
         assert not outcome.from_cache
 

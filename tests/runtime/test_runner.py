@@ -5,19 +5,28 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.config.schema import ClusterSpec
+from repro.config.schema import ClusterScenario, ClusterSpec
 from repro.experiments import scenarios
 from repro.runtime import (
     ExperimentRunner,
     ExperimentTask,
     ResultCache,
     spec_hash,
+    versioned_namespace,
 )
 from repro.runtime import runner as runner_module
 
 
 def tiny_spec(seed=5, qps=300.0):
     return scenarios.standalone(qps=qps, duration=0.4, warmup=0.1, seed=seed)
+
+
+def tiny_cluster(seed=5):
+    """Two IndexServe machines in one row behind one TLA, for a quarter second."""
+    return ClusterScenario(
+        cluster=ClusterSpec(partitions=2, rows=1, tla_machines=1),
+        node=scenarios.standalone(qps=200.0, duration=0.2, warmup=0.05, seed=seed),
+    )
 
 
 class TestSpecHash:
@@ -208,43 +217,6 @@ class TestExperimentRunner:
         with pytest.raises(ConfigError, match="REPRO_RUNNER_WORKERS"):
             ExperimentRunner()
 
-    def test_map_caches_when_namespaced(self):
-        cache = ResultCache()
-        runner = ExperimentRunner(max_workers=1, cache=cache)
-        runner.map(_square, [(3,)], cache_namespace="squares/v1")
-        before = cache.hits
-        again = runner.map(_square, [(3,)], cache_namespace="squares/v1")
-        assert again == [9]
-        assert cache.hits == before + 1
-
-    def test_map_dedupes_identical_payloads_when_namespaced(self):
-        cache = ResultCache()
-        runner = ExperimentRunner(max_workers=1, cache=cache)
-        results = runner.map(
-            _square, [(4,), (4,), (5,)], cache_namespace="squares/v1"
-        )
-        assert results == [16, 16, 25]
-        # The duplicate (4,) payload was computed and stored exactly once.
-        assert cache.stores == 2
-
-    def test_namespaced_map_hands_out_unaliased_copies(self):
-        cache = ResultCache()
-        runner = ExperimentRunner(max_workers=1, cache=cache)
-        first, duplicate = runner.map(_record_call, [(4,), (4,)], cache_namespace="rec/v1")
-        assert first == duplicate  # one computation, same marker
-        first.append("mutated")
-        assert len(duplicate) == 2
-        (again,) = runner.map(_record_call, [(4,)], cache_namespace="rec/v1")
-        assert again == duplicate  # the stored entry was not mutated either
-
-    def test_map_serves_cached_none_without_recompute(self):
-        cache = ResultCache()
-        runner = ExperimentRunner(max_workers=1, cache=cache)
-        assert runner.map(_none, [(1,)], cache_namespace="n/v1") == [None]
-        stores = cache.stores
-        assert runner.map(_none, [(1,)], cache_namespace="n/v1") == [None]
-        assert cache.stores == stores  # hit, not recomputed and re-stored
-
     def test_map_keeps_none_results_for_unhashable_args(self):
         runner = ExperimentRunner(max_workers=1, cache=ResultCache())
         results = runner.map(_first_of_pair, [((None, object()),), ((5, object()),)])
@@ -266,21 +238,62 @@ class TestExperimentRunner:
         monkeypatch.setattr(runner_module, "spec_hash", _forbidden_hash)
         cache = ResultCache()
         runner = ExperimentRunner(max_workers=1, cache=cache, use_cache=False)
-        results = runner.map(_record_call, [(4,), (4,)], cache_namespace="squares/v1")
-        # Two computations (distinct markers), and the namespace was ignored.
+        results = runner.map(_record_call, [(4,), (4,)])
+        # Two computations (distinct markers), and nothing touched the cache.
         assert len({marker for _, marker in results}) == 2
-        assert cache.stores == 0
+        assert cache.stores == cache.hits == cache.misses == 0
 
-    def test_cache_namespaces_are_version_stamped(self):
-        import repro
-        from repro.runtime import versioned_namespace
+    def test_namespaces_carry_the_source_digest(self):
+        """Every namespace carries the digest of the package's sources."""
+        from repro.runtime.spec_hash import source_digest
 
-        assert versioned_namespace("single-machine") == (
-            f"single-machine/v{repro.__version__}"
-        )
+        assert versioned_namespace("single-machine") == f"single-machine/{source_digest()}"
         assert spec_hash(tiny_spec(), namespace=versioned_namespace("a")) != spec_hash(
             tiny_spec(), namespace="a/v0.0.0"
         )
+
+
+class TestClusterBatches:
+    """A ``ClusterScenario`` runs through ``run_batch`` like a single machine:
+    keyed in its own namespace, deduplicated, cached and copied on the way out."""
+
+    def test_cluster_batch_served_from_cache(self):
+        runner = ExperimentRunner(max_workers=1, cache=ResultCache())
+        first = runner.run_batch([ExperimentTask(tiny_cluster(), "cold")])[0]
+        second = runner.run_batch([ExperimentTask(tiny_cluster(), "warm")])[0]
+        assert not first.from_cache and second.from_cache
+        assert first.key == spec_hash(tiny_cluster(), namespace=versioned_namespace("cluster"))
+        assert second.result.scenario == "warm"
+        assert second.result.summary() == first.result.summary()
+        # Only calibration reads samples, and it runs single machines.
+        assert first.latency_samples.size == second.latency_samples.size == 0
+
+    def test_identical_cluster_tasks_simulated_once(self):
+        cache = ResultCache()
+        runner = ExperimentRunner(max_workers=2, cache=cache)
+        tasks = [ExperimentTask(tiny_cluster(), f"label-{i}") for i in range(3)]
+        tasks.append(ExperimentTask(tiny_cluster(seed=6), "other-seed"))
+        outcomes = runner.run_batch(tasks)
+        assert cache.stores == 2
+        assert len({o.key for o in outcomes}) == 2
+        assert [o.result.scenario for o in outcomes] == [
+            "label-0", "label-1", "label-2", "other-seed"
+        ]
+        assert outcomes[0].result.summary() == outcomes[2].result.summary()
+        assert outcomes[0].result.summary() != outcomes[3].result.summary()
+
+    def test_cluster_cache_hits_never_alias_the_stored_payload(self):
+        """Mutating an outcome must not poison later hits for the same scenario."""
+        runner = ExperimentRunner(max_workers=1, cache=ResultCache())
+        first = runner.run_batch([ExperimentTask(tiny_cluster(), "a")])[0]
+        pristine = first.result.summary()
+        completed = first.result.requests_completed
+        first.result.requests_completed = -1
+        first.result.cpu = None
+        second = runner.run_batch([ExperimentTask(tiny_cluster(), "b")])[0]
+        assert second.from_cache
+        assert second.result.requests_completed == completed
+        assert second.result.summary() == pristine
 
 
 def _forbidden_hash(*_args, **_kwargs):
@@ -289,10 +302,6 @@ def _forbidden_hash(*_args, **_kwargs):
 
 def _square(value):
     return value * value
-
-
-def _none(value):
-    return None
 
 
 def _first_of_pair(pair):
