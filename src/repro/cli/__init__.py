@@ -6,13 +6,11 @@ flag means the same thing everywhere:
 
 * ``--workers N`` — worker process count (0/1 forces serial; results are
   byte-identical at any value).
-* ``--out`` — *where* output goes.  A path writes the rendered rows to that
-  file; the legacy format keywords (``table``/``json``/``jsonl``/``csv``)
-  keep writing that format to stdout, so existing invocations and scripts
-  are unchanged.
-* ``--format table|json|jsonl|csv`` — *how* rows are rendered.  Optional:
-  when ``--out`` is a path the format is inferred from its extension
-  (``.json``/``.jsonl``/``.csv``), and stdout defaults to ``table``.
+* ``--out PATH|FORMAT`` — where and how rows go.  A format keyword
+  (``table``/``json``/``jsonl``/``csv``) prints that format to stdout; a
+  path writes the rows to that file in the format its extension names
+  (``.json``/``.jsonl``/``.csv``/``.txt``).  Without ``--out`` rows print
+  to stdout as a table.
 * ``--telemetry [PATH]`` — stream JSONL telemetry to PATH.
 * ``--profile PATH`` — run under cProfile, write a cumulative-time report.
 * ``--seed N`` — the base seed.
@@ -59,7 +57,7 @@ EXIT_OK = 0
 EXIT_FAILURES = 1
 EXIT_USAGE = 2
 
-#: Row renderings the shared ``--out``/``--format`` fragment understands.
+#: Row renderings the shared ``--out`` fragment understands.
 OUTPUT_FORMATS = ("table", "json", "jsonl", "csv")
 
 #: Extension → format inference for ``--out PATH``.
@@ -108,13 +106,6 @@ def add_output_options(parser: argparse.ArgumentParser) -> None:
         help="output file path (format inferred from the extension), or one "
         f"of {'/'.join(OUTPUT_FORMATS)} to print that format to stdout",
     )
-    parser.add_argument(
-        "--format",
-        choices=OUTPUT_FORMATS,
-        default=None,
-        help="output format override (defaults: extension inference for "
-        "--out paths, table on stdout)",
-    )
 
 
 def add_bundle_option(parser: argparse.ArgumentParser, default: Optional[str] = None) -> None:
@@ -128,34 +119,22 @@ def add_bundle_option(parser: argparse.ArgumentParser, default: Optional[str] = 
 
 
 # ----------------------------------------------------------------- resolution
-def resolve_output(
-    out: Optional[str], fmt: Optional[str], default_format: str = "table"
-) -> Tuple[str, Optional[Path]]:
-    """Resolve the shared ``--out``/``--format`` pair to ``(format, path)``.
+def resolve_output(out: Optional[str]) -> Tuple[str, Optional[Path]]:
+    """Resolve the shared ``--out`` value to ``(format, path)``.
 
-    ``path`` is ``None`` for stdout.  A bare format keyword as ``--out`` is
-    the legacy spelling of ``--format`` (kept so existing invocations emit
-    identical bytes); naming both with different values is a caller error,
-    as is an ``--out`` path whose extension the format cannot be inferred
-    from when ``--format`` is absent.
+    ``path`` is ``None`` for stdout.  An ``--out`` path whose extension
+    names no format is a caller error.
     """
     if out is None:
-        return fmt or default_format, None
+        return "table", None
     if out in OUTPUT_FORMATS:
-        if fmt is not None and fmt != out:
-            raise ConfigError(
-                f"--out {out} conflicts with --format {fmt}; pass a path to "
-                "--out or drop one of the flags"
-            )
         return out, None
     path = Path(out)
-    if fmt is not None:
-        return fmt, path
     inferred = _SUFFIX_FORMATS.get(path.suffix.lower())
     if inferred is None:
         raise ConfigError(
-            f"cannot infer an output format from {out!r}; pass --format "
-            f"{'|'.join(OUTPUT_FORMATS)} or use a .json/.jsonl/.csv/.txt path"
+            f"cannot infer an output format from {out!r}; pass one of "
+            f"{'|'.join(OUTPUT_FORMATS)} or a .json/.jsonl/.csv/.txt path"
         )
     return inferred, path
 

@@ -16,7 +16,6 @@ from .policies import (
     PidPolicy,
     StaticCoresPolicy,
     UtilizationTargetPolicy,
-    build_policy,
     policy_class,
     policy_from_spec,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "PidPolicy",
     "StaticCoresPolicy",
     "UtilizationTargetPolicy",
-    "build_policy",
     "policy_class",
     "policy_from_spec",
     "BufferCoreProfiler",

@@ -58,7 +58,6 @@ __all__ = [
     "ModelPredictivePolicy",
     "UtilizationTargetPolicy",
     "OraclePolicy",
-    "build_policy",
     "policy_from_spec",
     "policy_class",
 ]
@@ -120,11 +119,10 @@ class ControllerObservation:
 class CpuIsolationPolicy(abc.ABC):
     """Interface of a dynamic CPU controller.
 
-    Legacy policies implement :meth:`poll_decision` over the idle-core count
-    alone; the base :meth:`decide` adapts them to the observation-driven
-    interface.  Richer controllers override :meth:`decide` directly and set
-    the capability flags so the controller only gathers telemetry that is
-    actually read.
+    Every policy decides from one :class:`ControllerObservation` per poll.
+    The base :meth:`decide` holds the allocation, which is all a static
+    policy does; dynamic policies override it and set the capability flags
+    so the controller only gathers telemetry that is actually read.
     """
 
     name = "abstract"
@@ -137,45 +135,13 @@ class CpuIsolationPolicy(abc.ABC):
     def initial_decision(self, total_cores: int) -> AllocationDecision:
         """Allocation to apply when the controller starts."""
 
-    @abc.abstractmethod
-    def poll_decision(
-        self, total_cores: int, idle_cores: int, current_core_count: Optional[int]
-    ) -> Optional[AllocationDecision]:
-        """Allocation to apply after observing ``idle_cores``; ``None`` = no change."""
-
     def decide(self, observation: ControllerObservation) -> Optional[AllocationDecision]:
         """Allocation for this poll's observation; ``None`` = no change."""
-        return self.poll_decision(
-            observation.total_cores,
-            observation.idle_cores,
-            observation.current_core_count,
-        )
+        return None
 
     def forecast_horizon(self, poll_interval: float) -> float:
         """How far ahead (seconds) the forecast in the observation should look."""
         return poll_interval
-
-
-class _ObservationPolicy(CpuIsolationPolicy):
-    """Base for controllers written against :class:`ControllerObservation`.
-
-    Subclasses override :meth:`decide`; the legacy :meth:`poll_decision`
-    entry point is adapted by wrapping its arguments into a bare observation
-    (no latency window, no forecast — the policy must degrade gracefully).
-    """
-
-    def poll_decision(
-        self, total_cores: int, idle_cores: int, current_core_count: Optional[int]
-    ) -> Optional[AllocationDecision]:
-        return self.decide(
-            ControllerObservation(
-                now=0.0,
-                total_cores=total_cores,
-                idle_cores=idle_cores,
-                current_core_count=current_core_count,
-                poll_interval=0.0,
-            )
-        )
 
 
 class BlindIsolationPolicy(CpuIsolationPolicy):
@@ -207,13 +173,12 @@ class BlindIsolationPolicy(CpuIsolationPolicy):
             )
         return AllocationDecision(core_count=self.max_secondary(total_cores))
 
-    def poll_decision(
-        self, total_cores: int, idle_cores: int, current_core_count: Optional[int]
-    ) -> Optional[AllocationDecision]:
+    def decide(self, observation: ControllerObservation) -> Optional[AllocationDecision]:
+        total_cores = observation.total_cores
+        current_core_count = observation.current_core_count
         if current_core_count is None:
             current_core_count = self.max_secondary(total_cores)
-        buffer_cores = self._spec.buffer_cores
-        delta = idle_cores - buffer_cores
+        delta = observation.idle_cores - self._spec.buffer_cores
         if delta == 0:
             return None
         if self._spec.max_step:
@@ -237,11 +202,6 @@ class StaticCoresPolicy(CpuIsolationPolicy):
         count = min(self._spec.secondary_cores, total_cores)
         return AllocationDecision(core_count=count)
 
-    def poll_decision(
-        self, total_cores: int, idle_cores: int, current_core_count: Optional[int]
-    ) -> Optional[AllocationDecision]:
-        return None
-
 
 class CpuCyclesPolicy(CpuIsolationPolicy):
     """Fixed CPU duty-cycle restriction (the 'CPU cycles' alternative)."""
@@ -254,11 +214,6 @@ class CpuCyclesPolicy(CpuIsolationPolicy):
     def initial_decision(self, total_cores: int) -> AllocationDecision:
         return AllocationDecision(cpu_rate=self._spec.cpu_fraction)
 
-    def poll_decision(
-        self, total_cores: int, idle_cores: int, current_core_count: Optional[int]
-    ) -> Optional[AllocationDecision]:
-        return None
-
 
 class NoIsolationPolicy(CpuIsolationPolicy):
     """The uncontrolled baseline: the secondary competes freely."""
@@ -268,19 +223,14 @@ class NoIsolationPolicy(CpuIsolationPolicy):
     def initial_decision(self, total_cores: int) -> AllocationDecision:
         return AllocationDecision(unrestricted=True)
 
-    def poll_decision(
-        self, total_cores: int, idle_cores: int, current_core_count: Optional[int]
-    ) -> Optional[AllocationDecision]:
-        return None
 
-
-class PidPolicy(_ObservationPolicy):
+class PidPolicy(CpuIsolationPolicy):
     """PID controller on the relative windowed-P99 SLO error.
 
     Positive error (P99 under the SLO) grows the secondary, negative error
     (SLO breach) shrinks it; the integral term removes steady-state offset
-    and is clamped for anti-windup.  With no latency signal yet (empty
-    window, or driven through the legacy entry point) the allocation holds.
+    and is clamped for anti-windup.  With no latency signal yet (an empty
+    window) the allocation holds.
     """
 
     name = "pid"
@@ -343,7 +293,7 @@ def _capacity_target(
     return max(min_secondary_cores, min(ceiling, total_cores - needed))
 
 
-class ModelPredictivePolicy(_ObservationPolicy):
+class ModelPredictivePolicy(CpuIsolationPolicy):
     """Sizes the secondary against the forecast peak over the next window.
 
     ``needed = ceil(peak / qps_per_core) + headroom`` cores are reserved for
@@ -383,7 +333,7 @@ class ModelPredictivePolicy(_ObservationPolicy):
         return AllocationDecision(core_count=target)
 
 
-class UtilizationTargetPolicy(_ObservationPolicy):
+class UtilizationTargetPolicy(CpuIsolationPolicy):
     """Holds machine utilisation inside a deadband around a target.
 
     Utilisation above ``target + deadband`` shrinks the secondary by
@@ -422,7 +372,7 @@ class UtilizationTargetPolicy(_ObservationPolicy):
         return AllocationDecision(core_count=target)
 
 
-class OraclePolicy(_ObservationPolicy):
+class OraclePolicy(CpuIsolationPolicy):
     """Clairvoyant controller: reads the future arrival trace.
 
     Identical capacity arithmetic to :class:`ModelPredictivePolicy`, but the
@@ -483,47 +433,12 @@ def policy_class(cpu_policy: str) -> Type[CpuIsolationPolicy]:
         raise IsolationError(f"unknown cpu policy {cpu_policy!r}") from None
 
 
-def build_policy(
-    cpu_policy: str,
-    blind: Optional[BlindIsolationSpec] = None,
-    static_cores: Optional[StaticCoreSpec] = None,
-    cpu_cycles: Optional[CpuCycleSpec] = None,
-    pid: Optional[PidControlSpec] = None,
-    mpc: Optional[MpcControlSpec] = None,
-    utilization: Optional[UtilizationTargetSpec] = None,
-    oracle: Optional[OracleControlSpec] = None,
-) -> CpuIsolationPolicy:
-    """Construct the policy named by ``cpu_policy`` from its spec."""
-    if cpu_policy == "blind":
-        return BlindIsolationPolicy(blind if blind is not None else BlindIsolationSpec())
-    if cpu_policy == "static_cores":
-        return StaticCoresPolicy(static_cores if static_cores is not None else StaticCoreSpec())
-    if cpu_policy == "cpu_cycles":
-        return CpuCyclesPolicy(cpu_cycles if cpu_cycles is not None else CpuCycleSpec())
-    if cpu_policy == "none":
-        return NoIsolationPolicy()
-    if cpu_policy == "pid":
-        return PidPolicy(pid if pid is not None else PidControlSpec())
-    if cpu_policy == "mpc":
-        return ModelPredictivePolicy(mpc if mpc is not None else MpcControlSpec())
-    if cpu_policy == "utilization":
-        return UtilizationTargetPolicy(
-            utilization if utilization is not None else UtilizationTargetSpec()
-        )
-    if cpu_policy == "oracle":
-        return OraclePolicy(oracle if oracle is not None else OracleControlSpec())
-    raise IsolationError(f"unknown cpu policy {cpu_policy!r}")
-
-
 def policy_from_spec(spec) -> CpuIsolationPolicy:
-    """Build the configured policy from a :class:`~repro.config.schema.PerfIsoSpec`."""
-    return build_policy(
-        spec.cpu_policy,
-        blind=spec.blind,
-        static_cores=spec.static_cores,
-        cpu_cycles=spec.cpu_cycles,
-        pid=spec.pid,
-        mpc=spec.mpc,
-        utilization=spec.utilization,
-        oracle=spec.oracle,
-    )
+    """Build the configured policy from a :class:`~repro.config.schema.PerfIsoSpec`.
+
+    Every policy but ``none`` takes the sub-spec field named after it.
+    """
+    name = spec.cpu_policy
+    if name == "none":
+        return NoIsolationPolicy()
+    return policy_class(name)(getattr(spec, name))

@@ -75,3 +75,7 @@ class ExperimentError(ReproError):
 class ReportingError(ReproError):
     """A run-artifact bundle is malformed, corrupted or version-skewed."""
 
+
+class TelemetryError(ReproError):
+    """A telemetry stream or record is malformed, or a closed stream was written."""
+

@@ -534,7 +534,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Malformed grids, unknown names and unusable output flags are caller
         # mistakes, not run failures: reject the whole invocation (exit 2)
         # before running anything rather than burning a batch on a typo.
-        fmt, out_path = resolve_output(args.out, args.format)
+        fmt, out_path = resolve_output(args.out)
         parse_grid(args.grid)
         for name in names:
             get_scenario(name)

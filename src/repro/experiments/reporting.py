@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, List, Mapping, Sequence, Union
 
+from ..reporting.rows import all_columns
+
 __all__ = ["format_table", "format_figure", "print_figure"]
 
 Number = Union[int, float]
@@ -36,7 +38,7 @@ def format_table(rows: Sequence[Row], columns: Sequence[str] = None) -> str:
     if not rows:
         return "(no rows)"
     if columns is None:
-        columns = _all_columns(rows)
+        columns = all_columns(rows)
     rendered: List[List[str]] = [[str(c) for c in columns]]
     for row in rows:
         rendered.append([_format_value(row.get(column, "")) for column in columns])
@@ -65,12 +67,3 @@ def print_figure(title: str, rows: Sequence[Row], columns: Sequence[str] = None,
     print()
     print(format_figure(title, rows, columns, notes))
 
-
-def _all_columns(rows: Sequence[Row]) -> List[str]:
-    """Union of row keys, in first-appearance order (rows may be ragged)."""
-    columns: List[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    return columns

@@ -602,6 +602,65 @@ def diurnal_replay_trace(
     return synthesize_trace(model, duration=total_time, bucket_seconds=bucket_seconds)
 
 
+def _shaped_workload(
+    shape: str,
+    base_qps: float,
+    peak_qps: float,
+    duration: float,
+    warmup: float,
+    phase_offset: float = 0.0,
+) -> WorkloadSpec:
+    """The workload of one trace-driven shape over a ``warmup + duration`` run.
+
+    ``diurnal`` is one whole trough-to-peak cycle (``base_qps`` is the
+    trough); ``bursty`` is MMPP traffic bursting to ``peak_qps``;
+    ``flash_crowd`` is a mid-run ramp/hold/decay spike to ``peak_qps``;
+    ``trace`` replays a recorded burst trace.
+    """
+    total = warmup + duration
+    if shape == "diurnal":
+        return WorkloadSpec(
+            qps=(peak_qps + base_qps) / 2.0,
+            duration=duration,
+            warmup=warmup,
+            diurnal=DiurnalSpec(
+                peak_qps=peak_qps,
+                trough_qps=base_qps,
+                period=total,
+                phase_offset=phase_offset,
+            ),
+        )
+    if shape == "bursty":
+        return WorkloadSpec(
+            qps=base_qps,
+            duration=duration,
+            warmup=warmup,
+            bursty=_scaled_bursty(base_qps, peak_qps, total),
+        )
+    if shape == "flash_crowd":
+        return WorkloadSpec(
+            qps=base_qps,
+            duration=duration,
+            warmup=warmup,
+            flash_crowd=FlashCrowdSpec(
+                base_qps=base_qps,
+                spike_qps=peak_qps,
+                start=warmup + 0.3 * duration,
+                ramp=0.05 * total,
+                hold=0.2 * total,
+                decay=0.1 * total,
+            ),
+        )
+    if shape == "trace":
+        return WorkloadSpec(
+            qps=base_qps,
+            duration=duration,
+            warmup=warmup,
+            trace=bursty_replay_trace(base_qps, peak_qps, total_time=total),
+        )
+    raise ConfigError(f"unknown workload {shape!r}; expected one of {SHOWDOWN_WORKLOADS}")
+
+
 @matrix.scenario(
     "diurnal-cycle",
     "A full compressed diurnal cycle under blind isolation with a high bully",
@@ -618,20 +677,10 @@ def diurnal_cycle(
     seed: int = 1,
 ) -> ExperimentSpec:
     """One whole trough-to-peak cycle in a single run (period == the run)."""
-    total = warmup + duration
-    workload = WorkloadSpec(
-        qps=(peak_qps + trough_qps) / 2.0,
-        duration=duration,
-        warmup=warmup,
-        diurnal=DiurnalSpec(
-            peak_qps=peak_qps,
-            trough_qps=trough_qps,
-            period=total,
-            phase_offset=phase_offset,
-        ),
-    )
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload(
+            "diurnal", trough_qps, peak_qps, duration, warmup, phase_offset=phase_offset
+        ),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=HIGH_BULLY_THREADS),
         perfiso=_blind_perfiso(buffer_cores),
@@ -692,22 +741,8 @@ def flash_crowd_blind_isolation(
     seed: int = 1,
 ) -> ExperimentSpec:
     """Base load, then a mid-run ramp/hold/decay spike, bully colocated."""
-    total = warmup + duration
-    workload = WorkloadSpec(
-        qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        flash_crowd=FlashCrowdSpec(
-            base_qps=base_qps,
-            spike_qps=spike_qps,
-            start=warmup + 0.3 * duration,
-            ramp=0.05 * total,
-            hold=0.2 * total,
-            decay=0.1 * total,
-        ),
-    )
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload("flash_crowd", base_qps, spike_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=HIGH_BULLY_THREADS),
         perfiso=_blind_perfiso(buffer_cores),
@@ -752,14 +787,8 @@ def bursty_blind_isolation(
     seed: int = 1,
 ) -> ExperimentSpec:
     """MMPP arrivals: calm stretches punctuated by seconds-long bursts."""
-    workload = WorkloadSpec(
-        qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        bursty=_scaled_bursty(base_qps, burst_qps, warmup + duration),
-    )
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload("bursty", base_qps, burst_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=HIGH_BULLY_THREADS),
         perfiso=_blind_perfiso(buffer_cores),
@@ -805,15 +834,9 @@ def replayed_trace_showdown(
     seed: int = 1,
 ) -> ExperimentSpec:
     """Figure 8 rerun on recorded traffic: same trace file, four policies."""
-    workload = WorkloadSpec(
-        qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        trace=bursty_replay_trace(base_qps, burst_qps, total_time=warmup + duration),
-    )
     perfiso = None if policy == "none" else PerfIsoSpec(cpu_policy=policy)
     return ExperimentSpec(
-        workload=workload,
+        workload=_shaped_workload("trace", base_qps, burst_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=bully_threads),
         perfiso=perfiso,
@@ -890,46 +913,6 @@ def controller_showdown(
     """
     if policy not in CONTROLLER_POLICIES:
         raise ConfigError(f"unknown controller {policy!r}; expected one of {CONTROLLER_POLICIES}")
-    total = warmup + duration
-    if workload == "diurnal":
-        workload_spec = WorkloadSpec(
-            qps=(peak_qps + base_qps) / 2.0,
-            duration=duration,
-            warmup=warmup,
-            diurnal=DiurnalSpec(peak_qps=peak_qps, trough_qps=base_qps, period=total),
-        )
-    elif workload == "bursty":
-        workload_spec = WorkloadSpec(
-            qps=base_qps,
-            duration=duration,
-            warmup=warmup,
-            bursty=_scaled_bursty(base_qps, peak_qps, total),
-        )
-    elif workload == "flash_crowd":
-        workload_spec = WorkloadSpec(
-            qps=base_qps,
-            duration=duration,
-            warmup=warmup,
-            flash_crowd=FlashCrowdSpec(
-                base_qps=base_qps,
-                spike_qps=peak_qps,
-                start=warmup + 0.3 * duration,
-                ramp=0.05 * total,
-                hold=0.2 * total,
-                decay=0.1 * total,
-            ),
-        )
-    elif workload == "trace":
-        workload_spec = WorkloadSpec(
-            qps=base_qps,
-            duration=duration,
-            warmup=warmup,
-            trace=bursty_replay_trace(base_qps, peak_qps, total_time=total),
-        )
-    else:
-        raise ConfigError(
-            f"unknown workload {workload!r}; expected one of {SHOWDOWN_WORKLOADS}"
-        )
     perfiso = (
         None
         if policy == "none"
@@ -941,7 +924,7 @@ def controller_showdown(
     if perfiso is None and faults is not None and faults.controller_crash is not None:
         faults = dataclasses.replace(faults, controller_crash=None)
     return ExperimentSpec(
-        workload=workload_spec,
+        workload=_shaped_workload(workload, base_qps, peak_qps, duration, warmup),
         seed=seed,
         cpu_bully=CpuBullySpec(threads=bully_threads),
         perfiso=perfiso,

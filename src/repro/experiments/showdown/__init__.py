@@ -324,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     try:
-        fmt, out_path = resolve_output(args.out, args.format)
+        fmt, out_path = resolve_output(args.out)
         if args.profile:
             from ...telemetry.profiling import run_profiled
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..config.schema import ExperimentSpec
 from ..config.validation import validate_experiment
 from ..core.controller import PerfIsoController
@@ -35,7 +37,6 @@ from ..tenants.disk_bully import DiskBullyTenant
 from ..tenants.hdfs import HdfsTenant
 from ..tenants.indexserve import IndexServeTenant
 from ..tenants.ml_training import MlTrainingTenant
-from ..metrics.timeseries import TimeSeries
 from ..workloads.arrival import OpenLoopClient, VariableRateClient
 from ..workloads.arrival_models import (
     ARRIVAL_MODEL_STREAM,
@@ -323,18 +324,7 @@ class SingleMachineExperiment:
         client.start()
 
         if telemetry is not None:
-            telemetry.attach_single_machine(
-                engine,
-                node.kernel,
-                node.collector,
-                client,
-                node.primary,
-                spec,
-                controller=node.controller,
-                arrival_model=node.arrival_model,
-                latency_window=node.latency_window,
-                label=self._scenario,
-            )
+            telemetry.attach_single_machine(engine, node, client, spec, label=self._scenario)
 
         engine.run(until=spec.workload.total_time)
 
@@ -373,18 +363,16 @@ class SingleMachineExperiment:
         if node.arrival_model is not None:
             # The offered-load curve over the measured window, summarised so
             # trace-driven goldens pin the *shape* of the workload too.  The
-            # mean is a 128-point sample of the curve; the peak is computed
-            # analytically (sampling would miss a burst narrower than a
-            # step).
-            offered = TimeSeries.from_function(
-                "offered_qps",
-                node.arrival_model.rate_at,
-                start=spec.workload.warmup,
-                stop=spec.workload.total_time,
-                step=spec.workload.duration / 128.0,
-                unit="qps",
+            # mean samples the curve every 1/128 of the window, both ends
+            # included; the peak is computed analytically (sampling would
+            # miss a burst narrower than a step).
+            start = spec.workload.warmup
+            step = spec.workload.duration / 128.0
+            samples = int((spec.workload.total_time - start) / step) + 1
+            rate_at = node.arrival_model.rate_at
+            result.extra["offered_mean_qps"] = float(
+                np.mean([float(rate_at(start + index * step)) for index in range(samples)])
             )
-            result.extra["offered_mean_qps"] = offered.mean()
             result.extra["offered_peak_qps"] = node.arrival_model.peak_in(
                 spec.workload.warmup, spec.workload.total_time
             )

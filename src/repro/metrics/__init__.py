@@ -1,13 +1,11 @@
-"""Measurement utilities: latency percentiles, CPU breakdowns, time series."""
+"""Measurement utilities: latency percentiles and CPU breakdowns."""
 
 from .cpu import CpuBreakdown, CpuUtilizationSampler
 from .latency import LatencyCollector, LatencyStats
-from .timeseries import TimeSeries
 
 __all__ = [
     "CpuBreakdown",
     "CpuUtilizationSampler",
     "LatencyCollector",
     "LatencyStats",
-    "TimeSeries",
 ]

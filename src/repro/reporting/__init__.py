@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
-from ..errors import ConfigError, ReportingError
+from ..errors import ConfigError, ReportingError, TelemetryError
 from .bundle import (
     BUNDLE_KINDS,
     BUNDLE_SCHEMA_VERSION,
@@ -141,7 +141,7 @@ def _run_campaign_action(args) -> int:
     from ..experiments.reporting import format_table
     from .campaign import make_campaign, run_campaign, write_campaign_bundle
 
-    fmt, path = resolve_output(args.out, args.format)
+    fmt, path = resolve_output(args.out)
     spec = make_campaign(
         args.scenario,
         replicates=args.seeds,
@@ -194,7 +194,7 @@ def _trajectory_action(args) -> int:
     from ..cli import EXIT_OK, render_output, resolve_output, write_output
     from .trajectory import collect_bundles, trajectory_rows
 
-    fmt, path = resolve_output(args.out, args.format)
+    fmt, path = resolve_output(args.out)
     bundles = collect_bundles(args.trajectory)
     rows = trajectory_rows(bundles, root=Path(args.trajectory))
     if not rows:
@@ -207,7 +207,6 @@ def _trajectory_action(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..cli import EXIT_USAGE
     from ..telemetry.log import get_logger
-    from ..telemetry.registry import TelemetryError
 
     args = _build_parser().parse_args(argv)
     log = get_logger("repro.reporting")

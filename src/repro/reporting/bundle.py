@@ -5,11 +5,11 @@ directory holding a ``manifest.json`` plus the run's rows (json/jsonl/csv),
 an optional aggregated ``summary.json`` (the campaign CI table), an optional
 ``bench.json`` (wall-clock metrics) and any extra artifacts (e.g. a
 synthesized trace file).  The manifest names the bundle schema version, the
-producing kind, the package version, the seeds and spec hashes behind the
-rows, the environment, and a SHA-256 digest of every payload file — so a
-bundle is self-validating and a stale or hand-edited one is refused instead
-of silently misread, mirroring the telemetry stream's ``SCHEMA_VERSION``
-discipline.
+producing kind, the digest of the package sources that wrote it, the seeds
+and spec hashes behind the rows, the environment, and a SHA-256 digest of
+every payload file — so a bundle is self-validating and a stale or
+hand-edited one is refused instead of silently misread, mirroring the
+telemetry stream's ``SCHEMA_VERSION`` discipline.
 
 Bundles contain no wall-clock timestamps: a bundle is a pure function of the
 specs and seeds that produced it, so re-running the same configuration at any
@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 #: Version of the bundle manifest schema.  Bump on any incompatible change.
-BUNDLE_SCHEMA_VERSION = 1
+#: Version 2 replaced the package version with the source digest.
+BUNDLE_SCHEMA_VERSION = 2
 
 #: Producers a manifest may name.
 BUNDLE_KINDS = ("matrix", "fleet", "showdown", "workloads", "campaign")
@@ -52,7 +53,7 @@ _REQUIRED_KEYS = (
     "schema",
     "kind",
     "name",
-    "repro_version",
+    "source_digest",
     "environment",
     "seeds",
     "spec_hashes",
@@ -149,7 +150,7 @@ def write_bundle(
         "schema": BUNDLE_SCHEMA_VERSION,
         "kind": kind,
         "name": name,
-        "repro_version": _repro_version(),
+        "source_digest": _source_digest(),
         "environment": _environment(),
         "seeds": [int(seed) for seed in seeds],
         "spec_hashes": sorted(set(str(h) for h in spec_hashes)),
@@ -182,10 +183,11 @@ def write_bundle(
     return directory
 
 
-def _repro_version() -> str:
-    from .. import __version__
+def _source_digest() -> str:
+    """Digest of the package sources (the same one the cache keys carry)."""
+    from ..runtime.spec_hash import source_digest
 
-    return __version__
+    return source_digest()
 
 
 def validate_bundle(directory) -> Dict[str, object]:
@@ -206,15 +208,16 @@ def validate_bundle(directory) -> Dict[str, object]:
         raise ReportingError(f"{manifest_path}: manifest is not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
         raise ReportingError(f"{manifest_path}: manifest must be a JSON object")
-    for key in _REQUIRED_KEYS:
-        if key not in manifest:
-            raise ReportingError(f"{manifest_path}: manifest is missing {key!r}")
-    schema = manifest["schema"]
+    # The version comes first: another schema may name other keys.
+    schema = manifest.get("schema")
     if schema != BUNDLE_SCHEMA_VERSION:
         raise ReportingError(
             f"{manifest_path}: unsupported bundle schema {schema!r} "
             f"(expected {BUNDLE_SCHEMA_VERSION})"
         )
+    for key in _REQUIRED_KEYS:
+        if key not in manifest:
+            raise ReportingError(f"{manifest_path}: manifest is missing {key!r}")
     if manifest["kind"] not in BUNDLE_KINDS:
         raise ReportingError(
             f"{manifest_path}: unknown bundle kind {manifest['kind']!r}"

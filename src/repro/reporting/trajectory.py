@@ -48,7 +48,7 @@ def trajectory_rows(
 ) -> List[dict]:
     """One history row per bundle.
 
-    Columns: the bundle's identity (path, kind, name, package version, row
+    Columns: the bundle's identity (path, kind, name, source digest, row
     and seed counts) plus every :data:`HEADLINE_METRICS` key its bench
     record carries as a number.  Rows follow the order of ``bundles``
     (sorted path order from :func:`collect_bundles`).
@@ -65,7 +65,7 @@ def trajectory_rows(
             "bundle": str(directory),
             "kind": bundle.kind,
             "name": bundle.name,
-            "repro_version": str(bundle.manifest.get("repro_version", "")),
+            "source_digest": str(bundle.manifest.get("source_digest", "")),
             "rows": len(bundle.rows),
             "seeds": len(bundle.manifest.get("seeds", [])),
         }

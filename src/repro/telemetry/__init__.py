@@ -5,16 +5,12 @@ real time while secondaries harvest the slack.  This package makes every
 simulation in the repo — a single machine, a controller showdown, a
 50k-machine staged rollout — observable while it runs:
 
-* :mod:`repro.telemetry.registry` — counters, gauges and histograms with
-  per-component namespaces, bridging the existing
-  :class:`~repro.metrics.latency.LatencyDigest` /
-  :class:`~repro.metrics.timeseries.TimeSeries` types;
 * :mod:`repro.telemetry.spans` — lightweight span tracing around controller
   ``decide()`` calls, rollout stages and runner fan-outs;
 * :mod:`repro.telemetry.schema` — the versioned JSONL record schema and
   its validators;
 * :mod:`repro.telemetry.stream` — the snapshot publisher: a
-  :class:`TelemetrySession` wires a metrics registry, a span tracer and a
+  :class:`TelemetrySession` wires a snapshot probe, a span tracer and a
   JSONL writer onto a running simulation through the engine's probe seam;
 * :mod:`repro.telemetry.log` — the structured stderr logger the CLIs use;
 * :mod:`repro.telemetry.profiling` — the one profiling entry point (both the
@@ -27,7 +23,6 @@ stream, so enabling it never perturbs simulation results.
 """
 
 from .log import StructuredLogger, get_logger
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .schema import (
     SCHEMA_VERSION,
     StreamSummary,
@@ -39,10 +34,6 @@ from .spans import Span, SpanTracer
 from .stream import SnapshotWriter, TelemetrySession, read_records
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Span",
     "SpanTracer",
     "SCHEMA_VERSION",

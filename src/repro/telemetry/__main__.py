@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 from typing import Optional, Sequence
 
+from ..errors import TelemetryError
 from .log import get_logger
-from .registry import TelemetryError
 from .schema import validate_stream_file
 
 

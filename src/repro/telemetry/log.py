@@ -9,8 +9,7 @@ sys.stderr)`` calls scattered across the fleet/matrix/workloads CLIs and the
 
 Lines go to stderr through the standard :mod:`logging` machinery (so host
 applications can re-route or silence them), values are quoted only when they
-need to be, and the log level honours ``REPRO_LOG_LEVEL``.  A telemetry
-session may tee log events into its JSONL stream as ``log`` records.
+need to be, and the log level honours ``REPRO_LOG_LEVEL``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import logging
 import os
 import sys
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 __all__ = ["StructuredLogger", "get_logger", "format_fields"]
 
@@ -45,14 +44,11 @@ class StructuredLogger:
     """Key=value structured logging over a stdlib :class:`logging.Logger`.
 
     Every method takes an ``event`` (what happened, not a formatted sentence)
-    plus arbitrary keyword fields.  An optional ``sink`` receives the
-    structured payload of each emitted event — the telemetry stream uses it
-    to mirror diagnostics into the JSONL record stream.
+    plus arbitrary keyword fields.
     """
 
     def __init__(self, logger: logging.Logger) -> None:
         self._logger = logger
-        self._sink: Optional[Callable[[str, str, Dict[str, object]], None]] = None
 
     @property
     def name(self) -> str:
@@ -62,19 +58,13 @@ class StructuredLogger:
     def logger(self) -> logging.Logger:
         return self._logger
 
-    def set_sink(self, sink: Optional[Callable[[str, str, Dict[str, object]], None]]) -> None:
-        """Tee every emitted event into ``sink(level, event, fields)``."""
-        self._sink = sink
-
     def _emit(self, level: int, event: str, fields: Dict[str, object]) -> None:
-        level_name = logging.getLevelName(level).lower()
         if self._logger.isEnabledFor(level):
+            level_name = logging.getLevelName(level).lower()
             line = format_fields(
                 {"level": level_name, "logger": self._logger.name, "event": event, **fields}
             )
             self._logger.log(level, "%s", line)
-        if self._sink is not None:
-            self._sink(level_name, event, fields)
 
     def debug(self, event: str, **fields: object) -> None:
         self._emit(logging.DEBUG, event, fields)

@@ -2,10 +2,12 @@
 
 A telemetry stream is a JSONL file.  Line one is a ``meta`` record naming the
 schema version, the producing source and the run's identity; every following
-line is a ``snapshot`` (one probe's metric readings), a ``span`` (one closed
-trace span) or a ``log`` (one structured diagnostic).  The schema is
-versioned so downstream tooling can refuse streams it does not understand
-instead of misreading them.
+line is a ``snapshot`` (one probe's metric readings) or a ``span`` (one
+closed trace span).  The schema also admits ``log`` records (one structured
+diagnostic), which no producer in this package writes; the validator checks
+them because streams may come from elsewhere.  The schema is versioned so
+downstream tooling can refuse streams it does not understand instead of
+misreading them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-from .registry import TelemetryError
+from ..errors import TelemetryError
 
 __all__ = [
     "SCHEMA_VERSION",

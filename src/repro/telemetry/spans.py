@@ -4,8 +4,7 @@ A span marks one named unit of work — a controller ``decide()`` call, a
 rollout stage, a runner shard fan-out — with its simulation-time position,
 its wall-clock cost and free-form attributes.  Spans stream to a sink the
 moment they close (normally a :class:`~repro.telemetry.stream.SnapshotWriter`),
-so a long fleet run never accumulates them in memory; a bounded tail is kept
-for tests and interactive inspection.
+so a long fleet run never accumulates them in memory.
 
 Simulation time and wall time are deliberately both recorded: ``time`` (and
 ``sim_duration``) are deterministic functions of the spec, while
@@ -16,10 +15,9 @@ profiling workflow cares about.
 from __future__ import annotations
 
 import time as _time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from .log import get_logger
 
@@ -57,11 +55,8 @@ class SpanTracer:
 
     ``clock`` supplies the simulation time (``engine.now`` for engine-driven
     runs, a bucket cursor for the analytic fleet tier).  ``sink`` receives
-    each closed :class:`Span`; when ``None`` spans are only retained in the
-    bounded :attr:`tail`.
+    each closed :class:`Span`; when ``None`` spans are only returned.
     """
-
-    TAIL_SPANS = 256
 
     def __init__(
         self,
@@ -70,16 +65,8 @@ class SpanTracer:
     ) -> None:
         self._clock = clock
         self._sink = sink
-        self.tail: Deque[Span] = deque(maxlen=self.TAIL_SPANS)
-        self.count = 0
-
-    @property
-    def clock(self) -> Callable[[], float]:
-        return self._clock
 
     def _emit(self, span: Span) -> None:
-        self.count += 1
-        self.tail.append(span)
         if self._sink is not None:
             try:
                 self._sink(span)
@@ -87,8 +74,7 @@ class SpanTracer:
                 # Tracing observes the simulation; it must not kill it.  A
                 # sink whose I/O died (writers already degrade themselves,
                 # but a raw file sink raises here) is dropped with one
-                # structured warning, and spans keep accumulating in the
-                # bounded tail.
+                # structured warning.
                 self._sink = None
                 get_logger("repro.telemetry.spans").warning(
                     "span sink disabled",
@@ -138,7 +124,3 @@ class SpanTracer:
             span.wall_ms = (_time.perf_counter() - started_wall) * 1e3
             span.sim_duration = max(0.0, float(self._clock()) - started_sim)
             self._emit(span)
-
-    def named(self, name: str) -> list:
-        """The retained tail spans with the given name (testing aid)."""
-        return [span for span in self.tail if span.name == name]

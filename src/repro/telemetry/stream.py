@@ -1,12 +1,11 @@
 """The snapshot stream: periodic JSONL publishing for running simulations.
 
-A :class:`TelemetrySession` bundles the three moving parts — a
-:class:`~repro.telemetry.registry.MetricsRegistry`, per-clock
-:class:`~repro.telemetry.spans.SpanTracer`\\ s and a :class:`SnapshotWriter`
-— behind one object the CLIs construct from ``--telemetry[=PATH]``.  The
-session instruments a single-machine experiment through the engine's probe
-seam (:meth:`~repro.simulation.engine.SimulationEngine.subscribe`); the
-fleet tier publishes its per-bucket snapshots directly.
+A :class:`TelemetrySession` bundles a :class:`SnapshotWriter` and per-clock
+:class:`~repro.telemetry.spans.SpanTracer`\\ s behind one object the CLIs
+construct from ``--telemetry[=PATH]``.  The session instruments a
+single-machine experiment through the engine's probe seam
+(:meth:`~repro.simulation.engine.SimulationEngine.subscribe`); the fleet
+tier publishes its per-bucket snapshots directly.
 
 Telemetry is strictly read-only with respect to the simulation: probes draw
 from no random stream, never mutate domain state, and the instrumented
@@ -22,19 +21,14 @@ import time as _time
 import uuid
 from typing import Any, Dict, List, Optional
 
+from ..errors import TelemetryError
 from .log import get_logger
-from .registry import MetricsRegistry, TelemetryError
 from .schema import SCHEMA_VERSION
 from .spans import Span, SpanTracer
 
-__all__ = [
-    "SnapshotWriter",
-    "TelemetrySession",
-    "default_probe_interval",
-    "read_records",
-]
+__all__ = ["SnapshotWriter", "TelemetrySession", "read_records"]
 
-#: Default probe cadence: this many snapshots across one run's total time.
+#: Probe cadence: this many snapshots across one run's total time.
 PROBES_PER_RUN = 128
 
 #: Cached compact encoder for span records, the only high-frequency record
@@ -71,30 +65,6 @@ def _render_str(value: str) -> Optional[str]:
     return rendered
 
 
-def _scalar_json(value: object) -> Optional[str]:
-    """Compact JSON for a plain scalar, or ``None`` to defer to the encoder.
-
-    Matches ``json.dumps`` byte-for-byte for the values it accepts (pinned
-    by test): floats and ints render via ``repr`` exactly as the stdlib
-    encoder renders them, and non-finite floats are rejected so the
-    fallback path keeps ``json``'s NaN/Infinity behaviour.
-    """
-    kind = type(value)
-    if kind is str:
-        return _render_str(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if kind is int:
-        return repr(value)
-    if kind is float:
-        if value - value == 0.0:  # finite
-            return repr(value)
-        return None
-    if value is None:
-        return "null"
-    return None
-
-
 def _span_line(span: "Span") -> str:
     """One span's JSONL line, assembled without the generic JSON encoder.
 
@@ -103,8 +73,8 @@ def _span_line(span: "Span") -> str:
     record is formatted directly.  Any name/status/attribute the fast path
     cannot prove safe falls back to the encoder for the whole record.
     """
-    # Inlined dispatch (no _scalar_json calls): at one span per 1 ms poll,
-    # even the helper-function call overhead shows up in the simcore bench.
+    # Inlined scalar dispatch (no helper call per value): at one span per
+    # 1 ms poll, even function-call overhead shows up in the simcore bench.
     name = span.name
     status = span.status
     time_v = span.time
@@ -154,19 +124,12 @@ def _span_line(span: "Span") -> str:
     )
 
 
-def default_probe_interval(total_time: float) -> float:
-    """The default probe interval for a run covering ``total_time`` seconds."""
-    if total_time <= 0:
-        raise TelemetryError("total_time must be positive")
-    return total_time / PROBES_PER_RUN
-
-
 class SnapshotWriter:
     """Writes one versioned JSONL telemetry stream.
 
     The meta record is emitted immediately on construction so even a run that
     crashes before its first probe leaves a valid (if empty) stream behind.
-    Meta, snapshot and log records flush as written — a reader can tail the
+    Meta and snapshot records flush as written — a reader can tail the
     file while the run is still producing — while the much more frequent
     span records buffer until the next flush (see :meth:`write_span`).
 
@@ -287,12 +250,6 @@ class SnapshotWriter:
             return
         self.spans_written += 1
 
-    def write_log(self, level: str, event: str, fields: Dict[str, Any]) -> None:
-        record: Dict[str, Any] = {"type": "log", "level": level, "event": event}
-        if fields:
-            record["fields"] = {key: str(value) for key, value in fields.items()}
-        self._write(record)
-
     def close(self) -> None:
         if self._handle is not None:
             try:
@@ -323,153 +280,110 @@ def read_records(path: str) -> List[Dict[str, Any]]:
 class TelemetrySession:
     """One observability session shared by everything a CLI invocation runs.
 
-    The session owns the JSONL writer and a fresh metrics registry per
-    instrumented run; tracers are bound per simulation clock so spans always
-    carry the right notion of "now".  Closing the session closes the stream.
+    The session owns the JSONL writer; tracers are bound per simulation
+    clock so spans always carry the right notion of "now".  Closing the
+    session closes the stream.
     """
 
-    def __init__(
-        self,
-        writer: SnapshotWriter,
-        probe_interval: Optional[float] = None,
-    ) -> None:
-        if probe_interval is not None and probe_interval <= 0:
-            raise TelemetryError("probe interval must be positive")
+    def __init__(self, writer: SnapshotWriter) -> None:
         self.writer = writer
-        self.probe_interval = probe_interval
-        self.registry = MetricsRegistry()
 
     @classmethod
     def to_path(
-        cls,
-        path: str,
-        source: str,
-        meta: Optional[Dict[str, Any]] = None,
-        probe_interval: Optional[float] = None,
+        cls, path: str, source: str, meta: Optional[Dict[str, Any]] = None
     ) -> "TelemetrySession":
-        return cls(SnapshotWriter(path, source=source, meta=meta), probe_interval)
+        return cls(SnapshotWriter(path, source=source, meta=meta))
 
     # --------------------------------------------------------------- tracing
     def tracer(self, clock) -> SpanTracer:
         """A span tracer against ``clock`` whose spans stream to the writer."""
         return SpanTracer(clock, sink=self.writer.write_span)
 
-    def interval_for(self, total_time: float) -> float:
-        return (
-            self.probe_interval
-            if self.probe_interval is not None
-            else default_probe_interval(total_time)
-        )
-
     # ------------------------------------------------------- instrumentation
-    def attach_single_machine(
-        self,
-        engine,
-        kernel,
-        collector,
-        client,
-        primary,
-        spec,
-        controller=None,
-        arrival_model=None,
-        latency_window=None,
-        label: Optional[str] = None,
-    ):
-        """Wire probes, gauges and controller spans onto one assembled run.
+    def attach_single_machine(self, engine, node, client, spec, label: Optional[str] = None):
+        """Wire a snapshot probe and controller spans onto one assembled run.
 
         Called by :meth:`SingleMachineExperiment.run
         <repro.experiments.single_machine.SingleMachineExperiment.run>` after
-        the machine is built but before the engine runs.  Registers the
-        per-component gauges, attaches a decide-span tracer to the controller,
-        and subscribes a snapshot probe at the session's interval.  Returns
-        the probe subscription.
+        the machine (``node``, a
+        :class:`~repro.experiments.single_machine.MachineAssembly`) is built
+        but before the engine runs.  Attaches a decide-span tracer to the
+        controller and subscribes a probe that writes one snapshot
+        ``PROBES_PER_RUN`` times per run.  Returns the probe subscription.
         """
-        registry = MetricsRegistry()  # fresh per run; names repeat across runs
+        kernel = node.kernel
+        collector = node.collector
+        primary = node.primary
+        controller = node.controller
+        arrival_model = node.arrival_model
+        latency_window = node.latency_window
         total_cores = kernel.logical_cores
-
-        scheduler = registry.namespace("scheduler")
-        scheduler.gauge(
-            "occupancy",
-            fn=lambda: 1.0 - kernel.idle_core_count() / total_cores,
-        )
-        scheduler.gauge("idle_cores", unit="cores", fn=kernel.idle_core_count)
-
-        workload = registry.namespace("workload")
-        offered = workload.gauge("offered_qps", unit="qps")
-        served = workload.gauge("served_qps", unit="qps")
-        workload.gauge("submitted", fn=lambda: client.submitted)
-
-        latency = registry.namespace("latency")
-        latency.gauge("completed", fn=lambda: primary.completed)
-        latency.gauge("dropped", fn=lambda: primary.dropped)
-        windowed = latency.gauge("windowed_p99_ms", unit="ms")
-        slo_ms = None
-        if spec.perfiso is not None:
-            slo_ms = spec.perfiso.pid.slo_p99 * 1e3
-            latency.gauge("slo_ms", unit="ms").set(slo_ms)
-
-        tracer = None
+        slo_ms = spec.perfiso.pid.slo_p99 * 1e3 if spec.perfiso is not None else None
         if controller is not None:
-            ns = registry.namespace("controller")
-            ns.gauge("polls", fn=lambda: float(controller.polls))
-            ns.gauge("updates_applied", fn=lambda: float(controller.updates_applied))
-            ns.gauge(
-                "secondary_cores",
-                unit="cores",
-                fn=lambda: (
-                    float(controller.secondary_core_count)
-                    if controller.secondary_core_count is not None
-                    else float(total_cores)
-                ),
-            )
-            tracer = self.tracer(lambda: engine.now)
-            controller.attach_tracer(tracer)
+            controller.attach_tracer(self.tracer(lambda: engine.now))
 
-        interval = self.interval_for(spec.workload.total_time)
         writer = self.writer
         state = {
             "last_time": engine.now,
             "last_completed": primary.completed,
             "sample_cursor": collector.sample_count,
+            # Holds its last reading when a probe lands with no time elapsed.
+            "served_qps": 0.0,
         }
 
         def probe(now: float) -> None:
             elapsed = now - state["last_time"]
             completed = primary.completed
             if elapsed > 0:
-                served.set((completed - state["last_completed"]) / elapsed)
+                state["served_qps"] = (completed - state["last_completed"]) / elapsed
             state["last_time"] = now
             state["last_completed"] = completed
             if arrival_model is not None:
-                offered.set(float(arrival_model.rate_at(now)))
+                offered = float(arrival_model.rate_at(now))
             else:
-                offered.set(float(spec.workload.qps))
+                offered = float(spec.workload.qps)
             if latency_window is not None:
                 # A latency-feedback policy already maintains a sliding
                 # window; report the same number the controller sees.
                 p99 = latency_window.p99(now)
-                windowed.set(p99 * 1e3 if p99 is not None else float("nan"))
             else:
                 # No policy window to piggyback on: the P99 of the samples
                 # the collector recorded since the last probe, read straight
                 # off its buffer.  This keeps the per-query hot path free of
-                # any telemetry work (warmup-period probes report NaN - the
+                # any telemetry work (warmup-period probes report null - the
                 # collector only buffers post-warmup samples).
                 cursor = state["sample_cursor"]
                 state["sample_cursor"] = collector.sample_count
                 p99 = collector.percentile_since(cursor, 99.0)
-                windowed.set(p99 * 1e3 if p99 is not None else float("nan"))
-            metrics = registry.collect()
-            # NaN marks "no samples in window yet"; JSON has no NaN, so the
-            # record carries null instead.
-            p99_value = metrics.get("latency.windowed_p99_ms")
-            if p99_value is not None and p99_value != p99_value:
-                metrics["latency.windowed_p99_ms"] = None
-            if slo_ms is not None and metrics.get("latency.windowed_p99_ms") is not None:
-                metrics["latency.p99_over_slo"] = metrics["latency.windowed_p99_ms"] / slo_ms
+            # None (and NaN, which JSON lacks) mark "no samples in window yet".
+            p99_ms = float(p99 * 1e3) if p99 is not None else None
+            if p99_ms is not None and p99_ms != p99_ms:
+                p99_ms = None
+            idle = kernel.idle_core_count()
+            # Keys in sorted name order, then the SLO ratio.
+            metrics: Dict[str, Any] = {}
+            if controller is not None:
+                cores = controller.secondary_core_count
+                metrics["controller.polls"] = float(controller.polls)
+                metrics["controller.secondary_cores"] = float(
+                    cores if cores is not None else total_cores
+                )
+                metrics["controller.updates_applied"] = float(controller.updates_applied)
+            metrics["latency.completed"] = float(completed)
+            metrics["latency.dropped"] = float(primary.dropped)
+            if slo_ms is not None:
+                metrics["latency.slo_ms"] = slo_ms
+            metrics["latency.windowed_p99_ms"] = p99_ms
+            metrics["scheduler.idle_cores"] = float(idle)
+            metrics["scheduler.occupancy"] = 1.0 - idle / total_cores
+            metrics["workload.offered_qps"] = offered
+            metrics["workload.served_qps"] = float(state["served_qps"])
+            metrics["workload.submitted"] = float(client.submitted)
+            if slo_ms is not None and p99_ms is not None:
+                metrics["latency.p99_over_slo"] = p99_ms / slo_ms
             writer.write_snapshot(now, metrics, label=label)
 
-        return engine.subscribe(probe, interval)
+        return engine.subscribe(probe, spec.workload.total_time / PROBES_PER_RUN)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

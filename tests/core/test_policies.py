@@ -2,16 +2,29 @@
 
 import pytest
 
-from repro.config.schema import BlindIsolationSpec, CpuCycleSpec, StaticCoreSpec
+from repro.config.schema import BlindIsolationSpec, CpuCycleSpec, PerfIsoSpec, StaticCoreSpec
 from repro.core.policies import (
     AllocationDecision,
     BlindIsolationPolicy,
+    ControllerObservation,
     CpuCyclesPolicy,
     NoIsolationPolicy,
     StaticCoresPolicy,
-    build_policy,
+    policy_class,
+    policy_from_spec,
 )
 from repro.errors import IsolationError
+
+
+def observe(total_cores, idle_cores, current_core_count):
+    """One poll's observation carrying only the idle-core signal."""
+    return ControllerObservation(
+        now=0.0,
+        total_cores=total_cores,
+        idle_cores=idle_cores,
+        current_core_count=current_core_count,
+        poll_interval=0.0,
+    )
 
 
 class TestAllocationDecision:
@@ -45,39 +58,39 @@ class TestBlindIsolationPolicy:
     def test_shrinks_when_idle_below_buffer(self):
         """The paper's rule: if I < B, S is decreased."""
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8))
-        decision = policy.poll_decision(total_cores=48, idle_cores=3, current_core_count=30)
+        decision = policy.decide(observe(total_cores=48, idle_cores=3, current_core_count=30))
         assert decision.core_count == 25
 
     def test_grows_when_idle_above_buffer(self):
         """The paper's rule: if I > B, S is increased."""
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8))
-        decision = policy.poll_decision(total_cores=48, idle_cores=14, current_core_count=20)
+        decision = policy.decide(observe(total_cores=48, idle_cores=14, current_core_count=20))
         assert decision.core_count == 26
 
     def test_no_change_at_exact_buffer(self):
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8))
-        assert policy.poll_decision(48, 8, 30) is None
+        assert policy.decide(observe(48, 8, 30)) is None
 
     def test_never_exceeds_total_minus_buffer(self):
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8))
-        decision = policy.poll_decision(48, 30, 38)
+        decision = policy.decide(observe(48, 30, 38))
         assert decision is None or decision.core_count <= 40
-        assert policy.poll_decision(48, 48, 40) is None
+        assert policy.decide(observe(48, 48, 40)) is None
 
     def test_never_goes_below_min_secondary(self):
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8, min_secondary_cores=2))
-        decision = policy.poll_decision(48, 0, 4)
+        decision = policy.decide(observe(48, 0, 4))
         assert decision.core_count == 2
-        assert policy.poll_decision(48, 0, 2) is None
+        assert policy.decide(observe(48, 0, 2)) is None
 
     def test_max_step_limits_adjustment(self):
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8, max_step=2))
-        decision = policy.poll_decision(48, 0, 30)
+        decision = policy.decide(observe(48, 0, 30))
         assert decision.core_count == 28
 
     def test_none_current_uses_initial_allocation(self):
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8))
-        decision = policy.poll_decision(48, 2, None)
+        decision = policy.decide(observe(48, 2, None))
         assert decision.core_count == 34
 
 
@@ -85,7 +98,7 @@ class TestStaticAndCyclePolicies:
     def test_static_cores_fixed_allocation(self):
         policy = StaticCoresPolicy(StaticCoreSpec(secondary_cores=16))
         assert policy.initial_decision(48).core_count == 16
-        assert policy.poll_decision(48, 0, 16) is None
+        assert policy.decide(observe(48, 0, 16)) is None
 
     def test_static_cores_clamped_to_machine(self):
         policy = StaticCoresPolicy(StaticCoreSpec(secondary_cores=64))
@@ -95,12 +108,12 @@ class TestStaticAndCyclePolicies:
         policy = CpuCyclesPolicy(CpuCycleSpec(cpu_fraction=0.05))
         decision = policy.initial_decision(48)
         assert decision.cpu_rate == pytest.approx(0.05)
-        assert policy.poll_decision(48, 0, None) is None
+        assert policy.decide(observe(48, 0, None)) is None
 
     def test_no_isolation_unrestricted(self):
         policy = NoIsolationPolicy()
         assert policy.initial_decision(48).unrestricted
-        assert policy.poll_decision(48, 0, None) is None
+        assert policy.decide(observe(48, 0, None)) is None
 
 
 class TestBuildPolicy:
@@ -114,8 +127,8 @@ class TestBuildPolicy:
         ],
     )
     def test_known_policies(self, name, expected):
-        assert isinstance(build_policy(name), expected)
+        assert isinstance(policy_from_spec(PerfIsoSpec(cpu_policy=name)), expected)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(IsolationError):
-            build_policy("quantum")
+            policy_class("quantum")

@@ -1,11 +1,10 @@
-"""Tests for latency statistics, CPU breakdowns and time series."""
+"""Tests for latency statistics and CPU breakdowns."""
 
 import pytest
 
 from repro.errors import ExperimentError
 from repro.metrics.cpu import CpuBreakdown
 from repro.metrics.latency import LatencyCollector
-from repro.metrics.timeseries import TimeSeries
 
 
 class TestLatencyCollector:
@@ -66,32 +65,3 @@ class TestCpuBreakdown:
         breakdown = CpuBreakdown.from_utilization({"idle": 1.0})
         assert breakdown.primary == 0.0
         assert breakdown.busy == 0.0
-
-
-class TestTimeSeries:
-    def test_append_and_summaries(self):
-        series = TimeSeries("qps")
-        for i in range(10):
-            series.append(float(i), float(i * 10))
-        assert len(series) == 10
-        assert series.mean() == pytest.approx(45.0)
-        assert series.maximum() == 90.0
-        assert series.percentile(50) == pytest.approx(45.0)
-
-    def test_out_of_order_append_rejected(self):
-        series = TimeSeries("qps")
-        series.append(1.0, 1.0)
-        with pytest.raises(ExperimentError):
-            series.append(0.5, 2.0)
-
-    def test_resample_averages_buckets(self):
-        series = TimeSeries("util")
-        for i in range(100):
-            series.append(i * 0.1, float(i % 2))
-        resampled = series.resample(1.0)
-        assert len(resampled) < len(series)
-        assert resampled.mean() == pytest.approx(0.5, abs=0.1)
-
-    def test_resample_rejects_bad_bucket(self):
-        with pytest.raises(ExperimentError):
-            TimeSeries("x").resample(0)

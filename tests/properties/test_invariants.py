@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.schema import BlindIsolationSpec
-from repro.core.policies import BlindIsolationPolicy
+from repro.core.policies import BlindIsolationPolicy, ControllerObservation
 from repro.hardware.memory import MemorySubsystem
 from repro.hardware.topology import CpuTopology
 from repro.metrics.latency import LatencyCollector
@@ -44,6 +44,17 @@ class TestEventQueueProperties:
         assert engine.pending_events == 0
 
 
+def observe(total_cores, idle_cores, current_core_count):
+    """One poll's observation carrying only the idle-core signal."""
+    return ControllerObservation(
+        now=0.0,
+        total_cores=total_cores,
+        idle_cores=idle_cores,
+        current_core_count=current_core_count,
+        poll_interval=0.0,
+    )
+
+
 class TestBlindIsolationProperties:
     @given(
         buffer_cores=st.integers(min_value=0, max_value=16),
@@ -54,7 +65,7 @@ class TestBlindIsolationProperties:
     def test_allocation_always_within_bounds(self, buffer_cores, idle, current):
         """S stays in [min_secondary, total - buffer] for any observation."""
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=buffer_cores))
-        decision = policy.poll_decision(total_cores=48, idle_cores=idle, current_core_count=current)
+        decision = policy.decide(observe(total_cores=48, idle_cores=idle, current_core_count=current))
         if decision is not None:
             assert 0 <= decision.core_count <= 48 - buffer_cores
 
@@ -67,7 +78,7 @@ class TestBlindIsolationProperties:
         """If I < B the allocation never grows; if I > B it never shrinks."""
         buffer_cores = 8
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=buffer_cores))
-        decision = policy.poll_decision(48, idle, current)
+        decision = policy.decide(observe(48, idle, current))
         if decision is None:
             return
         if idle < buffer_cores:
@@ -82,7 +93,7 @@ class TestBlindIsolationProperties:
         policy = BlindIsolationPolicy(BlindIsolationSpec(buffer_cores=8))
         current = 40
         for _ in range(60):
-            decision = policy.poll_decision(48, idle, current)
+            decision = policy.decide(observe(48, idle, current))
             if decision is None:
                 break
             current = decision.core_count

@@ -15,10 +15,22 @@ from hypothesis import strategies as st
 from repro.config.schema import BlindIsolationSpec, CpuCycleSpec, StaticCoreSpec
 from repro.core.policies import (
     BlindIsolationPolicy,
+    ControllerObservation,
     CpuCyclesPolicy,
     NoIsolationPolicy,
     StaticCoresPolicy,
 )
+
+
+def observe(total, idle, current):
+    """One poll's observation carrying only the idle-core signal."""
+    return ControllerObservation(
+        now=0.0,
+        total_cores=total,
+        idle_cores=idle,
+        current_core_count=current,
+        poll_interval=0.0,
+    )
 
 
 @st.composite
@@ -44,7 +56,7 @@ def resolved_target(policy, total, idle, current):
     """The core count in effect after one poll (``None`` decision = no change)."""
     if current is None:
         current = policy.max_secondary(total)
-    decision = policy.poll_decision(total, idle, current)
+    decision = policy.decide(observe(total, idle, current))
     return current if decision is None else decision.core_count
 
 
@@ -60,7 +72,7 @@ class TestBlindIsolationProperties:
         assert initial.core_count is not None
         assert 0 <= initial.core_count <= ceiling
 
-        decision = policy.poll_decision(total, idle, current)
+        decision = policy.decide(observe(total, idle, current))
         if decision is not None:
             assert decision.core_count is not None
             assert 0 <= decision.core_count <= ceiling
@@ -72,7 +84,7 @@ class TestBlindIsolationProperties:
         if spec.min_secondary_cores > total - spec.buffer_cores:
             return  # floor overrides the buffer by construction
         policy = BlindIsolationPolicy(spec)
-        decision = policy.poll_decision(total, idle, current)
+        decision = policy.decide(observe(total, idle, current))
         if decision is not None:
             assert decision.core_count <= total - spec.buffer_cores
 
@@ -105,7 +117,7 @@ class TestBlindIsolationProperties:
     def test_no_change_when_idle_equals_buffer(self, case):
         spec, total, _, current = case
         policy = BlindIsolationPolicy(spec)
-        assert policy.poll_decision(total, spec.buffer_cores, current) is None
+        assert policy.decide(observe(total, spec.buffer_cores, current)) is None
 
     @given(blind_cases())
     @settings(max_examples=200, deadline=None)
@@ -117,7 +129,7 @@ class TestBlindIsolationProperties:
             return
         if not spec.min_secondary_cores <= current <= ceiling:
             return  # covered by test_out_of_band_current_moves_back_toward_band
-        decision = policy.poll_decision(total, idle, current)
+        decision = policy.decide(observe(total, idle, current))
         if decision is not None:
             assert abs(decision.core_count - current) <= spec.max_step
 
@@ -147,7 +159,7 @@ class TestStaticPolicies:
         policy = StaticCoresPolicy(StaticCoreSpec(secondary_cores=cores))
         initial = policy.initial_decision(total)
         assert 0 <= initial.core_count <= total
-        assert policy.poll_decision(total, idle, initial.core_count) is None
+        assert policy.decide(observe(total, idle, initial.core_count)) is None
 
     @given(
         st.integers(min_value=1, max_value=128),
@@ -160,11 +172,11 @@ class TestStaticPolicies:
         initial = policy.initial_decision(total)
         assert initial.cpu_rate is not None
         assert 0.0 < initial.cpu_rate <= 1.0
-        assert policy.poll_decision(total, idle, None) is None
+        assert policy.decide(observe(total, idle, None)) is None
 
     @given(st.integers(min_value=1, max_value=128), st.integers(min_value=0, max_value=128))
     @settings(max_examples=100, deadline=None)
     def test_no_isolation_always_unrestricted(self, total, idle):
         policy = NoIsolationPolicy()
         assert policy.initial_decision(total).unrestricted
-        assert policy.poll_decision(total, idle, None) is None
+        assert policy.decide(observe(total, idle, None)) is None

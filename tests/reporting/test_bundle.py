@@ -14,6 +14,7 @@ from repro.reporting.bundle import (
 )
 from repro.reporting.rows import ROW_FORMATS
 from repro.reporting.trajectory import collect_bundles, trajectory_rows
+from repro.runtime.spec_hash import source_digest
 
 ROWS = [
     {"scenario": "s", "label": "s[a=1]", "a": 1, "p99_ms": 4.25},
@@ -69,6 +70,11 @@ class TestRoundTrip:
         rendered = json.dumps(manifest)
         assert "time" not in rendered and "date" not in rendered
 
+    def test_manifest_records_source_digest(self, tmp_path):
+        """The manifest names the code that wrote the rows."""
+        manifest = validate_bundle(_write(tmp_path / "b"))
+        assert manifest["source_digest"] == source_digest()
+
     def test_extra_files_are_digested(self, tmp_path):
         directory = _write(tmp_path / "b", extra_files={"trace.jsonl": b"{}\n"})
         manifest = validate_bundle(directory)
@@ -87,6 +93,18 @@ class TestValidationRefusals:
         manifest["schema"] = BUNDLE_SCHEMA_VERSION + 1
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ReportingError, match="unsupported bundle schema"):
+            validate_bundle(directory)
+
+    def test_schema_1_bundle_refused(self, tmp_path):
+        """Schema 1 stamped a package version instead of the source digest;
+        the version is checked before the keys, so the refusal names it."""
+        directory = _write(tmp_path / "b")
+        manifest_path = directory / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["schema"] = 1
+        del manifest["source_digest"]
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ReportingError, match="unsupported bundle schema 1"):
             validate_bundle(directory)
 
     def test_corrupted_rows_file_refused(self, tmp_path):

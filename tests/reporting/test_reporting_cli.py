@@ -27,29 +27,19 @@ CAMPAIGN_ARGS = (
 
 class TestResolveOutput:
     def test_stdout_defaults_to_table(self):
-        assert resolve_output(None, None) == ("table", None)
+        assert resolve_output(None) == ("table", None)
 
     def test_legacy_format_keyword_goes_to_stdout(self):
-        assert resolve_output("json", None) == ("json", None)
-        assert resolve_output("jsonl", None) == ("jsonl", None)
+        assert resolve_output("json") == ("json", None)
+        assert resolve_output("jsonl") == ("jsonl", None)
 
     def test_path_infers_format_from_extension(self):
-        assert resolve_output("out/rows.csv", None) == ("csv", Path("out/rows.csv"))
-        assert resolve_output("r.jsonl", None) == ("jsonl", Path("r.jsonl"))
-
-    def test_explicit_format_overrides_extension(self):
-        assert resolve_output("rows.dat", "json") == ("json", Path("rows.dat"))
-
-    def test_conflicting_keyword_and_format_rejected(self):
-        with pytest.raises(ConfigError, match="conflicts"):
-            resolve_output("json", "csv")
+        assert resolve_output("out/rows.csv") == ("csv", Path("out/rows.csv"))
+        assert resolve_output("r.jsonl") == ("jsonl", Path("r.jsonl"))
 
     def test_uninferable_extension_rejected(self):
         with pytest.raises(ConfigError, match="cannot infer"):
-            resolve_output("rows.dat", None)
-
-    def test_matching_keyword_and_format_accepted(self):
-        assert resolve_output("csv", "csv") == ("csv", None)
+            resolve_output("rows.dat")
 
 
 class TestParseGrid:
@@ -176,12 +166,6 @@ class TestBundleFlagOnRunCli:
         assert code == EXIT_OK
         lines = out_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["bully_threads"] == 24
-
-    def test_matrix_conflicting_out_and_format_is_usage_error(self, capsys):
-        code = matrix.main(
-            ["--run", "no-isolation", "--out", "json", "--format", "csv"]
-        )
-        assert code == EXIT_USAGE
 
     def test_fleet_bundle_validates(self, tmp_path, capsys):
         bundle_dir = tmp_path / "bundle"

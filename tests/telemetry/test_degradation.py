@@ -4,15 +4,15 @@ Failing-before regressions: a full disk (or yanked volume) under the
 telemetry stream used to propagate ``OSError`` out of ``write_snapshot`` /
 ``write_span`` and crash the simulation being observed.  The writer now
 disables itself with one structured warning and every later write becomes a
-silent no-op; the span tracer likewise drops a dead sink and keeps its
-bounded tail.  Writing to an explicitly *closed* writer is still a
-programming error and still raises.
+silent no-op; the span tracer likewise drops a dead sink and keeps tracing.
+Writing to an explicitly *closed* writer is still a programming error and
+still raises.
 """
 
 import pytest
 
+from repro.errors import TelemetryError
 from repro.telemetry import SnapshotWriter
-from repro.telemetry.registry import TelemetryError
 from repro.telemetry.spans import Span, SpanTracer
 
 
@@ -59,7 +59,6 @@ class TestSnapshotWriterDegradation:
         # The run keeps issuing writes; none raise, none warn again.
         writer.write_snapshot(1.0, {"a": 2.0})
         writer.write_span(Span(name="controller.decide", time=1.0))
-        writer.write_log("warning", "event", {"time": 1.0})
         assert capsys.readouterr().err == ""
 
     def test_seq_keeps_advancing_while_disabled(self, tmp_path):
@@ -120,17 +119,19 @@ class TestSpanTracerDegradation:
         tracer = SpanTracer(clock=lambda: 0.0, sink=sink)
         tracer.record("controller.decide")
         assert "span sink disabled" in capsys.readouterr().err
-        tracer.record("controller.decide")
-        assert calls and len(calls) == 1  # the sink was dropped after one failure
-        assert tracer.count == 2  # but spans keep being counted
-        assert len(tracer.named("controller.decide")) == 2  # and retained
+        span = tracer.record("controller.decide")
+        assert [c.name for c in calls] == ["controller.decide"]  # dropped after one failure
+        assert span.name == "controller.decide"  # but tracing goes on
         assert capsys.readouterr().err == ""  # and no second warning
 
     def test_span_context_manager_survives_sink_death(self):
+        calls = []
+
         def sink(span):
+            calls.append(span)
             raise OSError(28, "No space left on device")
 
         tracer = SpanTracer(clock=lambda: 0.0, sink=sink)
         with tracer.span("rollout.stage", stage="stage-1"):
             pass  # must not raise
-        assert tracer.count == 1
+        assert [(c.name, c.status) for c in calls] == [("rollout.stage", "ok")]

@@ -42,19 +42,3 @@ class TestGetLogger:
         logger = get_logger("repro.test-level")
         logger.debug("noisy detail", k=1)
         assert capsys.readouterr().err == ""
-
-    def test_sink_tees_structured_payload(self, capsys):
-        received = []
-        logger = get_logger("repro.test-sink")
-        logger.set_sink(lambda level, event, fields: received.append((level, event, fields)))
-        logger.warning("guardrail breach", ratio=1.7)
-        assert received == [("warning", "guardrail breach", {"ratio": 1.7})]
-        assert "guardrail breach" in capsys.readouterr().err
-
-    def test_sink_receives_suppressed_levels(self, capsys):
-        received = []
-        logger = get_logger("repro.test-sink2")
-        logger.set_sink(lambda level, event, fields: received.append(event))
-        logger.debug("below threshold")
-        assert received == ["below threshold"]
-        assert capsys.readouterr().err == ""

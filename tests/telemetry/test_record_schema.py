@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.telemetry.registry import TelemetryError
+from repro.errors import TelemetryError
 from repro.telemetry.schema import (
     SCHEMA_VERSION,
     validate_record,

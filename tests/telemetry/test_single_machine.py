@@ -102,11 +102,40 @@ def test_probe_count_matches_default_cadence(tmp_path):
     assert 100 <= summary.snapshots <= 130
 
 
-def test_custom_probe_interval(tmp_path):
-    spec = _specs()["plain"]
+#: The gauges every single-machine snapshot carries, in sorted name order.
+_GAUGES = (
+    "latency.completed",
+    "latency.dropped",
+    "latency.windowed_p99_ms",
+    "scheduler.idle_cores",
+    "scheduler.occupancy",
+    "workload.offered_qps",
+    "workload.served_qps",
+    "workload.submitted",
+)
+#: The extra gauges of a run under PerfIso.
+_PERFISO_GAUGES = (
+    "controller.polls",
+    "controller.secondary_cores",
+    "controller.updates_applied",
+    "latency.slo_ms",
+)
+
+
+@pytest.mark.parametrize("name", ["plain", "isolated"])
+def test_snapshot_keys_sorted_then_slo_ratio(tmp_path, name):
+    """Metric keys come by sorted name, then ``latency.p99_over_slo`` last."""
+    spec = _specs()[name]
     path = tmp_path / "stream.jsonl"
-    session = TelemetrySession.to_path(str(path), source="test", probe_interval=0.25)
-    with session:
-        SingleMachineExperiment(spec).run(telemetry=session)
-    summary = validate_stream_file(str(path))
-    assert summary.snapshots <= 5
+    with TelemetrySession.to_path(str(path), source="test") as session:
+        SingleMachineExperiment(spec, scenario=name).run(telemetry=session)
+    gauges = sorted(_GAUGES + (_PERFISO_GAUGES if spec.perfiso is not None else ()))
+    snapshots = [r["metrics"] for r in read_records(str(path)) if r["type"] == "snapshot"]
+    with_ratio = 0
+    for metrics in snapshots:
+        expected = list(gauges)
+        if spec.perfiso is not None and metrics["latency.windowed_p99_ms"] is not None:
+            expected.append("latency.p99_over_slo")
+            with_ratio += 1
+        assert list(metrics) == expected
+    assert with_ratio > 0 if spec.perfiso is not None else with_ratio == 0

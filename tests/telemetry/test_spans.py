@@ -17,13 +17,14 @@ class FakeClock:
 def test_record_instant_span():
     clock = FakeClock()
     clock.now = 2.5
-    tracer = SpanTracer(clock)
+    received = []
+    tracer = SpanTracer(clock, sink=received.append)
     span = tracer.record("controller.decide", decision="hold")
     assert span.time == 2.5
     assert span.sim_duration == 0.0
     assert span.status == "ok"
     assert span.attributes == {"decision": "hold"}
-    assert tracer.count == 1
+    assert received == [span]
 
 
 def test_span_context_measures_sim_duration():
@@ -39,11 +40,12 @@ def test_span_context_measures_sim_duration():
 
 
 def test_span_marks_error_and_propagates():
-    tracer = SpanTracer(FakeClock())
+    received = []
+    tracer = SpanTracer(FakeClock(), sink=received.append)
     with pytest.raises(ValueError):
         with tracer.span("fleet.shards"):
             raise ValueError("boom")
-    (span,) = tracer.tail
+    (span,) = received
     assert span.status == "error"
     assert span.attributes["exception"] == "ValueError"
 
@@ -55,23 +57,6 @@ def test_spans_stream_to_sink_on_close():
         assert received == []  # emitted only once closed
     tracer.record("b")
     assert [span.name for span in received] == ["a", "b"]
-
-
-def test_tail_is_bounded():
-    tracer = SpanTracer(FakeClock())
-    for index in range(SpanTracer.TAIL_SPANS + 50):
-        tracer.record(f"span-{index}")
-    assert tracer.count == SpanTracer.TAIL_SPANS + 50
-    assert len(tracer.tail) == SpanTracer.TAIL_SPANS
-    assert tracer.tail[0].name == "span-50"
-
-
-def test_named_filters_tail():
-    tracer = SpanTracer(FakeClock())
-    tracer.record("x")
-    tracer.record("y")
-    tracer.record("x")
-    assert len(tracer.named("x")) == 2
 
 
 def test_as_record_is_schema_valid():

@@ -2,15 +2,10 @@
 
 import pytest
 
+from repro.errors import TelemetryError
 from repro.telemetry import SnapshotWriter, TelemetrySession, validate_stream_file
-from repro.telemetry.registry import TelemetryError
 from repro.telemetry.spans import Span
-from repro.telemetry.stream import (
-    _SPAN_ENCODE,
-    _span_line,
-    default_probe_interval,
-    read_records,
-)
+from repro.telemetry.stream import _SPAN_ENCODE, _span_line, read_records
 
 
 def test_meta_record_written_on_construction(tmp_path):
@@ -79,26 +74,6 @@ def test_span_fast_serialiser_matches_json_encoder(span):
     assert _span_line(span) == _SPAN_ENCODE(span.as_record())
 
 
-def test_write_log_stringifies_fields(tmp_path):
-    path = tmp_path / "s.jsonl"
-    with SnapshotWriter(str(path), source="test") as writer:
-        writer.write_log("warning", "guardrail breach", {"ratio": 1.7})
-    records = read_records(str(path))
-    assert records[1] == {
-        "type": "log",
-        "level": "warning",
-        "event": "guardrail breach",
-        "fields": {"ratio": "1.7"},
-    }
-    validate_stream_file(str(path))
-
-
-def test_default_probe_interval():
-    assert default_probe_interval(1.28) == pytest.approx(0.01)
-    with pytest.raises(TelemetryError):
-        default_probe_interval(0.0)
-
-
 def test_session_to_path_and_tracer(tmp_path):
     path = tmp_path / "s.jsonl"
     with TelemetrySession.to_path(str(path), source="matrix") as session:
@@ -109,12 +84,3 @@ def test_session_to_path_and_tracer(tmp_path):
     assert summary.spans == 1
     assert summary.snapshots == 1
     assert summary.span_names == {"fleet.shards": 1}
-
-
-def test_session_interval_override():
-    writer_path = "/dev/null"
-    session = TelemetrySession(SnapshotWriter(writer_path, source="t"), probe_interval=0.25)
-    assert session.interval_for(10.0) == 0.25
-    session.close()
-    with pytest.raises(TelemetryError, match="positive"):
-        TelemetrySession(SnapshotWriter(writer_path, source="t"), probe_interval=0.0)
