@@ -28,7 +28,7 @@ import numpy as np
 
 from ..config.schema import ClusterSpec
 from ..errors import ClusterError
-from ..metrics.latency import LatencyStats
+from ..metrics.latency import LatencyStats, latency_stats
 
 __all__ = ["SampledLayerStats", "SampledClusterModel"]
 
@@ -53,22 +53,6 @@ class SampledLayerStats:
             "tla_p95_ms": self.tla.as_millis()["p95_ms"],
             "tla_p99_ms": self.tla.as_millis()["p99_ms"],
         }
-
-
-def _stats(values: np.ndarray) -> LatencyStats:
-    if values.size == 0:
-        return LatencyStats.empty()
-    p50, p95, p99, p999 = np.percentile(values, [50, 95, 99, 99.9])
-    return LatencyStats(
-        count=int(values.size),
-        dropped=0,
-        mean=float(values.mean()),
-        p50=float(p50),
-        p95=float(p95),
-        p99=float(p99),
-        p999=float(p999),
-        maximum=float(values.max()),
-    )
 
 
 class SampledClusterModel:
@@ -115,9 +99,9 @@ class SampledClusterModel:
         mla = draws.max(axis=1) + 2 * hop + cluster.mla_aggregation_cost
         tla = mla + 2 * hop + 2 * cluster.tla_aggregation_cost
         return SampledLayerStats(
-            local=_stats(draws.ravel()),
-            mla=_stats(mla),
-            tla=_stats(tla),
+            local=latency_stats(draws.ravel()),
+            mla=latency_stats(mla),
+            tla=latency_stats(tla),
         )
 
     def tail_at_scale_curve(

@@ -37,6 +37,7 @@ from ..simulation.events import EventPriority
 from ..simulation.randomness import RandomStreams
 from ..tenants.indexserve import QueryOutcome
 from ..workloads.arrival import OpenLoopClient
+from ..workloads.arrival_models import ConstantArrival
 from ..workloads.query_trace import QueryTrace
 from .layout import ClusterLayout, IndexMachineInfo
 
@@ -132,11 +133,10 @@ class SimulatedCluster:
         client = OpenLoopClient(
             self.engine,
             self._trace,
-            qps=self._total_qps,
-            duration=workload.total_time,
+            ConstantArrival(self._total_qps),
+            workload,
             submit=self._submit_request,
             rng=self._streams.stream("cluster-arrivals"),
-            arrival_process=workload.arrival_process,
         )
         client.start()
         self.engine.run(until=workload.total_time)

@@ -280,31 +280,18 @@ class PidPolicy(CpuIsolationPolicy):
         return AllocationDecision(core_count=target)
 
 
-def _capacity_target(
-    total_cores: int,
-    forecast_peak_qps: float,
-    qps_per_core: float,
-    headroom_cores: int,
-    min_secondary_cores: int,
-) -> int:
-    """Cores left for the secondary after reserving for a QPS forecast."""
-    needed = math.ceil(forecast_peak_qps / qps_per_core) + headroom_cores
-    ceiling = max(min_secondary_cores, total_cores - headroom_cores)
-    return max(min_secondary_cores, min(ceiling, total_cores - needed))
-
-
 class ModelPredictivePolicy(CpuIsolationPolicy):
     """Sizes the secondary against the forecast peak over the next window.
 
     ``needed = ceil(peak / qps_per_core) + headroom`` cores are reserved for
     the primary; the secondary gets the remainder.  Without a forecast
-    (no arrival model attached) the allocation holds.
+    (none attached, or a telemetry fault withholds it) the allocation holds.
     """
 
     name = "mpc"
     uses_forecast = True
 
-    def __init__(self, spec: MpcControlSpec) -> None:
+    def __init__(self, spec: MpcControlSpec | OracleControlSpec) -> None:
         self._spec = spec
 
     def forecast_horizon(self, poll_interval: float) -> float:
@@ -321,13 +308,9 @@ class ModelPredictivePolicy(CpuIsolationPolicy):
         if peak is None:
             return None
         spec = self._spec
-        target = _capacity_target(
-            observation.total_cores,
-            peak,
-            spec.qps_per_core,
-            spec.headroom_cores,
-            spec.min_secondary_cores,
-        )
+        total = observation.total_cores
+        needed = math.ceil(peak / spec.qps_per_core) + spec.headroom_cores
+        target = max(spec.min_secondary_cores, min(self.max_secondary(total), total - needed))
         if target == observation.current_core_count:
             return None
         return AllocationDecision(core_count=target)
@@ -372,45 +355,21 @@ class UtilizationTargetPolicy(CpuIsolationPolicy):
         return AllocationDecision(core_count=target)
 
 
-class OraclePolicy(CpuIsolationPolicy):
+class OraclePolicy(ModelPredictivePolicy):
     """Clairvoyant controller: reads the future arrival trace.
 
-    Identical capacity arithmetic to :class:`ModelPredictivePolicy`, but the
-    forecast window is ``lookahead`` seconds of the *actual* future rate
-    curve, so the secondary shrinks before a spike lands.  An unrealisable
-    upper bound for ranking the realisable controllers against.
+    Identical capacity arithmetic to :class:`ModelPredictivePolicy` (its
+    :class:`OracleControlSpec` carries the same ``qps_per_core``,
+    ``headroom_cores`` and ``min_secondary_cores``), but the forecast window
+    is ``lookahead`` seconds of the *actual* future rate curve, so the
+    secondary shrinks before a spike lands.  An unrealisable upper bound for
+    ranking the realisable controllers against.
     """
 
     name = "oracle"
-    uses_forecast = True
-
-    def __init__(self, spec: OracleControlSpec) -> None:
-        self._spec = spec
 
     def forecast_horizon(self, poll_interval: float) -> float:
         return max(self._spec.lookahead, poll_interval)
-
-    def max_secondary(self, total_cores: int) -> int:
-        return max(self._spec.min_secondary_cores, total_cores - self._spec.headroom_cores)
-
-    def initial_decision(self, total_cores: int) -> AllocationDecision:
-        return AllocationDecision(core_count=self.max_secondary(total_cores))
-
-    def decide(self, observation: ControllerObservation) -> Optional[AllocationDecision]:
-        peak = observation.forecast_peak_qps
-        if peak is None:
-            return None
-        spec = self._spec
-        target = _capacity_target(
-            observation.total_cores,
-            peak,
-            spec.qps_per_core,
-            spec.headroom_cores,
-            spec.min_secondary_cores,
-        )
-        if target == observation.current_core_count:
-            return None
-        return AllocationDecision(core_count=target)
 
 
 _POLICY_CLASSES: Dict[str, Type[CpuIsolationPolicy]] = {

@@ -19,11 +19,7 @@ import numpy as np
 from ..config.schema import ExperimentSpec
 from ..config.validation import validate_experiment
 from ..core.controller import PerfIsoController
-from ..faults.injector import (
-    DegradedForecast,
-    DegradedLatencyWindow,
-    SingleMachineFaultInjector,
-)
+from ..faults.injector import DegradedSignal, SingleMachineFaultInjector
 from ..hardware.machine import Machine
 from ..hostos.syscalls import Kernel
 from ..core.policies import policy_class
@@ -37,12 +33,8 @@ from ..tenants.disk_bully import DiskBullyTenant
 from ..tenants.hdfs import HdfsTenant
 from ..tenants.indexserve import IndexServeTenant
 from ..tenants.ml_training import MlTrainingTenant
-from ..workloads.arrival import OpenLoopClient, VariableRateClient
-from ..workloads.arrival_models import (
-    ARRIVAL_MODEL_STREAM,
-    ConstantArrival,
-    build_arrival_model,
-)
+from ..workloads.arrival import OpenLoopClient
+from ..workloads.arrival_models import ARRIVAL_MODEL_STREAM, build_arrival_model
 from ..workloads.query_trace import QueryTrace
 
 __all__ = ["MachineAssembly", "SingleMachineResult", "SingleMachineExperiment"]
@@ -159,7 +151,8 @@ class MachineAssembly:
         # Arrival models draw only from their own named stream (the bursty
         # state path), so a trace-driven workload cannot perturb the draws of
         # any other component; constant-rate specs never touch the stream.
-        arrival_model = self.arrival_model = build_arrival_model(
+        # The model is also the controller's forecast.
+        self.arrival_model = build_arrival_model(
             spec.workload,
             horizon=spec.workload.total_time,
             rng=streams.stream(ARRIVAL_MODEL_STREAM),
@@ -176,29 +169,24 @@ class MachineAssembly:
             if faults is not None and faults.telemetry is not None and faults.telemetry.enabled
             else None
         )
-        latency_proxy: Optional[DegradedLatencyWindow] = None
-        forecast_proxy: Optional[DegradedForecast] = None
+        latency_proxy: Optional[DegradedSignal] = None
+        forecast_proxy: Optional[DegradedSignal] = None
 
         controller = self.controller = None
         if spec.perfiso is not None:
             controller = self.controller = PerfIsoController(kernel, spec.perfiso)
             controller.observe_primary(primary.process)
             # Forecast-driven policies ask the arrival model for the exact
-            # peak over their horizon; constant workloads forecast trivially.
-            forecast = (
-                arrival_model
-                if arrival_model is not None
-                else ConstantArrival(spec.workload.qps)
-            )
+            # peak over their horizon.
+            forecast = self.arrival_model
             controller_window = latency_window
             if telemetry_fault is not None:
                 # The controller reads its signals through fault proxies; the
                 # real window still receives every collector sample and the
                 # telemetry session still reads the raw sources.
-                forecast_proxy = DegradedForecast(forecast)
-                forecast = forecast_proxy
+                forecast = forecast_proxy = DegradedSignal(forecast)
                 if latency_window is not None:
-                    latency_proxy = DegradedLatencyWindow(latency_window)
+                    latency_proxy = DegradedSignal(latency_window)
                     controller_window = latency_proxy
             controller.attach_telemetry(forecast=forecast, latency_window=controller_window)
 
@@ -287,40 +275,20 @@ class SingleMachineExperiment:
         node = self.assembly = MachineAssembly(engine, spec, streams)
 
         # Time-varying workloads size the query trace by their mean offered
-        # rate; for the stationary client mean_qps == qps, so legacy specs
-        # draw the identical trace they always did.
+        # rate; at a constant rate mean_qps == qps.
         trace = _trace_for(
             spec,
             size=min(spec.workload.trace_queries, max(1000, int(spec.workload.mean_qps * spec.workload.total_time))),
             streams=streams,
         )
-        # Constant-rate specs keep the batched-gap fast path through
-        # OpenLoopClient; arrival models drive a variable-rate client.
-        if node.arrival_model is None:
-            client = OpenLoopClient(
-                engine,
-                trace,
-                qps=spec.workload.qps,
-                duration=spec.workload.total_time,
-                submit=node.primary.submit,
-                rng=streams.stream("arrivals"),
-                arrival_process=spec.workload.arrival_process,
-            )
-        else:
-            client = VariableRateClient(
-                engine,
-                trace,
-                rate_fn=node.arrival_model.rate_at,
-                duration=spec.workload.total_time,
-                submit=node.primary.submit,
-                rng=streams.stream("arrivals"),
-                # The client's default floor of 1 qps would silently drive
-                # traffic through zero-QPS trace buckets.  A near-zero floor
-                # plus the idle-recheck poll keeps idle windows genuinely
-                # idle while still noticing when the rate comes back.
-                min_rate=1e-9,
-                idle_recheck=spec.workload.duration / 256.0,
-            )
+        client = OpenLoopClient(
+            engine,
+            trace,
+            node.arrival_model,
+            spec.workload,
+            submit=node.primary.submit,
+            rng=streams.stream("arrivals"),
+        )
         client.start()
 
         if telemetry is not None:
@@ -360,7 +328,7 @@ class SingleMachineExperiment:
             result.controller_polls = node.controller.polls
             result.controller_updates = node.controller.updates_applied
             result.secondary_core_history = list(node.controller.core_count_history)
-        if node.arrival_model is not None:
+        if spec.workload.arrival_kind != "constant":
             # The offered-load curve over the measured window, summarised so
             # trace-driven goldens pin the *shape* of the workload too.  The
             # mean samples the curve every 1/128 of the window, both ends

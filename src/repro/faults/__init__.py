@@ -26,11 +26,7 @@ from .fleet import (
     ShardFaultPlan,
     fleet_fault_horizon,
 )
-from .injector import (
-    DegradedForecast,
-    DegradedLatencyWindow,
-    SingleMachineFaultInjector,
-)
+from .injector import DegradedSignal, SingleMachineFaultInjector
 from .schedule import (
     FAULTS_STREAM,
     expected_availability,
@@ -42,8 +38,7 @@ from .schedule import (
 
 __all__ = [
     "FAULTS_STREAM",
-    "DegradedForecast",
-    "DegradedLatencyWindow",
+    "DegradedSignal",
     "FaultyConfigStore",
     "FleetFaultTimeline",
     "ShardFaultPlan",

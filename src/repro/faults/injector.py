@@ -16,21 +16,19 @@ from typing import List, Optional, Tuple
 from ..config.schema import FaultPlanSpec
 from ..simulation.events import EventPriority
 
-__all__ = [
-    "DegradedForecast",
-    "DegradedLatencyWindow",
-    "SingleMachineFaultInjector",
-]
+__all__ = ["DegradedSignal", "SingleMachineFaultInjector"]
 
 
-class DegradedLatencyWindow:
-    """Telemetry-fault proxy over a sliding latency window.
+class DegradedSignal:
+    """Telemetry-fault proxy over one signal the controller reads.
 
-    The controller reads ``p99(now)`` through this proxy; the real window
-    keeps receiving every observation from the collector.  In ``"missing"``
-    mode reads return ``None`` (the metrics feed dropped); in ``"frozen"``
-    mode they return the last value served while healthy (a stale cache that
-    keeps answering).  Policies already treat ``None`` as "no data: hold".
+    The controller reads a latency window's ``p99(now)`` or an arrival
+    model's forecast ``peak_in(start, end)`` through this proxy, while the
+    collector keeps feeding the real window.  In ``"missing"`` mode reads
+    return ``None`` (the metrics feed dropped); in ``"frozen"`` mode they
+    return the last value served while healthy (a stale cache that keeps
+    answering).  Neither mode reads the source.  Policies already treat
+    ``None`` as "no data: hold".
     """
 
     def __init__(self, inner) -> None:
@@ -38,54 +36,24 @@ class DegradedLatencyWindow:
         self._mode = "ok"
         self._last_good: Optional[float] = None
 
-    @property
-    def mode(self) -> str:
-        return self._mode
-
     def set_mode(self, mode: str) -> None:
         self._mode = mode
 
     def p99(self, now: float) -> Optional[float]:
-        if self._mode == "missing":
-            return None
-        if self._mode == "frozen":
-            return self._last_good
-        value = self._inner.p99(now)
-        if value is not None:
-            self._last_good = value
-        return value
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
-
-
-class DegradedForecast:
-    """Telemetry-fault proxy over an arrival-model forecast (``peak_in``)."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self._mode = "ok"
-        self._last_good: Optional[float] = None
-
-    @property
-    def mode(self) -> str:
-        return self._mode
-
-    def set_mode(self, mode: str) -> None:
-        self._mode = mode
+        return self._read(self._inner.p99, now)
 
     def peak_in(self, start: float, end: float) -> Optional[float]:
+        return self._read(self._inner.peak_in, start, end)
+
+    def _read(self, source, *args: float) -> Optional[float]:
         if self._mode == "missing":
             return None
         if self._mode == "frozen":
             return self._last_good
-        value = self._inner.peak_in(start, end)
+        value = source(*args)
         if value is not None:
             self._last_good = value
         return value
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
 
 
 class SingleMachineFaultInjector:
@@ -104,8 +72,8 @@ class SingleMachineFaultInjector:
         engine,
         kernel,
         controller=None,
-        latency_proxy: Optional[DegradedLatencyWindow] = None,
-        forecast_proxy: Optional[DegradedForecast] = None,
+        latency_proxy: Optional[DegradedSignal] = None,
+        forecast_proxy: Optional[DegradedSignal] = None,
     ) -> None:
         self._plan = plan
         self._engine = engine

@@ -6,7 +6,7 @@ strategies and fleet sizes.  Each builder returns a
 :class:`~repro.config.schema.FleetSpec`; they are registered in the same
 scenario matrix as the single-machine catalog under ``kind="fleet"``, so
 ``python -m repro.experiments.matrix --list`` shows both axes of diversity
-and ``python -m repro.fleet --scenario NAME`` runs them.
+and ``python -m repro.experiments.matrix --run NAME`` runs them.
 """
 
 from __future__ import annotations

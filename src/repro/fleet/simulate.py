@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.autopilot import Autopilot, ManagedService
+from ..cluster.autopilot import Autopilot
 from ..config.schema import FleetSpec, PerfIsoSpec, BlindIsolationSpec
 from ..config.validation import validate_fleet
 from ..faults.fleet import FaultyConfigStore, FleetFaultTimeline, ShardFaultPlan
@@ -369,7 +369,6 @@ class FleetSimulation:
         self.autopilot = Autopilot()
         self.rollout: Optional[StagedRollout] = None
         self.fault_timeline: Optional[FleetFaultTimeline] = None
-        self.rollout_service: Optional[ManagedService] = None
 
     # ---------------------------------------------------------------- wiring
     def _config_entries(self) -> Dict[str, Tuple[PerfIsoSpec, PerfIsoSpec]]:
@@ -396,7 +395,7 @@ class FleetSimulation:
 
         # ---------------------------------------------------- fault timeline
         # An absent or all-disabled plan leaves every path below untouched:
-        # no timeline, no store wrapper, no crash service — byte-identical
+        # no timeline, no store wrapper, no pending crash — byte-identical
         # to a spec with no fault plan at all.
         fault_plan = (
             spec.faults if spec.faults is not None and not spec.faults.is_noop else None
@@ -423,24 +422,6 @@ class FleetSimulation:
             else None
         )
         crash_pending = crash_spec is not None
-        # The rollout coordinator as an Autopilot-managed service: its state
-        # (rollout cursor) is checkpointed before every stage attempt, and a
-        # controller-crash fault restarts it through the same
-        # checkpoint/crash_and_recover path a production PerfIso instance
-        # recovers through.
-        controller_state: Dict[str, object] = {"stage": "bake", "bucket_cursor": 0}
-        self.rollout_service = None
-        if crash_spec is not None:
-            self.rollout_service = ManagedService(
-                name="rollout-controller",
-                machine="fleet-coordinator",
-                start=lambda: None,
-                stop=lambda: None,
-                save_state=lambda: dict(controller_state),
-                restore_state=controller_state.update,
-            )
-            self.autopilot.register(self.rollout_service)
-            self.autopilot.start("fleet-coordinator", "rollout-controller")
 
         rollout = StagedRollout(store, spec.rollout, self._config_entries())
         self.rollout = rollout
@@ -666,10 +647,6 @@ class FleetSimulation:
                     stage_span = stage_stack.enter_context(
                         tracer.span("rollout.stage", stage=stage, fraction=fraction)
                     )
-                if self.rollout_service is not None:
-                    controller_state["stage"] = stage
-                    controller_state["bucket_cursor"] = bucket_cursor
-                    self.autopilot.checkpoint("fleet-coordinator", "rollout-controller")
                 window_start = bucket_cursor * spec.bucket_seconds
 
                 merged, reclaimed, progress = run_buckets(
@@ -718,11 +695,10 @@ class FleetSimulation:
 
                 if crash_pending and window_start <= crash_spec.at < window_end:
                     # The coordinating controller died inside this attempt's
-                    # measurement window: Autopilot restarts it from its last
-                    # checkpoint, but the attempt's guardrail digest is gone
-                    # — the verdict must fail safe, not advance on thin air.
+                    # measurement window and the attempt's guardrail digest
+                    # is gone — the verdict must fail safe, not advance on
+                    # thin air.
                     crash_pending = False
-                    self.autopilot.crash_and_recover("fleet-coordinator", "rollout-controller")
                     worst_ratio = float("nan")
 
                 decision = rollout.record_stage(stage, fraction, worst_ratio)

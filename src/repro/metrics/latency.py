@@ -22,6 +22,7 @@ from ..units import to_millis
 
 __all__ = [
     "LatencyStats",
+    "latency_stats",
     "LatencyCollector",
     "SlidingLatencyWindow",
     "LatencyDigest",
@@ -60,10 +61,6 @@ class LatencyStats:
             "max_ms": to_millis(self.maximum),
         }
 
-    @staticmethod
-    def empty() -> "LatencyStats":
-        return LatencyStats(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
 
 def _as_nonnegative_array(latencies: Iterable[float]) -> np.ndarray:
     """Coerce bulk samples to float64 and reject negative values."""
@@ -76,7 +73,8 @@ def _as_nonnegative_array(latencies: Iterable[float]) -> np.ndarray:
     return values
 
 
-def _stats_from_array(values: np.ndarray, dropped: int) -> LatencyStats:
+def latency_stats(values: np.ndarray, dropped: int = 0) -> LatencyStats:
+    """Summary statistics of ``values`` (seconds), plus a ``dropped`` count."""
     if values.size == 0:
         return LatencyStats(0, dropped, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     p50, p95, p99, p999 = np.percentile(values, [50.0, 95.0, 99.0, 99.9])
@@ -179,7 +177,7 @@ class LatencyCollector:
         return self._buffer[: self._count]
 
     def stats(self) -> LatencyStats:
-        return _stats_from_array(self._view(), self._dropped)
+        return latency_stats(self._view(), self._dropped)
 
     def percentile(self, q: float) -> float:
         if self._count == 0:

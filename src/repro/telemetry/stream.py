@@ -338,10 +338,7 @@ class TelemetrySession:
                 state["served_qps"] = (completed - state["last_completed"]) / elapsed
             state["last_time"] = now
             state["last_completed"] = completed
-            if arrival_model is not None:
-                offered = float(arrival_model.rate_at(now))
-            else:
-                offered = float(spec.workload.qps)
+            offered = float(arrival_model.rate_at(now))
             if latency_window is not None:
                 # A latency-feedback policy already maintains a sliding
                 # window; report the same number the controller sees.

@@ -1,6 +1,6 @@
 """Workload generation: query traces, open-loop clients and arrival models."""
 
-from .arrival import OpenLoopClient, VariableRateClient
+from .arrival import OpenLoopClient
 from .arrival_models import (
     ArrivalModel,
     BurstyArrival,
@@ -16,7 +16,6 @@ from .service_time import WorkerFanoutModel, WorkerServiceTimeModel
 
 __all__ = [
     "OpenLoopClient",
-    "VariableRateClient",
     "ArrivalModel",
     "ConstantArrival",
     "DiurnalArrival",

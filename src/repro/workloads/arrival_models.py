@@ -1,9 +1,9 @@
-"""Time-varying arrival-rate models and trace synthesis.
+"""Arrival-rate models and trace synthesis.
 
 The paper's evaluation rests on IndexServe's *production* traffic shape —
 diurnal swings and bursts are exactly what makes a static idle-core buffer
-interesting — so the workload layer models four time-varying arrival
-processes on top of the stationary clients in :mod:`repro.workloads.arrival`:
+interesting — so besides a constant rate (:class:`ConstantArrival`) the
+workload layer models four time-varying arrival processes:
 
 * :class:`DiurnalArrival` — sinusoidal day/night swing with a phase offset
   (shared with the fleet model's per-row curves, so the two cannot drift);
@@ -14,11 +14,11 @@ processes on top of the stationary clients in :mod:`repro.workloads.arrival`:
   (:class:`~repro.config.schema.TraceSpec`, loaded from JSONL/CSV files by
   :mod:`repro.config.traces`).
 
-Every model is a deterministic rate function ``rate_at(t)``; driving it
-through :class:`~repro.workloads.arrival.VariableRateClient` keeps the PR-4
-batched standard-exponential gap draws, so arrival sequences stay
-bit-identical at any worker count.  :func:`synthesize_trace` flattens any
-parametric model into a replayable :class:`TraceSpec`, which is what the
+Every model is a deterministic rate function ``rate_at(t)``; the one
+:class:`~repro.workloads.arrival.OpenLoopClient` reads it with batched
+standard-exponential gap draws, so arrival sequences stay bit-identical at
+any worker count.  :func:`synthesize_trace` flattens any parametric model
+into a replayable :class:`TraceSpec`, which is what the
 ``python -m repro.workloads`` CLI writes to trace files.
 """
 
@@ -78,7 +78,7 @@ class ArrivalModel:
 
 
 class ConstantArrival(ArrivalModel):
-    """The stationary client's rate as a model (for uniform treatment)."""
+    """A constant rate: the model of every workload that sets no other."""
 
     def __init__(self, qps: float) -> None:
         if qps <= 0:
@@ -256,8 +256,10 @@ def build_arrival_model(
     workload: WorkloadSpec,
     horizon: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
-) -> Optional[ArrivalModel]:
-    """The runtime model for ``workload``'s arrival spec (``None`` = constant).
+) -> ArrivalModel:
+    """The runtime model for ``workload``'s arrival spec.
+
+    A workload that sets no arrival model runs at ``ConstantArrival(qps)``.
 
     ``horizon`` defaults to the workload's total time; ``rng`` (the named
     ``"arrival-model"`` stream) is only consumed by models that need draws —
@@ -265,7 +267,7 @@ def build_arrival_model(
     """
     spec = workload.arrival_model_spec
     if spec is None:
-        return None
+        return ConstantArrival(workload.qps)
     if horizon is None:
         horizon = workload.total_time
     if isinstance(spec, DiurnalSpec):

@@ -67,11 +67,6 @@ class TestChaosRolloutRecovers:
         assert retry_row.p99_ratio != retry_row.p99_ratio
         assert retry_row.row()["p99_ratio"] is None
 
-    def test_controller_restarted_through_autopilot(self, chaos_run):
-        _, simulation, _ = chaos_run
-        assert simulation.rollout_service.restarts == 1
-        assert simulation.rollout_service.running
-
     def test_transient_push_failures_absorbed(self, chaos_run):
         _, simulation, _ = chaos_run
         assert simulation.rollout.push_failures == 2

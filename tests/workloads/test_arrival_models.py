@@ -260,7 +260,11 @@ class TestWorkloadSpecArrival:
 
 class TestBuildArrivalModel:
     def test_constant_workload_returns_none(self):
-        assert build_arrival_model(WorkloadSpec()) is None
+        """A workload with no arrival model runs at ConstantArrival, never None."""
+        model = build_arrival_model(WorkloadSpec(qps=750.0))
+        assert isinstance(model, ConstantArrival)
+        assert model.rate_at(0.0) == 750.0
+        assert model.peak_in(0.0, 11.0) == 750.0
 
     def test_dispatch(self):
         rng = np.random.default_rng(0)
