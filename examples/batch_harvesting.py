@@ -13,8 +13,9 @@ primary, all under one PerfIso controller:
 * The memory guard and egress throttle protect RAM and the NIC.
 
 It also demonstrates two operational features: the kill switch (instantly
-lifting every restriction for debugging) and crash recovery through the
-Autopilot substrate.
+lifting every restriction for debugging) and crash recovery, by rerunning
+the same spec with a fault plan that crashes the controller mid-run; the
+restarted controller restores its last checkpoint.
 
 Run:  python examples/batch_harvesting.py
 """
@@ -26,10 +27,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.cluster.autopilot import Autopilot, ManagedService
 from repro.config.schema import (
     BlindIsolationSpec,
+    ControllerCrashSpec,
     ExperimentSpec,
+    FaultPlanSpec,
     HdfsSpec,
     MlTrainingSpec,
     PerfIsoSpec,
@@ -100,22 +102,15 @@ def main() -> None:
           len(controller.secondary_affinity), "cores")
 
     # --------------------------------------------------------- crash recovery
-    autopilot = Autopilot()
-    autopilot.config.publish("perfiso.json", build_spec().perfiso)
-    service = ManagedService(
-        name="perfiso",
-        machine="node-0",
-        start=lambda: None,          # the controller object already exists
-        stop=controller.stop,
-        save_state=controller.state_dict,
-        restore_state=controller.restore_state,
-    )
-    autopilot.register(service)
-    autopilot.start("node-0", "perfiso")
-    autopilot.checkpoint("node-0", "perfiso")
-    autopilot.crash_and_recover("node-0", "perfiso")
-    print(f"autopilot restarted PerfIso {service.restarts} time(s); "
-          f"restored allocation of {controller.secondary_core_count} cores from its checkpoint")
+    crash = ControllerCrashSpec(at=WARMUP + DURATION / 2)
+    crashed = SingleMachineExperiment(
+        build_spec().replace(faults=FaultPlanSpec(controller_crash=crash)),
+        "ml-harvesting-crash",
+    ).run()
+    print(f"\ncontroller crashed at t={crash.at:g} s and restarted "
+          f"{crashed.extra['controller_restarts']:.0f} time(s) from its last checkpoint; "
+          f"P99 {crashed.summary()['p99_ms']:.2f} ms "
+          f"(without the crash: {result.summary()['p99_ms']:.2f} ms)")
 
 
 if __name__ == "__main__":

@@ -1,14 +1,12 @@
-"""Multi-machine serving cluster: layout, routing, Autopilot, sampled fan-out."""
+"""Multi-machine serving cluster: layout, routing, config store, sampled fan-out."""
 
-from .autopilot import Autopilot, ConfigStore, ManagedService
+from .autopilot import ConfigStore
 from .layout import ClusterLayout, IndexMachineInfo
 from .sampled import SampledClusterModel, SampledLayerStats
 from .simulated import ClusterResult, ClusterScenario, SimulatedCluster
 
 __all__ = [
-    "Autopilot",
     "ConfigStore",
-    "ManagedService",
     "ClusterLayout",
     "IndexMachineInfo",
     "SampledClusterModel",

@@ -61,12 +61,6 @@ class ClusterLayout:
             raise ClusterError(f"row {row} out of range (0..{self._spec.rows - 1})")
         return [m for m in self._index_machines if m.row == row]
 
-    def machine_for(self, partition: int, row: int) -> IndexMachineInfo:
-        for machine in self._index_machines:
-            if machine.partition == partition and machine.row == row:
-                return machine
-        raise ClusterError(f"no machine for partition={partition}, row={row}")
-
     @property
     def total_machines(self) -> int:
         return len(self._index_machines) + len(self._tla_machines)

@@ -1,27 +1,23 @@
-"""Loading and saving configurations as cluster-wide JSON files.
+"""Specs as cluster-wide JSON configuration documents.
 
 The paper distributes PerfIso's static limits as cluster-wide configuration
 files through Autopilot (Section 4).  This module provides the equivalent:
 every spec dataclass in :mod:`repro.config.schema` can be serialised to and
-from a plain JSON document, so deployments (:mod:`repro.cluster.autopilot`)
-can ship one file to every machine and PerfIso can reload its state after a
-crash.
+from a plain JSON document, which is what the versioned configuration store
+(:class:`repro.cluster.autopilot.ConfigStore`) keeps for each file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 from typing import Any, Dict, Optional, Type, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from ..errors import ConfigError
 
-__all__ = ["to_dict", "from_dict", "dump_json", "load_json", "save_file", "load_file"]
+__all__ = ["to_dict", "from_dict", "dump_json", "load_json"]
 
 T = TypeVar("T")
-
-_PATHLIKE = Union[str, Path]
 
 
 def to_dict(spec: Any) -> Dict[str, Any]:
@@ -88,19 +84,3 @@ def load_json(cls: Type[T], text: str) -> T:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON configuration: {exc}") from exc
     return from_dict(cls, data)
-
-
-def save_file(spec: Any, path: _PATHLIKE) -> Path:
-    """Write a spec to ``path`` as JSON and return the path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(dump_json(spec), encoding="utf-8")
-    return target
-
-
-def load_file(cls: Type[T], path: _PATHLIKE) -> T:
-    """Read a spec of type ``cls`` from a JSON file."""
-    source = Path(path)
-    if not source.exists():
-        raise ConfigError(f"configuration file not found: {source}")
-    return load_json(cls, source.read_text(encoding="utf-8"))

@@ -171,10 +171,6 @@ class MachineSpec:
         """Total number of logical cores (the paper's ``48``)."""
         return self.sockets * self.cores_per_socket * self.threads_per_core
 
-    @property
-    def physical_cores(self) -> int:
-        return self.sockets * self.cores_per_socket
-
 
 @dataclass(frozen=True)
 class SchedulerSpec:
@@ -1062,11 +1058,12 @@ class TelemetryFaultSpec:
 
 @dataclass(frozen=True)
 class ControllerCrashSpec:
-    """Controller crash followed by Autopilot ``restore_state`` recovery.
+    """Controller crash followed by recovery from its last checkpoint.
 
-    On a single machine the PerfIso controller is checkpointed every
-    ``checkpoint_interval`` seconds, killed at ``at`` and restarted
-    ``recovery_delay`` seconds later from its last checkpoint.  In a fleet
+    On a single machine the fault injector checkpoints the PerfIso
+    controller (``state_dict``) every ``checkpoint_interval`` seconds, stops
+    it at ``at``, and ``recovery_delay`` seconds later starts it again and
+    hands it the last checkpoint (``restore_state``).  In a fleet
     rollout the crash lands in whatever stage covers simulated time ``at``:
     that stage's guardrail digest is lost, the guardrail fails safe and the
     stage retries with backoff.  ``at == 0`` disables the fault.

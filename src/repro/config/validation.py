@@ -9,8 +9,6 @@ RAM, buffer cores must leave at least one core for the primary).
 
 from __future__ import annotations
 
-from typing import List
-
 from ..errors import ConfigError
 from .schema import ClusterScenario, ClusterSpec, ExperimentSpec, FaultPlanSpec, FleetSpec
 
@@ -20,7 +18,6 @@ __all__ = [
     "validate_cluster_scenario",
     "validate_fleet",
     "validate_fault_plan",
-    "collect_warnings",
 ]
 
 
@@ -240,41 +237,3 @@ def validate_fleet(spec: FleetSpec) -> None:
             horizon=total_buckets * spec.bucket_seconds,
             context="fleet",
         )
-
-
-def collect_warnings(spec: ExperimentSpec) -> List[str]:
-    """Return non-fatal configuration smells, useful in example scripts."""
-    warnings: List[str] = []
-    cores = spec.machine.logical_cores
-    if spec.perfiso is not None and spec.perfiso.cpu_policy == "blind":
-        buffer_cores = spec.perfiso.blind.buffer_cores
-        if buffer_cores < 4:
-            warnings.append(
-                f"buffer_cores={buffer_cores} is below the paper's recommended minimum (4); "
-                "tail latency may degrade under bursts"
-            )
-        if buffer_cores > cores // 2:
-            warnings.append(
-                f"buffer_cores={buffer_cores} reserves more than half the machine; the "
-                "secondary will make little progress"
-            )
-    if spec.workload.qps > 6000:
-        warnings.append(
-            f"qps={spec.workload.qps} is well above the paper's provisioned peak (4,000); "
-            "the primary alone may saturate the machine"
-        )
-    if spec.workload.duration < 2.0:
-        warnings.append("experiment duration under 2 s gives noisy tail-latency estimates")
-    trace = spec.workload.trace
-    if trace is not None and trace.duration < spec.workload.total_time:
-        warnings.append(
-            f"the replayed trace covers {trace.duration:g} s of a "
-            f"{spec.workload.total_time:g} s experiment; replay wraps around cyclically"
-        )
-    bursty = spec.workload.bursty
-    if bursty is not None and bursty.mean_normal_seconds > spec.workload.total_time:
-        warnings.append(
-            "the bursty mean dwell time exceeds the experiment window; most seeds "
-            "will never leave the normal state"
-        )
-    return warnings

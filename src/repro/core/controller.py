@@ -11,10 +11,9 @@ the machine and drives four mechanisms:
 * the memory guard;
 * the egress network throttle.
 
-It also implements the operational features the paper calls out for
+It also implements two of the operational features the paper calls out for
 production deployment: a kill switch that instantly removes every restriction
-(debugging aid), full recoverability from a serialisable state snapshot, and
-runtime reconfiguration from cluster-wide configuration pushes.
+(debugging aid) and full recoverability from a serialisable state snapshot.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional
 from ..config.schema import PerfIsoSpec
 from ..errors import IsolationError
 from ..hostos.jobobject import JobObject
-from ..hostos.process import OsProcess, TenantCategory
+from ..hostos.process import OsProcess
 from ..hostos.syscalls import Kernel
 from ..simulation.events import EventPriority
 from ..tenants.base import SecondaryTenant
@@ -94,18 +93,6 @@ class PerfIsoController:
         return self._policy
 
     @property
-    def io_throttler(self) -> DwrrIoThrottler:
-        return self._io_throttler
-
-    @property
-    def memory_guard(self) -> MemoryGuard:
-        return self._memory_guard
-
-    @property
-    def network_throttle(self) -> NetworkThrottle:
-        return self._network_throttle
-
-    @property
     def enabled(self) -> bool:
         return self._enabled
 
@@ -122,15 +109,9 @@ class PerfIsoController:
     def manage(self, tenant: SecondaryTenant) -> None:
         """Place a secondary tenant under PerfIso's job object."""
         tenant.attach_to_job(self._job)
-        for process in tenant.processes():
-            self._register_process(process)
-
-    def manage_process(self, process: OsProcess) -> None:
-        """Place a single secondary process under PerfIso's control."""
-        if process.category == TenantCategory.PRIMARY:
-            raise IsolationError("the primary tenant is never placed under PerfIso's job object")
-        self._job.assign(process)
-        self._register_process(process)
+        if self._spec.io_throttle.enabled:
+            for process in tenant.processes():
+                self._io_throttler.register(process)
 
     def observe_primary(self, process: OsProcess) -> None:
         """Register the primary for I/O measurement (never restricted)."""
@@ -159,10 +140,6 @@ class PerfIsoController:
         """
         self._tracer = tracer
 
-    def _register_process(self, process: OsProcess) -> None:
-        if self._spec.io_throttle.enabled:
-            self._io_throttler.register(process)
-
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Apply the initial policy and begin the poll loop."""
@@ -190,9 +167,6 @@ class PerfIsoController:
     def disable(self) -> None:
         """The kill switch: immediately lift every restriction (Section 4.2)."""
         self._enabled = False
-        self._lift_restrictions()
-
-    def _lift_restrictions(self) -> None:
         self._job.set_cpu_affinity(None)
         self._job.set_cpu_rate(None)
         self._current_core_count = None
@@ -212,35 +186,9 @@ class PerfIsoController:
             self._memory_guard.start()
             self._network_throttle.start()
 
-    # -------------------------------------------------------- reconfiguration
-    def update_spec(self, spec: PerfIsoSpec) -> None:
-        """Apply a new cluster-wide configuration at runtime.
-
-        Every mechanism is reconfigured, not just the CPU policy: the I/O
-        throttler, memory guard and network throttle swap to their new
-        sub-specs in place, and ``spec.enabled`` transitions act like the
-        kill switch (a push with ``enabled=False`` lifts every restriction,
-        a later push with ``enabled=True`` restores isolation).
-        """
-        was_enabled = self._enabled
-        self._spec = spec
-        self._policy = policy_from_spec(spec)
-        self._io_throttler.update_spec(spec.io_throttle)
-        self._memory_guard.update_spec(spec.memory_guard)
-        self._network_throttle.update_spec(spec.network_throttle)
-        self._enabled = spec.enabled
-        if not self._running:
-            return
-        if self._enabled:
-            self._apply(self._policy.initial_decision(self._kernel.logical_cores))
-            self._io_throttler.start()
-            self._memory_guard.start()
-            self._network_throttle.start()
-        elif was_enabled:
-            self._lift_restrictions()
-
+    # -------------------------------------------------------------- recovery
     def state_dict(self) -> Dict[str, object]:
-        """Serialisable controller state, for crash recovery via Autopilot."""
+        """Serialisable controller state: the checkpoint crash recovery restores."""
         return {
             "enabled": self._enabled,
             "cpu_policy": self._spec.cpu_policy,

@@ -85,10 +85,6 @@ class DwrrIoThrottler:
         self.tighten_events = 0
         self.relax_events = 0
 
-    @property
-    def spec(self) -> IoThrottleSpec:
-        return self._spec
-
     # ------------------------------------------------------------ membership
     def register(self, process: OsProcess, weight: Optional[float] = None) -> ProcessIoState:
         """Track ``process``; its weight defaults to its tenant-class weight."""
@@ -127,33 +123,6 @@ class DwrrIoThrottler:
         for state in self._states.values():
             if state.process.category == TenantCategory.SECONDARY:
                 self._apply_caps(state, bandwidth=None, iops=None)
-
-    # -------------------------------------------------------- reconfiguration
-    def update_spec(self, spec: IoThrottleSpec) -> None:
-        """Reconfigure in place from a cluster-wide configuration push.
-
-        Weights, the primary's IOPS guarantee and the secondary's static caps
-        all follow the new sub-spec immediately; a push that disables the
-        throttler stops the adjustment loop and lifts the applied caps.
-        """
-        self._spec = spec
-        self._weights = spec.weight_map()
-        for state in self._states.values():
-            state.weight = self._weights.get(state.process.category, state.weight)
-            if state.process.category == TenantCategory.PRIMARY:
-                state.guaranteed_iops = spec.primary_min_iops
-        if not spec.enabled:
-            if self._running:
-                self.stop()
-            self.clear_caps()
-            return
-        for state in self._states.values():
-            if state.process.category == TenantCategory.SECONDARY:
-                self._apply_caps(
-                    state,
-                    bandwidth=spec.secondary_bandwidth_limit or None,
-                    iops=spec.secondary_iops_limit or None,
-                )
 
     def _schedule_adjust(self) -> None:
         if self._chain_pending:
@@ -252,8 +221,8 @@ class DwrrIoThrottler:
         state.applied_bandwidth_cap = bandwidth
         state.applied_iops_cap = iops
         self._kernel.iostack.set_bandwidth_limit(state.process.name, self._volume, bandwidth)
-        # Passing None through clears a previously-set kernel IOPS cap (a new
-        # spec may disable the IOPS limit); untouched-and-unset stays unset.
+        # Passing None through clears a previously-set kernel IOPS cap (the
+        # kill switch lifts every cap); untouched-and-unset stays unset.
         if iops is not None or previous_iops is not None:
             self._kernel.iostack.set_iops_limit(state.process.name, self._volume, iops)
 

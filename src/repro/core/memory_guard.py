@@ -1,10 +1,10 @@
 """Memory guard: keep the primary's working set safe (Section 3.2).
 
 The primary is engineered for a fixed working set that must always be
-resident; the secondary's footprint is capped, and when free memory drops
-below a reserve the secondary's processes are killed (largest consumer first)
-until the reserve is restored.  Killing is acceptable for best-effort batch
-work — the cluster scheduler simply re-runs the task elsewhere.
+resident; when free memory drops below a reserve the secondary's processes
+are killed (largest consumer first) until the reserve is restored.  Killing
+is acceptable for best-effort batch work — the cluster scheduler simply
+re-runs the task elsewhere.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..config.schema import MemoryGuardSpec
-from ..errors import IsolationError
 from ..hostos.jobobject import JobObject
 from ..hostos.process import OsProcess
 from ..hostos.syscalls import Kernel
@@ -43,10 +42,6 @@ class MemoryGuard:
         self.checks = 0
         self.kills: List[str] = []
 
-    @property
-    def spec(self) -> MemoryGuardSpec:
-        return self._spec
-
     def start(self) -> None:
         if self._running or not self._spec.enabled:
             return
@@ -55,22 +50,6 @@ class MemoryGuard:
 
     def stop(self) -> None:
         self._running = False
-
-    def update_spec(self, spec: MemoryGuardSpec) -> None:
-        """Reconfigure in place from a cluster-wide configuration push.
-
-        The new reserve and check interval take effect from the next check; a
-        push that disables the guard stops the check loop.
-        """
-        self._spec = spec
-        if self._running and not spec.enabled:
-            self.stop()
-
-    def set_job_memory_limit(self, limit_bytes: Optional[int]) -> None:
-        """Cap the job object's total footprint (None removes the cap)."""
-        if limit_bytes is not None and limit_bytes <= 0:
-            raise IsolationError("job memory limit must be positive or None")
-        self._job.set_memory_limit(limit_bytes)
 
     # ------------------------------------------------------------- internals
     def _schedule_check(self) -> None:
@@ -90,9 +69,8 @@ class MemoryGuard:
         self._schedule_check()
 
     def _enforce(self) -> None:
-        # Kill until both conditions hold: the reserve is free and the job is
-        # within its own memory limit.
-        while self._needs_kill():
+        # Kill until the reserve is free again.
+        while self._kernel.free_memory_bytes() < self._spec.reserved_bytes:
             victim = self._pick_victim()
             if victim is None:
                 return
@@ -100,11 +78,6 @@ class MemoryGuard:
             self._kernel.kill_process(victim)
             if self._on_kill is not None:
                 self._on_kill(victim)
-
-    def _needs_kill(self) -> bool:
-        low_memory = self._kernel.free_memory_bytes() < self._spec.reserved_bytes
-        over_limit = self._job.exceeds_memory_limit()
-        return low_memory or over_limit
 
     def _pick_victim(self) -> Optional[OsProcess]:
         candidates = [p for p in self._job.processes if p.alive and p.memory_bytes > 0]

@@ -29,7 +29,6 @@ from .fleet import (
 from .injector import DegradedSignal, SingleMachineFaultInjector
 from .schedule import (
     FAULTS_STREAM,
-    expected_availability,
     fault_rng,
     fault_seed,
     machine_crash_episodes,
@@ -43,7 +42,6 @@ __all__ = [
     "FleetFaultTimeline",
     "ShardFaultPlan",
     "SingleMachineFaultInjector",
-    "expected_availability",
     "fault_rng",
     "fault_seed",
     "fleet_fault_horizon",

@@ -28,7 +28,6 @@ __all__ = [
     "fault_rng",
     "machine_crash_episodes",
     "machine_is_degraded",
-    "expected_availability",
 ]
 
 #: The reserved stream name.  All fault randomness hangs off this prefix.
@@ -99,18 +98,3 @@ def machine_is_degraded(
         return False
     rng = fault_rng("degraded-core", seed, group, machine_index)
     return bool(rng.random() < spec.fraction_of_machines)
-
-
-def expected_availability(spec: MachineFaultSpec) -> float:
-    """Steady-state fraction of time a machine is up under ``spec``.
-
-    With crashes arriving at rate lambda (per second of uptime) and mean
-    downtime D, the renewal cycle is ``1/lambda`` up followed by ``D`` down:
-    availability ``= 1 / (1 + lambda * D)``.  Used for sanity checks and
-    documentation; the fleet tier uses the *exact* drawn schedules, which
-    converge on this value in expectation.
-    """
-    if not spec.enabled:
-        return 1.0
-    rate_per_s = spec.crash_rate_per_hour / 3600.0
-    return 1.0 / (1.0 + rate_per_s * spec.mean_downtime)

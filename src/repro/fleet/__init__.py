@@ -9,7 +9,7 @@ while holding the tail.  This package simulates that operation end to end:
 * :mod:`repro.fleet.placement` — deterministic bin-packing of batch job
   sizes onto per-machine reclaimable-capacity arrays;
 * :mod:`repro.fleet.rollout` — canary -> wave -> fleet staging with SLO
-  guardrails over the versioned Autopilot configuration store;
+  guardrails over the versioned configuration store (``ConfigStore``);
 * :mod:`repro.fleet.accounting` — reclaimed core-hours, batch throughput and
   SLO-violation minutes folded from mergeable latency digests;
 * :mod:`repro.fleet.simulate` — sharded execution over the parallel runtime;

@@ -96,10 +96,6 @@ class FleetResult:
     def slo_violation_minutes(self) -> float:
         return sum(stage.slo_violation_minutes for stage in self.stages)
 
-    @property
-    def halted(self) -> bool:
-        return self.status == "halted"
-
     def totals(self) -> Dict[str, Any]:
         baseline = self.baseline_digest.stats()
         colocated = self.colocated_digest.stats()

@@ -86,7 +86,6 @@ class StagedRollout:
         self._rollout = rollout
         self._entries = dict(entries)
         self._baseline_versions: Dict[str, int] = {}
-        self._target_versions: Dict[str, int] = {}
         self._stage_attempts: Dict[str, int] = {}
         self.status = "pending"  # pending -> in_progress -> completed | halted
         self.history: List[StageDecision] = []
@@ -109,9 +108,6 @@ class StagedRollout:
     def baseline_version(self, name: str) -> int:
         return self._baseline_versions[name]
 
-    def target_version(self, name: str) -> int:
-        return self._target_versions[name]
-
     # ------------------------------------------------------------- lifecycle
     def begin(self) -> None:
         """Publish baseline then target versions for every managed file."""
@@ -122,9 +118,7 @@ class StagedRollout:
             self._baseline_versions[name] = self._push(
                 lambda name=name, spec=baseline: self._store.publish(name, spec)
             )
-            self._target_versions[name] = self._push(
-                lambda name=name, spec=target: self._store.publish(name, spec)
-            )
+            self._push(lambda name=name, spec=target: self._store.publish(name, spec))
         self.status = "in_progress"
 
     def record_stage(self, stage: str, fraction: float, p99_ratio: float) -> StageDecision:
@@ -212,7 +206,3 @@ class StagedRollout:
         """Mark a rollout that survived every stage as completed."""
         if self.status == "in_progress":
             self.status = "completed"
-
-    def active_specs(self, cls: type) -> Dict[str, object]:
-        """The configuration currently live for every managed file."""
-        return {name: self._store.fetch(name, cls) for name in sorted(self._entries)}

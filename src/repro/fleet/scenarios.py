@@ -197,7 +197,8 @@ def fleet_guardrail_breach(machines: int = 48, seed: int = 7) -> FleetSpec:
 
     Every row harvests an unrestricted 48-thread CPU bully — the paper's
     worst case — so the colocated tail collapses and the rollout halts at
-    the canary, rolling Autopilot back to the pre-rollout configuration.
+    the canary, rolling the configuration store back to the pre-rollout
+    configuration.
     Deliberately tiny (48 machines, short calibration) so the halt-and-
     rollback path runs in the fast test tier and the CI smoke step.
     """

@@ -15,7 +15,7 @@ The simulation composes the other fleet modules:
    raw samples.  Shards are recomputed on every run: hashing a shard task
    into a cache key costs more than sampling the shard;
 4. the staged rollout engine advances canary -> wave -> fleet, halting and
-   rolling the Autopilot configuration back on a guardrail breach.
+   rolling the configuration store back on a guardrail breach.
 
 Everything downstream of the spec is deterministic: shard boundaries and RNG
 seeds depend only on the spec, so serial runs, N-worker runs and repeats on
@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..cluster.autopilot import Autopilot
+from ..cluster.autopilot import ConfigStore
 from ..config.schema import FleetSpec, PerfIsoSpec, BlindIsolationSpec
 from ..config.validation import validate_fleet
 from ..faults.fleet import FaultyConfigStore, FleetFaultTimeline, ShardFaultPlan
@@ -366,7 +366,7 @@ class FleetSimulation:
         self._spec = spec
         self._runner = runner
         self._telemetry = telemetry
-        self.autopilot = Autopilot()
+        self.config_store = ConfigStore()
         self.rollout: Optional[StagedRollout] = None
         self.fault_timeline: Optional[FleetFaultTimeline] = None
 
@@ -407,7 +407,7 @@ class FleetSimulation:
         ):
             timeline = FleetFaultTimeline(fault_plan, spec)
         self.fault_timeline = timeline
-        store = self.autopilot.config
+        store = self.config_store
         if (
             fault_plan is not None
             and fault_plan.config_push is not None
@@ -738,7 +738,7 @@ class FleetSimulation:
 
         rollout.finish()
         result.active_config_versions = {
-            name: self.autopilot.config.active_version(name)
+            name: self.config_store.active_version(name)
             for name in sorted(self._config_entries())
         }
         return result

@@ -10,7 +10,7 @@ cores to the secondary, and so tests can reason about sibling relationships.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config.schema import MachineSpec
 from ..errors import ConfigError
@@ -82,10 +82,6 @@ class CpuTopology:
     def cores(self) -> Sequence[LogicalCoreInfo]:
         return tuple(self._cores)
 
-    def all_core_ids(self) -> FrozenSet[int]:
-        """The full affinity mask (every logical core)."""
-        return frozenset(info.core_id for info in self._cores)
-
     def core_info(self, core_id: int) -> LogicalCoreInfo:
         if not 0 <= core_id < len(self._cores):
             raise ConfigError(f"core id {core_id} out of range (0..{len(self._cores) - 1})")
@@ -95,11 +91,6 @@ class CpuTopology:
         """Logical cores sharing the same physical core (including ``core_id``)."""
         self.core_info(core_id)
         return self._siblings[core_id]
-
-    def cores_on_socket(self, socket: int) -> Tuple[int, ...]:
-        if not 0 <= socket < self._sockets:
-            raise ConfigError(f"socket {socket} out of range (0..{self._sockets - 1})")
-        return tuple(info.core_id for info in self._cores if info.socket == socket)
 
     def secondary_allocation_order(self) -> List[int]:
         """Core ids in the order they should be handed to the secondary.
@@ -124,30 +115,6 @@ class CpuTopology:
                 order.extend(sorted(by_physical[physical], reverse=True))
             self._secondary_order = order
         return list(self._secondary_order)
-
-    # ----------------------------------------------------------------- masks
-    def mask_from_ids(self, core_ids: Sequence[int]) -> int:
-        """Pack logical core ids into a bitmask (bit *i* set => core *i*)."""
-        mask = 0
-        for core_id in core_ids:
-            self.core_info(core_id)
-            mask |= 1 << core_id
-        return mask
-
-    def ids_from_mask(self, mask: int) -> FrozenSet[int]:
-        """Unpack a bitmask into the set of logical core ids it selects."""
-        if mask < 0:
-            raise ConfigError("core mask cannot be negative")
-        ids = set()
-        core_id = 0
-        while mask:
-            if mask & 1:
-                if core_id >= len(self._cores):
-                    raise ConfigError(f"mask selects core {core_id}, beyond machine size")
-                ids.add(core_id)
-            mask >>= 1
-            core_id += 1
-        return frozenset(ids)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -26,9 +26,6 @@ class CpuSnapshot:
     time: float
     busy_by_category: Dict[str, float]
 
-    def total_busy(self) -> float:
-        return sum(self.busy_by_category.values())
-
 
 class CpuAccounting:
     """Accumulates CPU busy time for one machine."""

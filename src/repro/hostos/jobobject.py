@@ -31,7 +31,6 @@ class JobObject:
         #: unrestricted), read by the scheduler on every dispatch; change it
         #: through :meth:`set_cpu_rate` so the scheduler is notified.
         self.cpu_rate_fraction: Optional[float] = None
-        self._memory_limit_bytes: Optional[int] = None
         # Rate-control runtime state, managed by the scheduler.
         self.rate_budget = 0.0
         self.throttled = False
@@ -93,19 +92,6 @@ class JobObject:
         if fraction is None:
             self.throttled = False
         self._notify()
-
-    def set_memory_limit(self, limit_bytes: Optional[int]) -> None:
-        if limit_bytes is not None and limit_bytes <= 0:
-            raise SchedulerError("memory limit must be positive or None")
-        self._memory_limit_bytes = limit_bytes
-
-    @property
-    def memory_usage_bytes(self) -> int:
-        return sum(process.memory_bytes for process in self.processes)
-
-    def exceeds_memory_limit(self) -> bool:
-        limit = self._memory_limit_bytes
-        return limit is not None and self.memory_usage_bytes > limit
 
     # ------------------------------------------------------------- listeners
     def add_listener(self, callback: Callable[["JobObject"], None]) -> None:

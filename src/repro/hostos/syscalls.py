@@ -89,14 +89,6 @@ class Kernel:
     def processes(self) -> List[OsProcess]:
         return list(self._processes.values())
 
-    def find_processes(self, category: Optional[str] = None) -> List[OsProcess]:
-        """List live processes, optionally filtered by tenant category."""
-        return [
-            process
-            for process in self._processes.values()
-            if process.alive and (category is None or process.category == category)
-        ]
-
     # ------------------------------------------------------------ job objects
     def create_job_object(self, name: str) -> JobObject:
         if name in self._jobs:
@@ -105,15 +97,6 @@ class Kernel:
         job.add_listener(self.scheduler.on_job_changed)
         self._jobs[name] = job
         return job
-
-    def job_object(self, name: str) -> JobObject:
-        try:
-            return self._jobs[name]
-        except KeyError:
-            raise SchedulerError(f"no job object named {name!r}") from None
-
-    def job_objects(self) -> List[JobObject]:
-        return list(self._jobs.values())
 
     # --------------------------------------------------------------- threads
     def spawn_thread(
@@ -145,33 +128,15 @@ class Kernel:
         self.scheduler.terminate_thread(thread)
 
     # ----------------------------------------------------------------- memory
-    def allocate_memory(self, process: OsProcess, size_bytes: int) -> None:
-        self._machine.memory.allocate(process.name, size_bytes)
-        process.memory_bytes += size_bytes
-
-    def free_memory(self, process: OsProcess, size_bytes: int) -> None:
-        self._machine.memory.release(process.name, size_bytes)
-        process.memory_bytes -= size_bytes
-
     def free_memory_bytes(self) -> int:
         return self._machine.memory.free_bytes
 
     # --------------------------------------------------------------- syscalls
-    def get_idle_core_mask(self) -> int:
-        """The Windows-style idle-processor bitmask (bit i set => core i idle)."""
-        return self.scheduler.idle_core_mask()
-
-    def get_idle_core_ids(self) -> FrozenSet[int]:
-        return self.scheduler.idle_core_ids()
-
     def idle_core_count(self) -> int:
         return self.scheduler.idle_core_count()
 
     def cpu_snapshot(self) -> CpuSnapshot:
         return self.accounting.snapshot(self._engine.now)
-
-    def cpu_utilization(self, since: Optional[CpuSnapshot] = None) -> Dict[str, float]:
-        return self.accounting.utilization(self._engine.now, since)
 
     def submit_io(
         self,

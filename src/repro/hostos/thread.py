@@ -9,7 +9,6 @@ tenants only build programs and react to completion callbacks.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SchedulerError
@@ -158,24 +157,8 @@ class SimThread:
         return self.current_phase[0] == "cpu"
 
     @property
-    def is_io_phase(self) -> bool:
-        return self.current_phase[0] == "io"
-
-    @property
-    def is_runnable_forever(self) -> bool:
-        """True for batch threads whose current CPU phase never ends."""
-        return self.is_cpu_phase and math.isinf(self.remaining_in_phase)
-
-    @property
     def terminated(self) -> bool:
         return self.state == ThreadState.TERMINATED
-
-    # ------------------------------------------------------------ program
-    def extend_program(self, phases: Sequence[Phase]) -> None:
-        """Append phases to a thread that has not terminated yet."""
-        if self.terminated:
-            raise SchedulerError(f"cannot extend terminated thread {self.name!r}")
-        self.program.extend(phases)
 
     def effective_mask(self) -> int:
         """Bitmask of the thread's own affinity and its job object's."""

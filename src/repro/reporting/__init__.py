@@ -1,7 +1,6 @@
-"""Campaigns, run-artifact bundles and the perf-trajectory report.
+"""Campaigns and run-artifact bundles.
 
-This package is the reporting layer every scale and speed claim flows
-through:
+This package is the reporting layer that run results flow through:
 
 * :mod:`repro.reporting.rows` — canonical row rendering (json/jsonl/csv)
   shared by every CLI and the bundle writer;
@@ -10,9 +9,7 @@ through:
   showdown and workloads CLIs;
 * :mod:`repro.reporting.campaign` — multi-seed replicate sweeps through the
   content-addressed runner, reporting per-metric mean/stddev/95% CI instead
-  of single-seed point estimates;
-* :mod:`repro.reporting.trajectory` — the perf history across accumulated
-  bundles.
+  of single-seed point estimates.
 
 The ``python -m repro.reporting`` CLI fronts all of it::
 
@@ -21,9 +18,6 @@ The ``python -m repro.reporting`` CLI fronts all of it::
 
     # validate any bundle (schema version, digests, row counts)
     python -m repro.reporting --validate bundles/policy-showdown
-
-    # render the perf history from accumulated bundles
-    python -m repro.reporting --trajectory bundles
 """
 
 from __future__ import annotations
@@ -85,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.reporting",
-        description="Replicate campaigns, run-artifact bundles and the perf trajectory.",
+        description="Replicate campaigns and run-artifact bundles.",
     )
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument(
@@ -97,11 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--validate",
         metavar="DIR",
         help="validate a run-artifact bundle (schema version, digests, counts)",
-    )
-    action.add_argument(
-        "--trajectory",
-        metavar="DIR",
-        help="render the perf history from every bundle under DIR",
     )
     parser.add_argument(
         "--seeds",
@@ -188,22 +177,6 @@ def _validate_action(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_action(args) -> int:
-    from pathlib import Path
-
-    from ..cli import EXIT_OK, render_output, resolve_output, write_output
-    from .trajectory import collect_bundles, trajectory_rows
-
-    fmt, path = resolve_output(args.out)
-    bundles = collect_bundles(args.trajectory)
-    rows = trajectory_rows(bundles, root=Path(args.trajectory))
-    if not rows:
-        print(f"(no bundles under {args.trajectory})")
-        return EXIT_OK
-    write_output(render_output(rows, fmt), path)
-    return EXIT_OK
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     from ..cli import EXIT_USAGE
     from ..telemetry.log import get_logger
@@ -213,9 +186,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.scenario:
             return _run_campaign_action(args)
-        if args.validate:
-            return _validate_action(args)
-        return _trajectory_action(args)
+        return _validate_action(args)
     except (ConfigError, ReportingError, TelemetryError) as error:
         log.error("command failed", error=str(error))
         return EXIT_USAGE

@@ -2,14 +2,13 @@
 
 Every matrix, fleet, showdown and campaign run can emit a *bundle* — a
 directory holding a ``manifest.json`` plus the run's rows (json/jsonl/csv),
-an optional aggregated ``summary.json`` (the campaign CI table), an optional
-``bench.json`` (wall-clock metrics) and any extra artifacts (e.g. a
-synthesized trace file).  The manifest names the bundle schema version, the
-producing kind, the digest of the package sources that wrote it, the seeds
-and spec hashes behind the rows, the environment, and a SHA-256 digest of
-every payload file — so a bundle is self-validating and a stale or
-hand-edited one is refused instead of silently misread, mirroring the
-telemetry stream's ``SCHEMA_VERSION`` discipline.
+an optional aggregated ``summary.json`` (the campaign CI table) and any extra
+artifacts (e.g. a synthesized trace file).  The manifest names the bundle
+schema version, the producing kind, the digest of the package sources that
+wrote it, the seeds and spec hashes behind the rows, the environment, and a
+SHA-256 digest of every payload file — so a bundle is self-validating and a
+stale or hand-edited one is refused instead of silently misread, mirroring
+the telemetry stream's ``SCHEMA_VERSION`` discipline.
 
 Bundles contain no wall-clock timestamps: a bundle is a pure function of the
 specs and seeds that produced it, so re-running the same configuration at any
@@ -91,7 +90,6 @@ class RunBundle:
     manifest: Dict[str, object]
     rows: List[dict]
     summary: List[dict] = field(default_factory=list)
-    bench: Dict[str, object] = field(default_factory=dict)
 
     @property
     def kind(self) -> str:
@@ -100,15 +98,6 @@ class RunBundle:
     @property
     def name(self) -> str:
         return str(self.manifest["name"])
-
-    def rerender_rows(self) -> str:
-        """Re-render the loaded rows in the manifest's row format.
-
-        Byte-identical to the on-disk row file (pinned by the bundle
-        round-trip tests) — the property that makes bundles diffable.
-        """
-        fmt = str(self.manifest["rows"]["format"])  # type: ignore[index]
-        return render_rows(self.rows, fmt)
 
 
 def write_bundle(
@@ -119,7 +108,6 @@ def write_bundle(
     rows: Sequence[Mapping[str, object]],
     fmt: str = "json",
     summary: Optional[Sequence[Mapping[str, object]]] = None,
-    bench: Optional[Mapping[str, object]] = None,
     seeds: Sequence[int] = (),
     spec_hashes: Sequence[str] = (),
     meta: Optional[Mapping[str, object]] = None,
@@ -128,11 +116,10 @@ def write_bundle(
     """Write a bundle under ``directory`` (created if missing); returns it.
 
     ``rows`` is the run's row table, rendered as ``rows.<fmt>``; ``summary``
-    (always JSON) is the aggregated campaign table; ``bench`` is a flat
-    dictionary of wall-clock metrics; ``extra_files`` maps file names to raw
-    payloads (e.g. a synthesized trace).  The manifest is written last, so a
-    crashed writer leaves a directory that fails validation rather than one
-    that lies.
+    (always JSON) is the aggregated campaign table; ``extra_files`` maps file
+    names to raw payloads (e.g. a synthesized trace).  The manifest is
+    written last, so a crashed writer leaves a directory that fails
+    validation rather than one that lies.
     """
     if kind not in BUNDLE_KINDS:
         raise ReportingError(f"unknown bundle kind {kind!r} (expected one of {BUNDLE_KINDS})")
@@ -161,10 +148,6 @@ def write_bundle(
         files["summary.json"] = render_rows(summary, "json").encode("utf-8")
         manifest["summary"] = {"file": "summary.json", "format": "json",
                                "count": len(summary)}
-    if bench is not None:
-        payload = json.dumps(dict(bench), indent=2, sort_keys=True) + "\n"
-        files["bench.json"] = payload.encode("utf-8")
-        manifest["bench"] = "bench.json"
     for extra_name, payload in (extra_files or {}).items():
         if extra_name == MANIFEST_NAME or extra_name in files:
             raise ReportingError(f"duplicate bundle file name {extra_name!r}")
@@ -273,9 +256,6 @@ def validate_bundle(directory) -> Dict[str, object]:
         summary = _read_rows(directory, summary_entry)
         if len(summary) != summary_entry.get("count"):
             raise ReportingError(f"{manifest_path}: summary count mismatch")
-    bench_name = manifest.get("bench")
-    if bench_name is not None and bench_name not in files:
-        raise ReportingError(f"{manifest_path}: bench file {bench_name!r} not in files")
     return manifest
 
 
@@ -285,17 +265,11 @@ def _read_rows(directory: Path, entry: Mapping[str, object]) -> List[dict]:
 
 
 def load_bundle(directory) -> RunBundle:
-    """Validate and load a bundle's manifest, rows, summary and bench record."""
+    """Validate and load a bundle's manifest, rows and summary."""
     directory = Path(directory)
     manifest = validate_bundle(directory)
     rows = _read_rows(directory, manifest["rows"])  # type: ignore[arg-type]
     summary: List[dict] = []
     if manifest.get("summary") is not None:
         summary = _read_rows(directory, manifest["summary"])  # type: ignore[arg-type]
-    bench: Dict[str, object] = {}
-    if manifest.get("bench"):
-        bench_path = directory / str(manifest["bench"])
-        bench = json.loads(bench_path.read_text(encoding="utf-8"))
-    return RunBundle(
-        directory=directory, manifest=manifest, rows=rows, summary=summary, bench=bench
-    )
+    return RunBundle(directory=directory, manifest=manifest, rows=rows, summary=summary)

@@ -40,9 +40,9 @@ _INF = float("inf")
 class ProbeSubscription:
     """One telemetry observer: ``callback(now)`` every ``interval`` seconds.
 
-    Handed out by :meth:`SimulationEngine.subscribe`; pass it back to
-    :meth:`SimulationEngine.unsubscribe` to stop probing.  ``fired`` counts
-    deliveries (a cheap liveness signal for tests).
+    Handed out by :meth:`SimulationEngine.subscribe`; a probe stays
+    subscribed for the engine's lifetime.  ``fired`` counts deliveries (a
+    cheap liveness signal for tests).
     """
 
     __slots__ = ("callback", "interval", "event", "fired")
@@ -144,11 +144,6 @@ class SimulationEngine:
             self._live -= 1
 
     # ------------------------------------------------------- telemetry seam
-    @property
-    def subscriber_count(self) -> int:
-        """Number of active telemetry probe subscriptions."""
-        return len(self._probes) if self._probes is not None else 0
-
     def subscribe(
         self, callback: Callable[[float], None], interval: float
     ) -> ProbeSubscription:
@@ -171,18 +166,6 @@ class SimulationEngine:
         self._probes.append(subscription)
         self._schedule_probe(subscription)
         return subscription
-
-    def unsubscribe(self, subscription: ProbeSubscription) -> None:
-        """Remove a probe registered with :meth:`subscribe` (idempotent)."""
-        if self._probes is None or subscription not in self._probes:
-            return
-        self._probes.remove(subscription)
-        if subscription.event is not None:
-            self.cancel(subscription.event)
-            subscription.event = None
-            self._probe_pending -= 1
-        if not self._probes:
-            self._probes = None
 
     def _schedule_probe(self, subscription: ProbeSubscription) -> None:
         subscription.event = self.push(

@@ -2,9 +2,10 @@
 
 A *tenant* is anything that consumes machine resources: the latency-sensitive
 primary service, and the best-effort secondary batch jobs.  Tenants expose a
-uniform ``start`` / ``stop`` lifecycle plus a progress indicator so the
-experiment harness can compare how much useful work the secondary completed
-under different isolation policies (Figure 8c).
+uniform ``start`` plus a progress indicator so the experiment harness can
+compare how much useful work the secondary completed under different
+isolation policies (Figure 8c).  Nothing stops a tenant: a run ends when its
+engine does, and the memory guard kills secondary processes instead.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class Tenant(abc.ABC):
         self._kernel = kernel
         self._name = name
         self._started = False
-        self._stopped = False
 
     @property
     def kernel(self) -> Kernel:
@@ -36,21 +36,9 @@ class Tenant(abc.ABC):
     def name(self) -> str:
         return self._name
 
-    @property
-    def started(self) -> bool:
-        return self._started
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     @abc.abstractmethod
     def start(self) -> None:
         """Create processes/threads and begin doing work."""
-
-    def stop(self) -> None:
-        """Stop doing new work.  Existing threads are left to the kernel."""
-        self._stopped = True
 
     @abc.abstractmethod
     def processes(self) -> List[OsProcess]:

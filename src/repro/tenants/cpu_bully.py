@@ -66,11 +66,6 @@ class CpuBullyTenant(SecondaryTenant):
                 name=f"{self._name}-w{index}",
             )
 
-    def stop(self) -> None:
-        super().stop()
-        if self._process is not None:
-            self._kernel.scheduler.terminate_process(self._process)
-
     # -------------------------------------------------------------- progress
     def cpu_seconds(self) -> float:
         """Total CPU time the bully has consumed so far."""

@@ -69,12 +69,9 @@ class DiskBullyTenant(SecondaryTenant):
         for worker in range(self._spec.threads * self._spec.queue_depth):
             self._issue(worker)
 
-    def stop(self) -> None:
-        super().stop()
-
     # ------------------------------------------------------------- internals
     def _issue(self, worker: int) -> None:
-        if self._stopped or self._process is None or not self._process.alive:
+        if self._process is None or not self._process.alive:
             return
         op = "read" if self._rng.random() < self._spec.read_fraction else "write"
         # The per-request CPU cost is tiny; charge it directly rather than
@@ -98,9 +95,6 @@ class DiskBullyTenant(SecondaryTenant):
     def progress(self) -> float:
         """Progress in bytes transferred."""
         return float(self.bytes_completed)
-
-    def throughput_bytes_per_s(self, elapsed: float) -> float:
-        return self.bytes_completed / elapsed if elapsed > 0 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -89,14 +89,9 @@ class HdfsTenant(SecondaryTenant):
         self._issue_replication()
         self._issue_client()
 
-    def stop(self) -> None:
-        super().stop()
-        for process in self.processes():
-            self._kernel.scheduler.terminate_process(process)
-
     # ------------------------------------------------------------- internals
     def _issue_replication(self) -> None:
-        if self._stopped or self._datanode is None:
+        if self._datanode is None:
             return
         self._kernel.iostack.submit(
             self._datanode,
@@ -111,7 +106,7 @@ class HdfsTenant(SecondaryTenant):
         self._issue_replication()
 
     def _issue_client(self) -> None:
-        if self._stopped or self._client is None:
+        if self._client is None:
             return
         op = "read" if self._rng.random() < 0.5 else "write"
         self._kernel.iostack.submit(

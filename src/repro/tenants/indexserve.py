@@ -153,7 +153,7 @@ class IndexServeTenant(Tenant):
         callback: Optional[Callable[[QueryOutcome], None]] = None,
     ) -> None:
         """Process ``query``; ``callback`` (if given) receives the outcome."""
-        if not self._started or self._stopped:
+        if not self._started:
             raise TenantError("IndexServe is not running")
         kernel = self._kernel
         engine = self._engine

@@ -75,14 +75,9 @@ class MlTrainingTenant(SecondaryTenant):
             )
         self._issue_input_read()
 
-    def stop(self) -> None:
-        super().stop()
-        if self._process is not None:
-            self._kernel.scheduler.terminate_process(self._process)
-
     # ------------------------------------------------------------- internals
     def _issue_input_read(self) -> None:
-        if self._stopped or self._process is None or not self._process.alive:
+        if self._process is None or not self._process.alive:
             return
         self._kernel.iostack.submit(
             self._process,

@@ -12,12 +12,6 @@ from __future__ import annotations
 MICROSECOND = 1e-6
 #: One millisecond, in seconds.
 MILLISECOND = 1e-3
-#: One second.
-SECOND = 1.0
-#: One minute, in seconds.
-MINUTE = 60.0
-#: One hour, in seconds.
-HOUR = 3600.0
 
 #: One kibibyte.
 KIB = 1024
@@ -26,11 +20,10 @@ MIB = 1024 * KIB
 #: One gibibyte.
 GIB = 1024 * MIB
 
-#: Kilobyte / megabyte / gigabyte (decimal), used for bandwidth figures that
-#: the paper quotes in MB/s.
+#: Kilobyte / megabyte (decimal), used for bandwidth figures that the paper
+#: quotes in MB/s.
 KB = 1000
 MB = 1000 * KB
-GB = 1000 * MB
 
 
 def micros(value: float) -> float:
@@ -43,41 +36,6 @@ def millis(value: float) -> float:
     return value * MILLISECOND
 
 
-def seconds(value: float) -> float:
-    """Return ``value`` seconds (identity helper for symmetry)."""
-    return float(value)
-
-
-def minutes(value: float) -> float:
-    """Return ``value`` minutes expressed in seconds."""
-    return value * MINUTE
-
-
-def hours(value: float) -> float:
-    """Return ``value`` hours expressed in seconds."""
-    return value * HOUR
-
-
 def to_millis(value: float) -> float:
     """Convert a duration in seconds to milliseconds."""
     return value / MILLISECOND
-
-
-def to_micros(value: float) -> float:
-    """Convert a duration in seconds to microseconds."""
-    return value / MICROSECOND
-
-
-def mib(value: float) -> int:
-    """Return ``value`` MiB expressed in bytes."""
-    return int(value * MIB)
-
-
-def gib(value: float) -> int:
-    """Return ``value`` GiB expressed in bytes."""
-    return int(value * GIB)
-
-
-def mb_per_s(value: float) -> float:
-    """Return a bandwidth of ``value`` MB/s expressed in bytes per second."""
-    return value * MB

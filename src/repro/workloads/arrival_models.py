@@ -64,10 +64,6 @@ class ArrivalModel:
         """Offered queries/second at simulated time ``t``."""
         raise NotImplementedError
 
-    def peak_rate(self, horizon: float) -> float:
-        """The exact maximum rate over ``[0, horizon]``."""
-        return self.peak_in(0.0, horizon)
-
     def peak_in(self, start: float, end: float) -> float:
         """The exact maximum rate over the window ``[start, end]``.
 
@@ -165,10 +161,6 @@ class BurstyArrival(ArrivalModel):
     @property
     def spec(self) -> BurstySpec:
         return self._spec
-
-    @property
-    def segments(self) -> int:
-        return len(self._states)
 
     def rate_at(self, t: float) -> float:
         index = bisect_right(self._boundaries, t)

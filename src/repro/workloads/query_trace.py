@@ -38,10 +38,6 @@ class QueryDescriptor:
     def total_cpu_demand(self) -> float:
         return float(sum(self.worker_demands))
 
-    @property
-    def miss_count(self) -> int:
-        return sum(1 for miss in self.cache_misses if miss)
-
 
 class QueryTrace:
     """A replayable sequence of :class:`QueryDescriptor` objects."""
@@ -113,11 +109,6 @@ class QueryTrace:
     # ------------------------------------------------------------ statistics
     def mean_worker_count(self) -> float:
         return float(np.mean([q.worker_count for q in self._queries]))
-
-    def mean_miss_rate(self) -> float:
-        total_workers = sum(q.worker_count for q in self._queries)
-        total_misses = sum(q.miss_count for q in self._queries)
-        return total_misses / total_workers if total_workers else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"QueryTrace(size={len(self._queries)}, mean_workers={self.mean_worker_count():.2f})"

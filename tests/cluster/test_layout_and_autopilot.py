@@ -1,8 +1,8 @@
-"""Tests for cluster layout and the Autopilot service manager."""
+"""Tests for cluster layout and the versioned configuration store."""
 
 import pytest
 
-from repro.cluster.autopilot import Autopilot, ManagedService
+from repro.cluster.autopilot import ConfigStore
 from repro.cluster.layout import ClusterLayout
 from repro.config.schema import ClusterSpec, PerfIsoSpec
 from repro.errors import ClusterError, UnknownVersionError
@@ -22,15 +22,8 @@ class TestClusterLayout:
         assert all(m.row == 0 for m in row0)
         assert sorted(m.partition for m in row0) == [0, 1, 2, 3]
 
-    def test_machine_for_lookup(self):
-        layout = ClusterLayout(ClusterSpec(partitions=4, rows=2, tla_machines=2))
-        machine = layout.machine_for(partition=2, row=1)
-        assert machine.partition == 2 and machine.row == 1
-
     def test_unknown_machine_rejected(self):
         layout = ClusterLayout(ClusterSpec(partitions=2, rows=1, tla_machines=1))
-        with pytest.raises(ClusterError):
-            layout.machine_for(partition=5, row=0)
         with pytest.raises(ClusterError):
             layout.machines_in_row(3)
 
@@ -42,41 +35,40 @@ class TestClusterLayout:
 
 class TestConfigStore:
     def test_publish_and_fetch(self):
-        autopilot = Autopilot()
-        autopilot.config.publish("perfiso.json", PerfIsoSpec(cpu_policy="static_cores"))
-        fetched = autopilot.config.fetch_perfiso()
+        store = ConfigStore()
+        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="static_cores"))
+        fetched = store.fetch_perfiso()
         assert fetched.cpu_policy == "static_cores"
-        assert autopilot.config.files() == ["perfiso.json"]
+        assert store.files() == ["perfiso.json"]
 
     def test_missing_file_rejected(self):
         with pytest.raises(ClusterError):
-            Autopilot().config.fetch_perfiso()
+            ConfigStore().fetch_perfiso()
 
     def test_republish_overwrites(self):
-        autopilot = Autopilot()
-        autopilot.config.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
-        autopilot.config.publish("perfiso.json", PerfIsoSpec(cpu_policy="none"))
-        assert autopilot.config.fetch_perfiso().cpu_policy == "none"
-        assert autopilot.config.pushes == 2
+        store = ConfigStore()
+        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
+        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="none"))
+        assert store.fetch_perfiso().cpu_policy == "none"
+        assert store.pushes == 2
 
 
 class TestConfigStoreVersions:
     def test_publish_returns_increasing_versions(self):
-        store = Autopilot().config
+        store = ConfigStore()
         assert store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind")) == 1
         assert store.publish("perfiso.json", PerfIsoSpec(cpu_policy="none")) == 2
-        assert store.version_count("perfiso.json") == 2
         assert store.active_version("perfiso.json") == 2
 
     def test_fetch_version_returns_exact_historical_spec(self):
-        store = Autopilot().config
+        store = ConfigStore()
         original = PerfIsoSpec(cpu_policy="static_cores")
         store.publish("perfiso.json", original)
         store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
         assert store.fetch_version("perfiso.json", 1, PerfIsoSpec) == original
 
     def test_rollback_restores_prior_version(self):
-        store = Autopilot().config
+        store = ConfigStore()
         original = PerfIsoSpec(cpu_policy="blind", enabled=False)
         store.publish("perfiso.json", original)
         store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
@@ -86,7 +78,7 @@ class TestConfigStoreVersions:
         assert store.pushes == 3
 
     def test_rollback_to_explicit_version_even_after_more_pushes(self):
-        store = Autopilot().config
+        store = ConfigStore()
         original = PerfIsoSpec(enabled=False)
         store.publish("perfiso.json", original)
         store.publish("perfiso.json", PerfIsoSpec(cpu_policy="cpu_cycles"))
@@ -94,10 +86,10 @@ class TestConfigStoreVersions:
         assert store.rollback("perfiso.json", 1) == 1
         assert store.fetch_perfiso() == original
         # History is never rewritten: the newer versions are still there.
-        assert store.version_count("perfiso.json") == 3
+        assert store.fetch_version("perfiso.json", 3, PerfIsoSpec).cpu_policy == "none"
 
     def test_rollback_bounds_checked(self):
-        store = Autopilot().config
+        store = ConfigStore()
         store.publish("perfiso.json", PerfIsoSpec())
         with pytest.raises(ClusterError):
             store.rollback("perfiso.json")  # no prior version
@@ -107,7 +99,7 @@ class TestConfigStoreVersions:
             store.rollback("missing.json")
 
     def test_fetch_version_bounds_checked(self):
-        store = Autopilot().config
+        store = ConfigStore()
         store.publish("perfiso.json", PerfIsoSpec())
         with pytest.raises(ClusterError):
             store.fetch_version("perfiso.json", 0, PerfIsoSpec)
@@ -117,7 +109,7 @@ class TestConfigStoreVersions:
     def test_unknown_version_error_names_the_available_versions(self):
         """Recovery code (rollouts rolling back through churn) needs to see
         what versions *do* exist, so the dedicated error carries them."""
-        store = Autopilot().config
+        store = ConfigStore()
         store.publish("perfiso.json", PerfIsoSpec())
         store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
         with pytest.raises(UnknownVersionError) as excinfo:
@@ -137,70 +129,5 @@ class TestConfigStoreVersions:
         """Asking about a file the store has never seen is a different
         mistake from asking for a missing version of a known file."""
         with pytest.raises(ClusterError, match="no configuration file") as excinfo:
-            Autopilot().config.rollback("missing.json")
+            ConfigStore().rollback("missing.json")
         assert not isinstance(excinfo.value, UnknownVersionError)
-
-
-class TestAutopilotServices:
-    def _make_service(self, machine="m0", name="perfiso", state=None):
-        calls = {"start": 0, "stop": 0}
-        service = ManagedService(
-            name=name,
-            machine=machine,
-            start=lambda: calls.__setitem__("start", calls["start"] + 1),
-            stop=lambda: calls.__setitem__("stop", calls["stop"] + 1),
-            save_state=(lambda: dict(state)) if state is not None else None,
-            restore_state=(lambda s: state.update(s)) if state is not None else None,
-        )
-        return service, calls
-
-    def test_register_start_stop(self):
-        autopilot = Autopilot()
-        service, calls = self._make_service()
-        autopilot.register(service)
-        autopilot.start("m0", "perfiso")
-        assert calls["start"] == 1 and service.running
-        autopilot.stop("m0", "perfiso")
-        assert calls["stop"] == 1 and not service.running
-
-    def test_duplicate_registration_rejected(self):
-        autopilot = Autopilot()
-        service, _ = self._make_service()
-        autopilot.register(service)
-        with pytest.raises(ClusterError):
-            autopilot.register(self._make_service()[0])
-
-    def test_unknown_service_rejected(self):
-        with pytest.raises(ClusterError):
-            Autopilot().service("m0", "nothing")
-
-    def test_start_all_fleet_wide(self):
-        autopilot = Autopilot()
-        tracked = []
-        for machine in ("m0", "m1", "m2"):
-            service, calls = self._make_service(machine=machine)
-            autopilot.register(service)
-            tracked.append(calls)
-        autopilot.start_all("perfiso")
-        assert all(c["start"] == 1 for c in tracked)
-
-    def test_crash_recovery_restores_state(self):
-        autopilot = Autopilot()
-        state = {"current_core_count": 40}
-        service, calls = self._make_service(state=state)
-        autopilot.register(service)
-        autopilot.start("m0", "perfiso")
-        autopilot.checkpoint("m0", "perfiso")
-        state["current_core_count"] = 0  # state lost in the crash
-        autopilot.crash_and_recover("m0", "perfiso")
-        assert service.restarts == 1
-        assert state["current_core_count"] == 40
-        assert calls["start"] == 2
-
-    def test_start_is_idempotent(self):
-        autopilot = Autopilot()
-        service, calls = self._make_service()
-        autopilot.register(service)
-        autopilot.start("m0", "perfiso")
-        autopilot.start("m0", "perfiso")
-        assert calls["start"] == 1

@@ -45,13 +45,6 @@ class TestRoundTrip:
         assert rebuilt.cpu_bully is None
         assert rebuilt.perfiso is None
 
-    def test_file_round_trip(self, tmp_path):
-        spec = PerfIsoSpec()
-        path = loader.save_file(spec, tmp_path / "configs" / "perfiso.json")
-        assert path.exists()
-        assert loader.load_file(PerfIsoSpec, path) == spec
-
-
 class TestErrors:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -66,10 +59,6 @@ class TestErrors:
         # through; a NaN poll interval would schedule no controller polls.
         with pytest.raises(ConfigError, match="poll_interval"):
             loader.load_json(PerfIsoSpec, '{"poll_interval": NaN}')
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            loader.load_file(MachineSpec, tmp_path / "nope.json")
 
     def test_from_dict_requires_dataclass(self):
         with pytest.raises(ConfigError):

@@ -31,7 +31,6 @@ class TestMachineSpec:
     def test_default_matches_paper_hardware(self):
         spec = MachineSpec()
         assert spec.logical_cores == 48
-        assert spec.physical_cores == 24
         assert spec.memory_bytes == 128 * 1024**3
 
     def test_invalid_topology_rejected(self):

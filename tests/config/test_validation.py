@@ -12,7 +12,7 @@ from repro.config.schema import (
     StaticCoreSpec,
     WorkloadSpec,
 )
-from repro.config.validation import collect_warnings, validate_cluster, validate_experiment
+from repro.config.validation import validate_cluster, validate_experiment
 from repro.errors import ConfigError
 from repro.units import GIB
 
@@ -75,27 +75,6 @@ class TestValidateCluster:
             validate_cluster(ClusterSpec(partitions=1, rows=5))
 
 
-class TestWarnings:
-    def test_small_buffer_warns(self):
-        spec = ExperimentSpec(
-            perfiso=PerfIsoSpec(cpu_policy="blind", blind=BlindIsolationSpec(buffer_cores=2))
-        )
-        warnings = collect_warnings(spec)
-        assert any("buffer_cores" in w for w in warnings)
-
-    def test_short_run_warns(self):
-        spec = ExperimentSpec(workload=WorkloadSpec(qps=100, duration=1.0))
-        warnings = collect_warnings(spec)
-        assert any("duration" in w for w in warnings)
-
-    def test_clean_config_has_no_warnings(self):
-        spec = ExperimentSpec(
-            workload=WorkloadSpec(qps=2000, duration=10.0),
-            perfiso=PerfIsoSpec(cpu_policy="blind", blind=BlindIsolationSpec(buffer_cores=8)),
-        )
-        assert collect_warnings(spec) == []
-
-
 class TestArrivalModelValidation:
     def test_flash_crowd_outside_the_window_is_an_error(self):
         from repro.config.schema import FlashCrowdSpec, WorkloadSpec
@@ -107,22 +86,3 @@ class TestArrivalModelValidation:
         )
         with pytest.raises(ConfigError, match="flash crowd starts"):
             validate_experiment(ExperimentSpec(workload=workload))
-
-    def test_short_trace_and_long_dwell_warn(self):
-        from repro.config.schema import BurstySpec, TraceSpec, WorkloadSpec
-
-        wrapped = ExperimentSpec(
-            workload=WorkloadSpec(
-                duration=9.0, warmup=1.0, trace=TraceSpec(1.0, (100.0, 200.0))
-            )
-        )
-        assert any("wraps around" in w for w in collect_warnings(wrapped))
-
-        sluggish = ExperimentSpec(
-            workload=WorkloadSpec(
-                duration=9.0,
-                warmup=1.0,
-                bursty=BurstySpec(mean_normal_seconds=60.0),
-            )
-        )
-        assert any("never leave the normal state" in w for w in collect_warnings(sluggish))

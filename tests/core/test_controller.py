@@ -1,6 +1,5 @@
 """Tests for the PerfIso controller service."""
 
-import dataclasses
 import math
 import warnings
 
@@ -10,9 +9,6 @@ from repro.config.schema import (
     BlindIsolationSpec,
     CpuBullySpec,
     CpuCycleSpec,
-    IoThrottleSpec,
-    MemoryGuardSpec,
-    NetworkThrottleSpec,
     PerfIsoSpec,
     StaticCoreSpec,
 )
@@ -21,7 +17,7 @@ from repro.errors import IsolationError
 from repro.hostos.process import TenantCategory
 from repro.hostos.thread import cpu_phase
 from repro.tenants.cpu_bully import CpuBullyTenant
-from repro.units import GIB, MB, millis
+from repro.units import millis
 
 
 def blind_spec(buffer_cores=2, poll_interval=millis(1)):
@@ -44,12 +40,6 @@ class TestLifecycle:
         controller.start()
         with pytest.raises(IsolationError):
             controller.start()
-
-    def test_primary_never_managed(self, kernel):
-        controller = PerfIsoController(kernel, blind_spec())
-        primary = kernel.create_process("svc", TenantCategory.PRIMARY)
-        with pytest.raises(IsolationError):
-            controller.manage_process(primary)
 
     def test_manage_attaches_tenant_to_job(self, kernel):
         controller = PerfIsoController(kernel, blind_spec())
@@ -234,110 +224,6 @@ class TestKillSwitchAndRecovery:
         assert recovered.updates_applied == state["updates_applied"]
         assert not recovered.enabled
 
-    def test_update_spec_switches_policy(self, engine, kernel):
-        controller = PerfIsoController(kernel, blind_spec())
-        controller.start()
-        controller.update_spec(
-            PerfIsoSpec(cpu_policy="static_cores", static_cores=StaticCoreSpec(secondary_cores=3))
-        )
-        assert controller.secondary_core_count == 3
-        assert controller.policy.name == "static_cores"
-
-
-class TestRuntimeReconfiguration:
-    """A config push must reconfigure *every* mechanism, not just the policy."""
-
-    def _started_controller(self, kernel, spec=None):
-        controller = PerfIsoController(kernel, spec if spec is not None else blind_spec())
-        batch = kernel.create_process("batch", TenantCategory.SECONDARY)
-        controller.manage_process(batch)
-        controller.start()
-        return controller
-
-    def test_update_spec_swaps_all_sub_specs(self, engine, kernel):
-        controller = self._started_controller(kernel)
-        pushed = PerfIsoSpec(
-            cpu_policy="blind",
-            blind=BlindIsolationSpec(buffer_cores=2),
-            poll_interval=millis(1),
-            io_throttle=IoThrottleSpec(
-                secondary_bandwidth_limit=10 * MB, secondary_iops_limit=64.0
-            ),
-            memory_guard=MemoryGuardSpec(reserved_bytes=8 * GIB),
-            network_throttle=NetworkThrottleSpec(secondary_bandwidth_limit=25 * MB),
-        )
-        controller.update_spec(pushed)
-        assert controller.io_throttler.spec.secondary_iops_limit == 64.0
-        assert controller.memory_guard.spec.reserved_bytes == 8 * GIB
-        assert controller.network_throttle.spec.secondary_bandwidth_limit == 25 * MB
-
-    def test_update_spec_reapplies_io_caps(self, engine, kernel):
-        controller = self._started_controller(kernel)
-        (state,) = [
-            s
-            for s in controller.io_throttler.states()
-            if s.process.category == TenantCategory.SECONDARY
-        ]
-        assert state.applied_bandwidth_cap == 100 * MB  # the default cap
-        controller.update_spec(
-            dataclasses.replace(
-                blind_spec(),
-                io_throttle=IoThrottleSpec(
-                    secondary_bandwidth_limit=10 * MB, secondary_iops_limit=64.0
-                ),
-            )
-        )
-        assert state.applied_bandwidth_cap == 10 * MB
-        assert state.applied_iops_cap == 64.0
-
-    def test_update_spec_reapplies_network_limit(self, engine, kernel):
-        controller = self._started_controller(kernel)
-        assert controller.network_throttle.active
-        controller.update_spec(
-            dataclasses.replace(
-                blind_spec(),
-                network_throttle=NetworkThrottleSpec(secondary_bandwidth_limit=25 * MB),
-            )
-        )
-        nic = kernel.machine.nic
-        assert controller.network_throttle.active
-        assert nic._low_rate_limit == 25 * MB
-
-    def test_update_spec_disabled_push_acts_as_kill_switch(self, engine, kernel):
-        controller = self._started_controller(kernel)
-        assert controller.secondary_affinity is not None
-        controller.update_spec(dataclasses.replace(blind_spec(), enabled=False))
-        assert not controller.enabled
-        assert controller.secondary_affinity is None
-        assert controller.secondary_core_count is None
-        (state,) = [
-            s
-            for s in controller.io_throttler.states()
-            if s.process.category == TenantCategory.SECONDARY
-        ]
-        assert state.applied_bandwidth_cap is None
-        assert not controller.network_throttle.active
-
-    def test_update_spec_reenabling_push_restores_isolation(self, engine, kernel):
-        controller = self._started_controller(kernel)
-        controller.update_spec(dataclasses.replace(blind_spec(), enabled=False))
-        controller.update_spec(blind_spec(buffer_cores=2))
-        assert controller.enabled
-        assert controller.secondary_core_count == kernel.logical_cores - 2
-        assert controller.network_throttle.active
-
-    def test_update_spec_on_stopped_controller_defers_application(self, engine, kernel):
-        controller = PerfIsoController(kernel, blind_spec())
-        controller.update_spec(
-            PerfIsoSpec(cpu_policy="static_cores", static_cores=StaticCoreSpec(secondary_cores=3))
-        )
-        # Nothing applied yet (not running), but the spec and policy swapped.
-        assert controller.secondary_core_count is None
-        assert controller.policy.name == "static_cores"
-        controller.start()
-        assert controller.secondary_core_count == 3
-
-
 class TestRestoreUnrestrictedSnapshot:
     """Regression: an enabled snapshot with no core count means 'unrestricted'.
 
@@ -394,34 +280,26 @@ class TestRestoreUnrestrictedSnapshot:
         assert recovered.secondary_core_count == state["current_core_count"]
 
     def test_autopilot_recovery_applies_unrestricted_snapshot(self, engine, kernel):
-        """The Autopilot crash/recover cycle ends with the snapshot honoured."""
-        from repro.cluster.autopilot import Autopilot, ManagedService
+        """The checkpoint, crash and restart cycle ends with the snapshot honoured.
 
+        Driven the way the fault injector drives it: ``state_dict()`` is the
+        checkpoint, ``stop()`` the crash, and the restarted instance runs
+        ``start()`` then ``restore_state()``.
+        """
         original = PerfIsoController(kernel, PerfIsoSpec(cpu_policy="none"))
-        holder = {"controller": original}
-        autopilot = Autopilot()
-        autopilot.register(
-            ManagedService(
-                name="perfiso",
-                machine="m0",
-                start=lambda: holder["controller"].start(),
-                stop=lambda: holder["controller"].stop(),
-                save_state=lambda: holder["controller"].state_dict(),
-                restore_state=lambda s: holder["controller"].restore_state(s),
-            )
-        )
-        autopilot.start("m0", "perfiso")
+        original.start()
         engine.run(until=0.05)
-        autopilot.checkpoint("m0", "perfiso")
+        checkpoint = dict(original.state_dict())
+        original.stop()
 
-        # The crash: the replacement instance is configured blind, so its
-        # start() pins the secondary — recovery must lift that again.
+        # The replacement instance is configured blind, so its start() pins
+        # the secondary — recovery must lift that again.
         replacement = PerfIsoController(
             TestKillSwitchAndRecovery._fresh_kernel(), blind_spec(buffer_cores=2)
         )
-        holder["controller"] = replacement
+        replacement.start()
+        assert replacement.secondary_affinity is not None
         with pytest.warns(RuntimeWarning, match="cpu_policy"):
-            autopilot.crash_and_recover("m0", "perfiso")
-        assert autopilot.service("m0", "perfiso").restarts == 1
+            replacement.restore_state(dict(checkpoint))
         assert replacement.secondary_affinity is None
         assert replacement.secondary_core_count is None

@@ -4,7 +4,6 @@ import pytest
 
 from repro.config.schema import MemoryGuardSpec
 from repro.core.memory_guard import MemoryGuard
-from repro.errors import IsolationError
 from repro.hostos.process import TenantCategory
 from repro.units import GIB
 
@@ -54,21 +53,6 @@ class TestMemoryGuard:
         engine.run(until=0.5)
         assert not large.alive
         assert small.alive
-
-    def test_enforces_job_memory_limit(self, engine, kernel, job):
-        batch = kernel.create_process("batch", TenantCategory.SECONDARY, memory_bytes=8 * GIB)
-        job.assign(batch)
-        guard = make_guard(kernel, job)
-        guard.set_job_memory_limit(4 * GIB)
-        guard.start()
-        engine.run(until=0.5)
-        assert not batch.alive
-        assert guard.kills == ["batch"]
-
-    def test_invalid_job_limit_rejected(self, kernel, job):
-        guard = make_guard(kernel, job)
-        with pytest.raises(IsolationError):
-            guard.set_job_memory_limit(0)
 
     def test_disabled_guard_never_checks(self, engine, kernel, job):
         guard = MemoryGuard(kernel, MemoryGuardSpec(enabled=False), job)

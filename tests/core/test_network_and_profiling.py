@@ -5,7 +5,6 @@ import pytest
 from repro.config.schema import IndexServeSpec, NetworkThrottleSpec
 from repro.core.network_throttle import NetworkThrottle
 from repro.errors import IsolationError
-from repro.hostos.process import TenantCategory
 from repro.telemetry.profiling import BufferCoreProfiler
 from repro.units import MB
 
@@ -23,17 +22,12 @@ class TestNetworkThrottle:
         kernel.engine.run()
         assert finishes[-1] > 0.8
 
-    def test_priority_mapping(self, kernel):
-        throttle = NetworkThrottle(kernel, NetworkThrottleSpec())
-        throttle.start()
-        assert throttle.priority_for(TenantCategory.SECONDARY) == kernel.machine.nic.LOW
-        assert throttle.priority_for(TenantCategory.PRIMARY) == kernel.machine.nic.HIGH
-
     def test_disabled_spec_keeps_high_priority(self, kernel):
         throttle = NetworkThrottle(kernel, NetworkThrottleSpec(enabled=False))
         throttle.start()
         assert not throttle.active
-        assert throttle.priority_for(TenantCategory.SECONDARY) == kernel.machine.nic.HIGH
+        # The low class stays uncapped, so secondary egress is not held back.
+        assert kernel.machine.nic._low_rate_limit is None
 
     def test_stop_removes_limit(self, kernel):
         throttle = NetworkThrottle(kernel, NetworkThrottleSpec(secondary_bandwidth_limit=1 * MB))

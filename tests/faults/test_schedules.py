@@ -11,8 +11,6 @@ The invariants the whole fault subsystem rests on:
   carrying one is byte-identical to a run with no plan at all.
 """
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +23,6 @@ from repro.config.schema import (
 )
 from repro.faults import (
     FAULTS_STREAM,
-    expected_availability,
     fault_seed,
     machine_crash_episodes,
     machine_is_degraded,
@@ -109,13 +106,6 @@ class TestCrashEpisodes:
             horizon=1e6,
         )
         assert episodes == ()
-
-    def test_expected_availability_matches_renewal_formula(self):
-        spec = MachineFaultSpec(crash_rate_per_hour=60.0, mean_downtime=60.0)
-        # 60 crashes per uptime-hour -> one minute up, one minute down.
-        assert math.isclose(expected_availability(spec), 0.5)
-        assert expected_availability(MachineFaultSpec()) == 1.0
-
 
 class TestDegradedMembership:
     @settings(max_examples=200, deadline=None)

@@ -110,7 +110,7 @@ class TestBreachUnderChurn:
         result = simulation.run()
         assert result.status == "halted"
         assert result.stages_completed == 0
-        store = simulation.autopilot.config
+        store = simulation.config_store
         for name in result.active_config_versions:
             assert result.active_config_versions[name] == 1
             # The restored spec is the exact baseline object, not a re-push.

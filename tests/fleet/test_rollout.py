@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.autopilot import Autopilot
+from repro.cluster.autopilot import ConfigStore
 from repro.config.schema import PerfIsoSpec, RolloutSpec
 from repro.errors import ClusterError
 from repro.fleet.rollout import GuardrailMonitor, StagedRollout
@@ -12,7 +12,7 @@ TARGET = PerfIsoSpec(cpu_policy="blind")
 
 
 def make_rollout(store=None, **rollout_kwargs):
-    store = store if store is not None else Autopilot().config
+    store = store if store is not None else ConfigStore()
     rollout = RolloutSpec(**rollout_kwargs)
     return StagedRollout(
         store,
@@ -56,7 +56,7 @@ class TestStagedRollout:
         assert engine.status == "in_progress"
         for name in ("perfiso-a.json", "perfiso-b.json"):
             assert engine.baseline_version(name) == 1
-            assert engine.target_version(name) == 2
+            assert engine.store.active_version(name) == 2
             assert engine.store.fetch_perfiso(name) == TARGET
 
     def test_begin_twice_rejected(self):
@@ -73,13 +73,11 @@ class TestStagedRollout:
             assert decision.action == "advance"
         engine.finish()
         assert engine.status == "completed"
-        assert engine.active_specs(PerfIsoSpec) == {
-            "perfiso-a.json": TARGET,
-            "perfiso-b.json": TARGET,
-        }
+        for name in ("perfiso-a.json", "perfiso-b.json"):
+            assert engine.store.fetch_perfiso(name) == TARGET
 
     def test_breach_halts_and_restores_exact_baseline_version(self):
-        store = Autopilot().config
+        store = ConfigStore()
         # Unrelated history before the rollout: the baseline version the
         # rollout must restore is NOT simply "the previous version".
         store.publish("perfiso-a.json", PerfIsoSpec(cpu_policy="cpu_cycles"))
@@ -111,7 +109,7 @@ class TestStagedRollout:
 
     def test_empty_entries_rejected(self):
         with pytest.raises(ClusterError, match="at least one"):
-            StagedRollout(Autopilot().config, RolloutSpec(), {})
+            StagedRollout(ConfigStore(), RolloutSpec(), {})
 
     def test_nan_ratio_halts_the_rollout(self):
         """Regression: ``record_stage`` re-implemented the guardrail as a
@@ -189,7 +187,7 @@ class TestChurnAwareRollout:
         from repro.faults import FaultyConfigStore
 
         store = FaultyConfigStore(
-            Autopilot().config,
+            ConfigStore(),
             ConfigPushFaultSpec(failure_rate=1.0, max_failures=2),
             seed=3,
         )
@@ -204,7 +202,7 @@ class TestChurnAwareRollout:
         from repro.faults import FaultyConfigStore
 
         store = FaultyConfigStore(
-            Autopilot().config,
+            ConfigStore(),
             ConfigPushFaultSpec(failure_rate=1.0, max_failures=100),
             seed=3,
         )
@@ -219,7 +217,7 @@ class TestChurnAwareRollout:
         config; now the error is recorded and the rest still roll back."""
         from repro.errors import UnknownVersionError
 
-        store = Autopilot().config
+        store = ConfigStore()
         engine = make_rollout(store=store)
         engine.begin()
         original = store.rollback

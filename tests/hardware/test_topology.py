@@ -14,10 +14,6 @@ class TestCpuTopology:
         assert topology.physical_core_count == 24
         assert topology.sockets == 2
 
-    def test_all_core_ids(self):
-        topology = CpuTopology(1, 2, 2)
-        assert topology.all_core_ids() == frozenset(range(4))
-
     def test_siblings_share_physical_core(self):
         topology = CpuTopology(1, 2, 2)
         assert topology.siblings(0) == (0, 1)
@@ -35,17 +31,6 @@ class TestCpuTopology:
         with pytest.raises(ConfigError):
             CpuTopology(1, 2, 2).core_info(99)
 
-    def test_cores_on_socket(self):
-        topology = CpuTopology(2, 3, 2)
-        first = topology.cores_on_socket(0)
-        second = topology.cores_on_socket(1)
-        assert len(first) == 6 and len(second) == 6
-        assert set(first).isdisjoint(second)
-
-    def test_cores_on_bad_socket(self):
-        with pytest.raises(ConfigError):
-            CpuTopology(1, 2, 2).cores_on_socket(5)
-
     def test_invalid_dimensions(self):
         with pytest.raises(ConfigError):
             CpuTopology(0, 1, 1)
@@ -62,28 +47,3 @@ class TestCpuTopology:
         topology = CpuTopology.from_spec(MachineSpec())
         order = topology.secondary_allocation_order()
         assert sorted(order) == list(range(48))
-
-
-class TestMasks:
-    def test_mask_round_trip(self):
-        topology = CpuTopology(1, 4, 2)
-        ids = [0, 3, 5]
-        mask = topology.mask_from_ids(ids)
-        assert topology.ids_from_mask(mask) == frozenset(ids)
-
-    def test_mask_rejects_unknown_core(self):
-        topology = CpuTopology(1, 2, 1)
-        with pytest.raises(ConfigError):
-            topology.mask_from_ids([10])
-
-    def test_ids_from_mask_rejects_out_of_range_bits(self):
-        topology = CpuTopology(1, 2, 1)
-        with pytest.raises(ConfigError):
-            topology.ids_from_mask(1 << 10)
-
-    def test_negative_mask_rejected(self):
-        with pytest.raises(ConfigError):
-            CpuTopology(1, 2, 1).ids_from_mask(-1)
-
-    def test_empty_mask(self):
-        assert CpuTopology(1, 2, 1).ids_from_mask(0) == frozenset()

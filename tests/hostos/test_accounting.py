@@ -59,4 +59,3 @@ class TestCpuAccounting:
         snapshot = accounting.snapshot(1.0)
         accounting.charge(TenantCategory.PRIMARY, 5.0)
         assert snapshot.busy_by_category[TenantCategory.PRIMARY] == 1.0
-        assert snapshot.total_busy() == 1.0

@@ -91,26 +91,6 @@ class TestKnobs:
         job.set_cpu_rate(None)
         assert not job.throttled
 
-    def test_memory_limit(self):
-        job = JobObject("secondary")
-        process = make_process()
-        process.memory_bytes = 100
-        job.assign(process)
-        job.set_memory_limit(50)
-        assert job.exceeds_memory_limit()
-        job.set_memory_limit(200)
-        assert not job.exceeds_memory_limit()
-        with pytest.raises(SchedulerError):
-            job.set_memory_limit(0)
-
-    def test_memory_usage_sums_processes(self):
-        job = JobObject("secondary")
-        for index in range(3):
-            process = make_process(f"p{index}")
-            process.memory_bytes = 10
-            job.assign(process)
-        assert job.memory_usage_bytes == 30
-
     def test_live_threads_empty_without_threads(self):
         job = JobObject("secondary")
         job.assign(make_process())

@@ -16,12 +16,6 @@ class TestProcesses:
         assert process.memory_bytes == 1 * GIB
         assert kernel.machine.memory.usage_of("svc") == 1 * GIB
 
-    def test_find_processes_by_category(self, kernel):
-        kernel.create_process("svc", TenantCategory.PRIMARY)
-        kernel.create_process("batch", TenantCategory.SECONDARY)
-        assert [p.name for p in kernel.find_processes(TenantCategory.PRIMARY)] == ["svc"]
-        assert len(kernel.find_processes()) == 2
-
     def test_kill_process_releases_memory_and_threads(self, engine, kernel):
         process = kernel.create_process("batch", TenantCategory.SECONDARY, memory_bytes=1 * GIB)
         thread = kernel.spawn_thread(process, [cpu_phase(math.inf)])
@@ -37,29 +31,11 @@ class TestProcesses:
         with pytest.raises(SchedulerError):
             kernel.spawn_thread(process, [cpu_phase(1)])
 
-    def test_memory_allocation_helpers(self, kernel):
-        process = kernel.create_process("svc", TenantCategory.PRIMARY)
-        free_before = kernel.free_memory_bytes()
-        kernel.allocate_memory(process, 1 * GIB)
-        assert kernel.free_memory_bytes() == free_before - 1 * GIB
-        kernel.free_memory(process, 1 * GIB)
-        assert kernel.free_memory_bytes() == free_before
-
-
 class TestJobObjects:
-    def test_create_and_lookup(self, kernel):
-        job = kernel.create_job_object("secondary")
-        assert kernel.job_object("secondary") is job
-        assert job in kernel.job_objects()
-
     def test_duplicate_name_rejected(self, kernel):
         kernel.create_job_object("secondary")
         with pytest.raises(SchedulerError):
             kernel.create_job_object("secondary")
-
-    def test_unknown_name_rejected(self, kernel):
-        with pytest.raises(SchedulerError):
-            kernel.job_object("missing")
 
     def test_job_changes_reach_scheduler(self, engine, kernel):
         job = kernel.create_job_object("secondary")
@@ -75,7 +51,7 @@ class TestJobObjects:
 class TestSyscalls:
     def test_cpu_utilization_reports_idle_machine(self, engine, kernel):
         engine.run(until=1.0)
-        utilization = kernel.cpu_utilization()
+        utilization = kernel.accounting.utilization(kernel.now)
         assert utilization["idle"] == pytest.approx(1.0)
 
     def test_cpu_snapshot_differencing(self, engine, kernel):
@@ -83,7 +59,7 @@ class TestSyscalls:
         snapshot = kernel.cpu_snapshot()
         kernel.spawn_thread(process, [cpu_phase(millis(8))])
         engine.run(until=1.0)
-        utilization = kernel.cpu_utilization(snapshot)
+        utilization = kernel.accounting.utilization(kernel.now, snapshot)
         assert utilization[TenantCategory.PRIMARY] > 0
 
     def test_async_io_submission(self, engine, kernel):

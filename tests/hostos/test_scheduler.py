@@ -61,8 +61,8 @@ class TestBasicExecution:
         kernel = make_kernel(engine, cores=4)
         process = kernel.create_process("svc", TenantCategory.PRIMARY)
         kernel.spawn_thread(process, [cpu_phase(millis(5))])
-        mask = kernel.get_idle_core_mask()
-        ids = kernel.get_idle_core_ids()
+        mask = kernel.scheduler.idle_core_mask()
+        ids = kernel.scheduler.idle_core_ids()
         assert bin(mask).count("1") == len(ids) == 3
 
     def test_cpu_time_charged_to_category(self, engine):

@@ -51,7 +51,8 @@ class TestSimThread:
 
     def test_infinite_phase(self):
         thread = make_thread([cpu_phase(math.inf)])
-        assert thread.is_runnable_forever
+        assert thread.is_cpu_phase
+        assert math.isinf(thread.remaining_in_phase)
 
     def test_advance_phase(self, engine, kernel):
         # The scheduler advances the program: the first CPU phase, then
@@ -62,7 +63,7 @@ class TestSimThread:
         )
         engine.run(until=0.001)
         assert thread.state == ThreadState.BLOCKED
-        assert thread.is_io_phase
+        assert thread.current_phase[0] == "io"
         # The 1 KiB read takes about 0.1 ms; by 1.5 ms it has completed and
         # the thread is dispatched for its 2 ms phase, which is not yet charged.
         engine.run(until=0.0015)
@@ -71,17 +72,6 @@ class TestSimThread:
         assert thread.remaining_in_phase == pytest.approx(0.002)
         engine.run()
         assert thread.terminated
-
-    def test_extend_program(self):
-        thread = make_thread([cpu_phase(0.001)])
-        thread.extend_program([cpu_phase(0.002)])
-        assert len(thread.program) == 2
-
-    def test_extend_terminated_rejected(self):
-        thread = make_thread([cpu_phase(0.001)])
-        thread.state = ThreadState.TERMINATED
-        with pytest.raises(SchedulerError):
-            thread.extend_program([cpu_phase(0.001)])
 
     def test_category_comes_from_process(self):
         thread = make_thread([cpu_phase(1)], process=make_process(TenantCategory.SECONDARY))

@@ -1,13 +1,15 @@
 """Property-based tests (hypothesis) for core data structures and invariants."""
 
-
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config.schema import BlindIsolationSpec
 from repro.core.policies import BlindIsolationPolicy, ControllerObservation
+from repro.errors import SchedulerError
 from repro.hardware.memory import MemorySubsystem
 from repro.hardware.topology import CpuTopology
+from repro.hostos.thread import core_mask, mask_cores
 from repro.metrics.latency import LatencyCollector
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.randomness import RandomStreams
@@ -126,11 +128,16 @@ class TestTopologyProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_mask_round_trip(self, sockets, cores, smt, data):
+        """``core_mask`` and ``mask_cores`` invert each other on any machine's
+        core ids (the empty set included); a negative id is refused."""
         topology = CpuTopology(sockets, cores, smt)
         ids = data.draw(
             st.sets(st.integers(min_value=0, max_value=topology.logical_core_count - 1))
         )
-        assert topology.ids_from_mask(topology.mask_from_ids(sorted(ids))) == frozenset(ids)
+        assert mask_cores(core_mask(sorted(ids))) == frozenset(ids)
+        negative = data.draw(st.integers(max_value=-1))
+        with pytest.raises(SchedulerError):
+            core_mask([*sorted(ids), negative])
 
     @given(
         sockets=st.integers(min_value=1, max_value=2),

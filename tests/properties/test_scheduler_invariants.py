@@ -83,7 +83,7 @@ def _check(kernel, threads, exempt, probes):
     # The idle mask equals the cores that run no thread.
     idle = {core for core in range(cores) if running[core] is None}
     assert scheduler.idle_core_mask() == sum(1 << core for core in idle)
-    assert kernel.get_idle_core_ids() == frozenset(idle)
+    assert scheduler.idle_core_ids() == frozenset(idle)
 
     # No running or queued thread sits at a core outside its effective mask.
     for core in range(cores):

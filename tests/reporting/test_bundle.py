@@ -1,4 +1,4 @@
-"""Bundle writer/loader: byte identity, digests, schema-skew refusal, trajectory."""
+"""Bundle writer/loader: byte identity, digests, schema-skew refusal."""
 
 import json
 
@@ -12,8 +12,7 @@ from repro.reporting.bundle import (
     validate_bundle,
     write_bundle,
 )
-from repro.reporting.rows import ROW_FORMATS
-from repro.reporting.trajectory import collect_bundles, trajectory_rows
+from repro.reporting.rows import ROW_FORMATS, render_rows
 from repro.runtime.spec_hash import source_digest
 
 ROWS = [
@@ -31,7 +30,6 @@ def _write(directory, **overrides):
         seeds=[1, 2],
         spec_hashes=["b" * 64, "a" * 64],
         summary=SUMMARY,
-        bench={"events_per_s": 1000.0},
         meta={"note": "test"},
     )
     kwargs.update(overrides)
@@ -44,12 +42,12 @@ class TestRoundTrip:
         directory = _write(tmp_path / "b", fmt=fmt)
         bundle = load_bundle(directory)
         on_disk = (directory / f"rows.{fmt}").read_text(encoding="utf-8")
-        assert bundle.rerender_rows() == on_disk
+        assert render_rows(bundle.rows, bundle.manifest["rows"]["format"]) == on_disk
 
     def test_repeat_writes_are_byte_identical(self, tmp_path):
         first = _write(tmp_path / "one")
         second = _write(tmp_path / "two")
-        for name in ("manifest.json", "rows.json", "summary.json", "bench.json"):
+        for name in ("manifest.json", "rows.json", "summary.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_loaded_payloads(self, tmp_path):
@@ -58,7 +56,6 @@ class TestRoundTrip:
         assert bundle.name == "s"
         assert bundle.rows == ROWS
         assert bundle.summary == SUMMARY
-        assert bundle.bench == {"events_per_s": 1000.0}
         assert bundle.manifest["seeds"] == [1, 2]
         # Hashes are stored sorted and deduplicated.
         assert bundle.manifest["spec_hashes"] == ["a" * 64, "b" * 64]
@@ -150,16 +147,3 @@ class TestValidationRefusals:
     def test_duplicate_extra_file_name_refused(self, tmp_path):
         with pytest.raises(ReportingError, match="duplicate"):
             _write(tmp_path / "b", extra_files={"rows.json": b""})
-
-
-class TestTrajectory:
-    def test_only_numeric_headline_metrics_become_columns(self, tmp_path):
-        # A bool is not a metric, and cpu_count is not a headline metric.
-        _write(
-            tmp_path / "b",
-            bench={"events_per_s": 1000.0, "fig8_serial_uncached_s": True, "cpu_count": 2},
-        )
-        (row,) = trajectory_rows(collect_bundles(tmp_path))
-        assert row["events_per_s"] == 1000.0
-        assert "fig8_serial_uncached_s" not in row
-        assert "cpu_count" not in row

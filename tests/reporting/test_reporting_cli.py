@@ -129,18 +129,6 @@ class TestCampaignCli:
         assert reporting.main(["--validate", str(bundle_dir)]) == EXIT_USAGE
         assert "mismatch" in capsys.readouterr().err
 
-    def test_trajectory_action(self, tmp_path, capsys):
-        assert (
-            reporting.main(CAMPAIGN_ARGS + ["--bundle", str(tmp_path / "b")])
-            == EXIT_OK
-        )
-        capsys.readouterr()
-        code = reporting.main(["--trajectory", str(tmp_path), "--out", "json"])
-        assert code == EXIT_OK
-        (row,) = json.loads(capsys.readouterr().out)
-        assert row["kind"] == "campaign" and row["name"] == "no-isolation"
-
-
 class TestBundleFlagOnRunCli:
     def test_matrix_bundle_matches_stdout_rows(self, tmp_path, capsys):
         bundle_dir = tmp_path / "bundle"

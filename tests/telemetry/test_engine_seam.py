@@ -62,19 +62,6 @@ def test_probe_stops_when_only_cancelled_events_remain():
     assert engine.pending_events == 0
 
 
-def test_unsubscribe_stops_probing_and_is_idempotent():
-    engine = SimulationEngine()
-    seen = []
-    engine.schedule(1.0, lambda: None)
-    subscription = engine.subscribe(seen.append, 0.25)
-    engine.run(until=0.5)
-    engine.unsubscribe(subscription)
-    engine.unsubscribe(subscription)  # idempotent
-    assert engine.subscriber_count == 0
-    engine.run(until=2.0)  # bounded, so a probe that survives fails, not hangs
-    assert seen == pytest.approx([0.25, 0.5])
-
-
 def test_dormant_probe_rearms_across_composed_runs():
     engine = SimulationEngine()
     seen = []
@@ -113,17 +100,6 @@ def test_telemetry_priority_is_lowest():
         EventPriority.CONTROLLER,
         EventPriority.MEASUREMENT,
     )
-
-
-def test_subscribe_unsubscribe_leaves_disabled_state():
-    engine = SimulationEngine()
-    engine.schedule(0.1, lambda: None)
-    subscription = engine.subscribe(lambda now: None, 0.05)
-    engine.unsubscribe(subscription)
-    assert engine._probes is None  # fully back to the zero-cost disabled path
-    before = engine.events_executed
-    engine.run(until=1.0)  # bounded, so a probe that survives fails, not hangs
-    assert engine.events_executed - before == 1
 
 
 def _run_domain_schedule(schedule, seed, probe_interval=None):

@@ -46,15 +46,6 @@ class TestCpuBully:
         with pytest.raises(TenantError):
             bully.start()
 
-    def test_stop_terminates_threads(self, engine, kernel):
-        bully = CpuBullyTenant(kernel, CpuBullySpec(threads=2, memory_bytes=1024))
-        bully.start()
-        engine.run(until=0.05)
-        bully.stop()
-        consumed = bully.cpu_seconds()
-        engine.run(until=0.2)
-        assert bully.cpu_seconds() == pytest.approx(consumed)
-
     def test_category_is_secondary(self, kernel):
         bully = CpuBullyTenant(kernel, CpuBullySpec(threads=1, memory_bytes=1024))
         bully.start()
@@ -68,7 +59,6 @@ class TestDiskBully:
         engine.run(until=0.5)
         assert bully.requests_completed > 0
         assert bully.progress() == bully.bytes_completed
-        assert bully.throughput_bytes_per_s(0.5) > 0
 
     def test_mixed_read_write(self, engine, kernel, rng):
         bully = DiskBullyTenant(
@@ -81,16 +71,6 @@ class TestDiskBully:
         writes = sum(d.bytes_written for d in volume.disks)
         assert reads > 0 and writes > 0
         assert writes > reads
-
-    def test_stop_halts_new_requests(self, engine, kernel, rng):
-        bully = DiskBullyTenant(kernel, DiskBullySpec(threads=1, memory_bytes=1024), rng=rng)
-        bully.start()
-        engine.run(until=0.2)
-        bully.stop()
-        done = bully.requests_completed
-        engine.run(until=1.0)
-        # At most the in-flight request finishes afterwards.
-        assert bully.requests_completed <= done + 1
 
     def test_process_accessor_requires_start(self, kernel, rng):
         bully = DiskBullyTenant(kernel, DiskBullySpec(memory_bytes=1024), rng=rng)

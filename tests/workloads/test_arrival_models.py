@@ -94,7 +94,9 @@ class TestBurstyArrival:
         assert model.rate_at(1e6) == model.rate_at(1e9)
 
     def test_segments_cover_the_horizon(self):
-        assert self._model(horizon=50.0).segments >= 2
+        # The path drawn over a 50 s horizon leaves the normal state in it.
+        model = self._model(horizon=50.0)
+        assert model.peak_in(0.0, 50.0) == model.spec.burst_qps
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -131,8 +133,8 @@ class TestFlashCrowdArrival:
 
     def test_peak_rate_depends_on_the_horizon(self):
         model = FlashCrowdArrival(self.SPEC)
-        assert model.peak_rate(5.0) == 1000.0
-        assert model.peak_rate(20.0) == 3000.0
+        assert model.peak_in(0.0, 5.0) == 1000.0
+        assert model.peak_in(0.0, 20.0) == 3000.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):

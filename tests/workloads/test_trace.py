@@ -32,7 +32,9 @@ class TestQueryTrace:
     def test_miss_rate_near_spec(self, rng):
         spec = IndexServeSpec(cache_miss_rate=0.3)
         trace = QueryTrace(spec, size=3000, rng=rng)
-        assert trace.mean_miss_rate() == pytest.approx(0.3, abs=0.05)
+        misses = sum(sum(query.cache_misses) for query in trace.queries())
+        workers = sum(query.worker_count for query in trace.queries())
+        assert misses / workers == pytest.approx(0.3, abs=0.05)
 
     def test_demands_positive_and_capped(self, rng):
         spec = IndexServeSpec()
