@@ -10,7 +10,7 @@ primary, all under one PerfIso controller:
 * CPU blind isolation keeps 8 idle buffer cores for the primary's bursts.
 * The HDFS DataNode/client traffic is capped (20 / 60 MB/s, as in the paper's
   cluster configuration) on the shared HDD volume.
-* The memory guard and egress throttle protect RAM and the NIC.
+* The memory guard protects RAM.
 
 It also demonstrates two operational features: the kill switch (instantly
 lifting every restriction for debugging) and crash recovery, by rerunning

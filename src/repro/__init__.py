@@ -4,8 +4,8 @@ This package reproduces, in simulation, the system described in
 "PerfIso: Performance Isolation for Commercial Latency-Sensitive Services"
 (Iorgulescu et al., USENIX ATC 2018): a user-mode controller that colocates
 best-effort batch jobs with a latency-sensitive service by keeping a buffer
-of idle cores at all times (*CPU blind isolation*), plus disk, memory and
-network safeguards.
+of idle cores at all times (*CPU blind isolation*), plus disk and memory
+safeguards.
 
 The public API is organised in layers:
 
@@ -14,7 +14,7 @@ The public API is organised in layers:
 * :mod:`repro.tenants`, :mod:`repro.workloads` — the primary (IndexServe-like)
   service, batch-job secondaries and load generation.
 * :mod:`repro.core` — PerfIso itself: the controller, CPU blind isolation and
-  the alternative policies, DWRR I/O throttling, memory and network guards.
+  the alternative policies, DWRR I/O throttling and the memory guard.
 * :mod:`repro.cluster` — the multi-machine serving topology (TLA/MLA fan-out).
 * :mod:`repro.experiments`, :mod:`repro.metrics` — the harnesses reproducing
   every figure of the paper's evaluation.

@@ -120,7 +120,11 @@ class VolumeSpec:
 
 @dataclass(frozen=True)
 class NicSpec:
-    """Network interface card."""
+    """Network interface card.
+
+    Inert: no modelled tenant sends egress, so nothing is built from these
+    values.  They stay because every spec hash covers them.
+    """
 
     bandwidth_bytes_per_s: float = 1250 * MB  # 10 GbE
     base_latency: float = micros(30)
@@ -245,7 +249,8 @@ class IndexServeSpec:
     memory_footprint_bytes: int = 110 * GIB
     #: Bytes written to the (HDD) log volume per query (asynchronous).
     log_bytes_per_query: int = 2 * 1024
-    #: Response payload size sent back over the NIC.
+    #: Response payload size.  Inert: the response's egress is not
+    #: simulated; the field stays because every spec hash covers it.
     response_bytes: int = 16 * 1024
     #: Adaptive parallelism: when the number of in-flight queries exceeds
     #: ``adaptive_threshold`` the service splits the largest index-lookup
@@ -607,7 +612,11 @@ class MemoryGuardSpec:
 
 @dataclass(frozen=True)
 class NetworkThrottleSpec:
-    """Egress network throttling of the secondary (Section 3.2)."""
+    """Egress network throttling of the secondary (Section 3.2).
+
+    Inert: no modelled secondary sends egress, so the controller runs no
+    network throttle.  The fields stay because every spec hash covers them.
+    """
 
     enabled: bool = True
     secondary_bandwidth_limit: float = 100 * MB

@@ -3,7 +3,6 @@
 from .controller import PerfIsoController
 from .io_throttle import DwrrIoThrottler, ProcessIoState
 from .memory_guard import MemoryGuard
-from .network_throttle import NetworkThrottle
 from .policies import (
     AllocationDecision,
     BlindIsolationPolicy,
@@ -26,7 +25,6 @@ __all__ = [
     "DwrrIoThrottler",
     "ProcessIoState",
     "MemoryGuard",
-    "NetworkThrottle",
     "AllocationDecision",
     "BlindIsolationPolicy",
     "ControllerObservation",

@@ -1,15 +1,14 @@
 """The PerfIso user-mode controller service (Section 4).
 
 The controller owns one job object holding every secondary-tenant process on
-the machine and drives four mechanisms:
+the machine and drives three mechanisms:
 
 * the CPU isolation policy (blind isolation by default), fed by a tight poll
   loop over the idle-core syscall — polling is continuous, but the job object
   is only *updated* when the policy asks for a change (the poll/update split
   the paper emphasises, because pointless updates are themselves harmful);
 * the DWRR disk I/O throttler;
-* the memory guard;
-* the egress network throttle.
+* the memory guard.
 
 It also implements two of the operational features the paper calls out for
 production deployment: a kill switch that instantly removes every restriction
@@ -31,7 +30,6 @@ from ..simulation.events import EventPriority
 from ..tenants.base import SecondaryTenant
 from .io_throttle import DwrrIoThrottler
 from .memory_guard import MemoryGuard
-from .network_throttle import NetworkThrottle
 from .policies import (
     AllocationDecision,
     ControllerObservation,
@@ -59,7 +57,6 @@ class PerfIsoController:
         self._policy: CpuIsolationPolicy = policy_from_spec(self._spec)
         self._io_throttler = DwrrIoThrottler(kernel, self._spec.io_throttle, volume=io_volume)
         self._memory_guard = MemoryGuard(kernel, self._spec.memory_guard, self._job)
-        self._network_throttle = NetworkThrottle(kernel, self._spec.network_throttle)
         self._enabled = self._spec.enabled
         self._running = False
         #: The pending poll event, cancelled on stop() so a stopped-then-
@@ -150,7 +147,6 @@ class PerfIsoController:
             self._apply(self._policy.initial_decision(self._kernel.logical_cores))
             self._io_throttler.start()
             self._memory_guard.start()
-            self._network_throttle.start()
         self._poll_event = self._kernel.engine.schedule(
             self._spec.poll_interval, self._poll, priority=EventPriority.CONTROLLER
         )
@@ -161,7 +157,6 @@ class PerfIsoController:
         self._poll_event = None
         self._io_throttler.stop()
         self._memory_guard.stop()
-        self._network_throttle.stop()
 
     # ------------------------------------------------------------ kill switch
     def disable(self) -> None:
@@ -173,7 +168,6 @@ class PerfIsoController:
         self._io_throttler.stop()
         self._io_throttler.clear_caps()
         self._memory_guard.stop()
-        self._network_throttle.stop()
 
     def enable(self) -> None:
         """Re-enable isolation after the kill switch was used."""
@@ -184,7 +178,6 @@ class PerfIsoController:
         if self._running:
             self._io_throttler.start()
             self._memory_guard.start()
-            self._network_throttle.start()
 
     # -------------------------------------------------------------- recovery
     def state_dict(self) -> Dict[str, object]:

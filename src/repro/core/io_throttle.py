@@ -83,7 +83,6 @@ class DwrrIoThrottler:
         # statistics
         self.adjustments = 0
         self.tighten_events = 0
-        self.relax_events = 0
 
     # ------------------------------------------------------------ membership
     def register(self, process: OsProcess, weight: Optional[float] = None) -> ProcessIoState:
@@ -199,7 +198,6 @@ class DwrrIoThrottler:
                 ceiling_iops = self._spec.secondary_iops_limit or None
                 current_bw = state.applied_bandwidth_cap
                 if ceiling_bw is not None and current_bw is not None and current_bw < ceiling_bw:
-                    self.relax_events += 1
                     self._apply_caps(
                         state,
                         bandwidth=min(ceiling_bw, current_bw * self.RELAX_FACTOR),

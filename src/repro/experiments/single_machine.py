@@ -72,7 +72,6 @@ class SingleMachineResult:
     duration: float
     latency: LatencyStats
     cpu: CpuBreakdown
-    cpu_timeseries: List[Dict[str, float]]
     queries_submitted: int
     queries_completed: int
     queries_dropped: int
@@ -190,7 +189,7 @@ class MachineAssembly:
                     controller_window = latency_proxy
             controller.attach_telemetry(forecast=forecast, latency_window=controller_window)
 
-        self.sampler = CpuUtilizationSampler(engine, kernel, interval=0.5, warmup_end=warmup_end)
+        self.sampler = CpuUtilizationSampler(engine, kernel, warmup_end=warmup_end)
         self.sampler.start()
 
         # Secondaries start first (they are immediately placed under the
@@ -316,7 +315,6 @@ class SingleMachineExperiment:
             duration=spec.workload.duration,
             latency=node.collector.stats(),
             cpu=node.sampler.overall(),
-            cpu_timeseries=node.sampler.timeseries(),
             queries_submitted=client.submitted,
             queries_completed=node.primary.completed,
             queries_dropped=node.primary.dropped,

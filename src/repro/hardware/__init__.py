@@ -1,9 +1,8 @@
-"""Hardware substrate: CPU topology, memory, disks, NIC and the machine."""
+"""Hardware substrate: CPU topology, memory, disks and the machine."""
 
 from .disk import DiskDevice, IoRequest, StripedVolume
 from .machine import Machine
 from .memory import MemorySubsystem
-from .nic import NetworkInterface
 from .topology import CpuTopology, LogicalCoreInfo
 
 __all__ = [
@@ -12,7 +11,6 @@ __all__ = [
     "StripedVolume",
     "Machine",
     "MemorySubsystem",
-    "NetworkInterface",
     "CpuTopology",
     "LogicalCoreInfo",
 ]

@@ -1,4 +1,4 @@
-"""The machine: topology, memory, storage volumes and NIC in one container.
+"""The machine: topology, memory and storage volumes in one container.
 
 A :class:`Machine` is pure hardware — it has no notion of threads or
 scheduling.  The simulated operating system (:mod:`repro.hostos`) is built on
@@ -16,7 +16,6 @@ from ..errors import ResourceError
 from ..simulation.engine import SimulationEngine
 from .disk import StripedVolume, jitter_source
 from .memory import MemorySubsystem
-from .nic import NetworkInterface
 from .topology import CpuTopology
 
 __all__ = ["Machine"]
@@ -44,7 +43,6 @@ class Machine:
             spec.ssd_volume.name: StripedVolume(engine, spec.ssd_volume, rng, jitter=jitter),
             spec.hdd_volume.name: StripedVolume(engine, spec.hdd_volume, rng, jitter=jitter),
         }
-        self.nic = NetworkInterface(engine, spec.nic)
 
     @property
     def engine(self) -> SimulationEngine:

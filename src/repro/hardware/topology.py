@@ -36,7 +36,6 @@ class CpuTopology:
             raise ConfigError("topology dimensions must all be >= 1")
         self._sockets = sockets
         self._cores_per_socket = cores_per_socket
-        self._threads_per_core = threads_per_core
         self._cores: List[LogicalCoreInfo] = []
         core_id = 0
         for socket in range(sockets):

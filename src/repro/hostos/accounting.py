@@ -3,9 +3,9 @@
 The paper's figures break machine CPU time into Primary / Secondary / OS /
 Idle.  The scheduler charges every executed CPU slice here; idle time is
 whatever remains of ``cores x wall-clock``.  Utilisation can be queried both
-cumulatively and over an interval (by differencing snapshots), which is what
-the metrics samplers and the time-series figure (Fig. 10) use.  Per-process
-CPU time is :attr:`~repro.hostos.process.OsProcess.cpu_time`.
+cumulatively and over an interval (by differencing snapshots), which is how
+the CPU sampler measures the post-warm-up window.  Per-process CPU time is
+:attr:`~repro.hostos.process.OsProcess.cpu_time`.
 """
 
 from __future__ import annotations

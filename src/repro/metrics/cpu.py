@@ -1,15 +1,15 @@
-"""CPU utilisation sampling and breakdown reports.
+"""CPU utilisation breakdown reports.
 
 The paper's CPU figures stack four components: Primary, Secondary, OS and
-Idle.  :class:`CpuUtilizationSampler` periodically differences the kernel's
-cumulative accounting to build both the whole-run breakdown (Figures 4b-8b)
-and a utilisation time series (Figure 10).
+Idle.  :class:`CpuUtilizationSampler` snapshots the kernel's cumulative
+accounting when the warm-up ends and differences it at the end of the run to
+build the whole-run breakdown (Figures 4b-8b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..hostos.accounting import CpuSnapshot
 from ..hostos.process import TenantCategory
@@ -33,14 +33,6 @@ class CpuBreakdown:
     def busy(self) -> float:
         return self.primary + self.secondary + self.os
 
-    def as_percent(self) -> Dict[str, float]:
-        return {
-            "primary_pct": self.primary * 100.0,
-            "secondary_pct": self.secondary * 100.0,
-            "os_pct": self.os * 100.0,
-            "idle_pct": self.idle * 100.0,
-        }
-
     @staticmethod
     def from_utilization(utilization: Dict[str, float]) -> "CpuBreakdown":
         return CpuBreakdown(
@@ -51,67 +43,35 @@ class CpuBreakdown:
         )
 
 
-@dataclass
-class _Sample:
-    time: float
-    breakdown: CpuBreakdown
-
-
 class CpuUtilizationSampler:
-    """Samples per-interval CPU breakdowns from a kernel's accounting."""
+    """The CPU breakdown of a kernel's measurement window."""
 
     def __init__(
         self,
         engine: SimulationEngine,
         kernel: Kernel,
-        interval: float = 1.0,
         warmup_end: float = 0.0,
     ) -> None:
         self._engine = engine
         self._kernel = kernel
-        self._interval = interval
         self._warmup_end = warmup_end
-        self._last_snapshot: Optional[CpuSnapshot] = None
         self._measure_start_snapshot: Optional[CpuSnapshot] = None
-        self._samples: List[_Sample] = []
         self._started = False
 
     def start(self) -> None:
-        """Begin periodic sampling (idempotent)."""
+        """Mark the start of the measurement window (idempotent)."""
         if self._started:
             return
         self._started = True
-        self._last_snapshot = self._kernel.cpu_snapshot()
         if self._warmup_end <= self._engine.now:
-            self._measure_start_snapshot = self._last_snapshot
+            self._measure_start_snapshot = self._kernel.cpu_snapshot()
         else:
             self._engine.schedule_at(
                 self._warmup_end, self._mark_measure_start, priority=EventPriority.MEASUREMENT
             )
-        self._engine.schedule(self._interval, self._sample, priority=EventPriority.MEASUREMENT)
 
-    # ------------------------------------------------------------- sampling
     def _mark_measure_start(self) -> None:
         self._measure_start_snapshot = self._kernel.cpu_snapshot()
-
-    def _sample(self) -> None:
-        snapshot = self._kernel.cpu_snapshot()
-        utilization = self._kernel.accounting.utilization(self._engine.now, self._last_snapshot)
-        self._samples.append(
-            _Sample(time=self._engine.now, breakdown=CpuBreakdown.from_utilization(utilization))
-        )
-        self._last_snapshot = snapshot
-        self._engine.schedule(self._interval, self._sample, priority=EventPriority.MEASUREMENT)
-
-    # -------------------------------------------------------------- results
-    def timeseries(self) -> List[Dict[str, float]]:
-        """Per-interval samples as dictionaries (time + percentages)."""
-        rows = []
-        for sample in self._samples:
-            row = {"time_s": sample.time}
-            row.update(sample.breakdown.as_percent())
-            rows.append(row)
-        return rows
 
     def overall(self) -> CpuBreakdown:
         """Breakdown over the whole measurement window (post-warm-up)."""

@@ -107,7 +107,6 @@ class LatencyCollector:
         self._buffer = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
         self._count = 0
         self._dropped = 0
-        self._dropped_warmup = 0
         #: Optional tee fed every served sample (including warmup) — e.g. a
         #: :class:`SlidingLatencyWindow` driving a latency-feedback controller,
         #: which must see live latencies the moment they happen.
@@ -157,7 +156,6 @@ class LatencyCollector:
     def record_drop(self, drop_time: float) -> None:
         """Record a query dropped (timed out) at ``drop_time``."""
         if drop_time < self._warmup_end:
-            self._dropped_warmup += 1
             return
         self._dropped += 1
 

@@ -153,7 +153,6 @@ class SnapshotWriter:
         self._handle = open(self.path, "w", encoding="utf-8")
         self._seq = 0
         self.snapshots_written = 0
-        self.spans_written = 0
         #: True once an OSError disabled the stream (writes became no-ops).
         self.disabled = False
         record: Dict[str, Any] = {
@@ -247,8 +246,6 @@ class SnapshotWriter:
             self._handle.write("\n")
         except OSError as error:
             self._disable(error)
-            return
-        self.spans_written += 1
 
     def close(self) -> None:
         if self._handle is not None:

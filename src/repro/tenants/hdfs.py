@@ -91,7 +91,7 @@ class HdfsTenant(SecondaryTenant):
 
     # ------------------------------------------------------------- internals
     def _issue_replication(self) -> None:
-        if self._datanode is None:
+        if self._datanode is None or not self._datanode.alive:
             return
         self._kernel.iostack.submit(
             self._datanode,
@@ -106,7 +106,7 @@ class HdfsTenant(SecondaryTenant):
         self._issue_replication()
 
     def _issue_client(self) -> None:
-        if self._client is None:
+        if self._client is None or not self._client.alive:
             return
         op = "read" if self._rng.random() < 0.5 else "write"
         self._kernel.iostack.submit(

@@ -7,9 +7,9 @@ Behavioural model (calibrated to Section 5/6 of the paper):
   that makes static isolation insufficient.
 * Each worker may first read an index chunk from the SSD volume (cache miss)
   and then burns a short, heavy-tailed CPU burst.
-* When the last worker finishes, a short aggregation burst merges the results,
-  the response is sent on the NIC, and a log record is written asynchronously
-  to the shared HDD volume.
+* When the last worker finishes, a short aggregation burst merges the results
+  and a log record is written asynchronously to the shared HDD volume.  The
+  query's latency ends there: the response's egress is not simulated.
 * Queries that exceed the timeout are dropped: remaining workers are killed
   and the query is counted in the drop statistics (Figure 7c).
 * Under backlog the service adaptively spawns extra workers per query (the
@@ -261,9 +261,6 @@ class IndexServeTenant(Tenant):
         latency = now - runtime.arrival_time
         self.completed += 1
         self._collector.record(now, latency)
-        # Ship the response and write the (asynchronous) log record.
-        nic = self._kernel.machine.nic
-        nic.send(self._name, self._spec.response_bytes, priority=nic.HIGH)
         if self._spec.log_bytes_per_query > 0:
             self._kernel.submit_io(
                 self._process, "hdd", "write", self._spec.log_bytes_per_query

@@ -1,44 +1,10 @@
-"""Tests for egress throttling and the buffer-core profiler."""
+"""Tests for the buffer-core profiler."""
 
 import pytest
 
-from repro.config.schema import IndexServeSpec, NetworkThrottleSpec
-from repro.core.network_throttle import NetworkThrottle
+from repro.config.schema import IndexServeSpec
 from repro.errors import IsolationError
 from repro.telemetry.profiling import BufferCoreProfiler
-from repro.units import MB
-
-
-class TestNetworkThrottle:
-    def test_start_applies_rate_limit(self, kernel):
-        throttle = NetworkThrottle(kernel, NetworkThrottleSpec(secondary_bandwidth_limit=10 * MB))
-        throttle.start()
-        assert throttle.active
-        # The NIC now paces a stream of large low-priority transfers.
-        finishes = []
-        for _ in range(3):
-            kernel.machine.nic.send("bulk", 5 * MB, priority=kernel.machine.nic.LOW,
-                                    callback=lambda: finishes.append(kernel.now))
-        kernel.engine.run()
-        assert finishes[-1] > 0.8
-
-    def test_disabled_spec_keeps_high_priority(self, kernel):
-        throttle = NetworkThrottle(kernel, NetworkThrottleSpec(enabled=False))
-        throttle.start()
-        assert not throttle.active
-        # The low class stays uncapped, so secondary egress is not held back.
-        assert kernel.machine.nic._low_rate_limit is None
-
-    def test_stop_removes_limit(self, kernel):
-        throttle = NetworkThrottle(kernel, NetworkThrottleSpec(secondary_bandwidth_limit=1 * MB))
-        throttle.start()
-        throttle.stop()
-        finishes = []
-        for _ in range(3):
-            kernel.machine.nic.send("bulk", 5 * MB, priority=kernel.machine.nic.LOW,
-                                    callback=lambda: finishes.append(kernel.now))
-        kernel.engine.run()
-        assert finishes[-1] < 0.1
 
 
 class TestBufferCoreProfiler:

@@ -59,7 +59,7 @@ class TestCpuBreakdown:
             {"primary": 0.2, "secondary": 0.5, "os": 0.05, "idle": 0.25}
         )
         assert breakdown.busy == pytest.approx(0.75)
-        assert breakdown.as_percent()["idle_pct"] == pytest.approx(25.0)
+        assert breakdown.idle == pytest.approx(0.25)
 
     def test_missing_categories_default_to_zero(self):
         breakdown = CpuBreakdown.from_utilization({"idle": 1.0})

@@ -182,7 +182,7 @@ class TestExperimentRunner:
         pristine = first.latency_samples.copy()
         pristine_history = list(first.result.secondary_core_history)
         first.latency_samples[:] = -1.0
-        first.result.cpu_timeseries.clear()
+        first.result.secondary_core_history.append(-1)
         first.result.extra["poison"] = 1.0
         second = runner.run_batch([ExperimentTask(tiny_spec(), "b")])[0]
         assert second.from_cache

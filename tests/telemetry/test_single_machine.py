@@ -40,8 +40,8 @@ def test_results_identical_with_and_without_telemetry(tmp_path, name):
     path = tmp_path / "stream.jsonl"
     with TelemetrySession.to_path(str(path), source="test") as session:
         instrumented = SingleMachineExperiment(spec, scenario=name).run(telemetry=session)
-    # Dataclass equality covers latency stats, the CPU breakdown and its full
-    # timeseries, counts, controller history and the secondary breakdown.
+    # Dataclass equality covers latency stats, the CPU breakdown, counts,
+    # controller history and the secondary breakdown.
     assert instrumented == baseline
     validate_stream_file(str(path))
 

@@ -77,11 +77,6 @@ class TestQueryProcessing:
         engine.run(until=1.0)
         assert primary.kernel.iostack.completions("indexserve", "hdd") >= 1
 
-    def test_response_sent_on_nic(self, engine, big_kernel, primary, trace):
-        primary.submit(trace[0])
-        engine.run(until=1.0)
-        assert big_kernel.machine.nic.bytes_sent.get("indexserve", 0) > 0
-
     def test_cache_misses_read_from_ssd(self, engine, big_kernel, streams):
         spec = small_spec(cache_miss_rate=1.0)
         tenant = IndexServeTenant(big_kernel, spec, rng=streams.stream("ssd"), name="is-ssd")

@@ -105,6 +105,19 @@ class TestHdfs:
         hdfs.start()
         assert len(hdfs.processes()) == 2
 
+    def test_killed_processes_stop_issuing_io(self, engine, big_kernel, rng):
+        spec = HdfsSpec(memory_bytes=1024)
+        hdfs = HdfsTenant(big_kernel, spec, rng=rng)
+        hdfs.start()
+        engine.run(until=0.5)
+        for process in hdfs.processes():
+            big_kernel.kill_process(process)
+        killed_at = hdfs.progress()
+        engine.run(until=2.0)
+        # Each stream's in-flight request may still complete; no new one starts.
+        assert killed_at > 0
+        assert hdfs.progress() <= killed_at + 2 * spec.request_bytes
+
 
 class TestMlTraining:
     def test_consumes_cpu_and_reads_input(self, engine, kernel, rng):
