@@ -182,6 +182,12 @@ def _largest_remainder(expected: np.ndarray, total: int) -> np.ndarray:
     return floors
 
 
+#: Distinct :func:`closed_form_histogram` inputs kept per process, least
+#: recently used first out.  A 50,000-machine sampled run has about 113; an
+#: entry holds its key (curve and edges bytes) and its counts, about 9 KB.
+CLOSED_FORM_MEMO_ENTRIES = 256
+
+
 def closed_form_histogram(
     curve: np.ndarray, edges: np.ndarray, total: int
 ) -> Tuple[np.ndarray, float, float]:
@@ -197,10 +203,28 @@ def closed_form_histogram(
     ignored here (its mean is ~1.0005 at the fleet's sigma); sampled
     machines carry the heterogeneity signal.
 
+    The result is a pure function of its inputs, and the shards of one group
+    and stage pass the same blended curve and, mostly, the same quota, so it
+    is computed once per distinct input and process: the memo is keyed on
+    the bytes of ``curve`` and ``edges`` and on ``total``, never on an
+    object's identity, and keeps at most :data:`CLOSED_FORM_MEMO_ENTRIES`.
+
     Returns ``(counts, sum, maximum)`` ready for
     :meth:`~repro.metrics.latency.LatencyDigest.add_counts` — ``counts`` has
-    ``len(edges) + 1`` cells (underflow, bins, overflow).
+    ``len(edges) + 1`` cells (underflow, bins, overflow) and is read-only,
+    because every caller with the same inputs shares it.
     """
+    curve = np.ascontiguousarray(curve, dtype=np.float64)
+    edges = np.ascontiguousarray(edges, dtype=np.float64)
+    return _closed_form(curve.tobytes(), edges.tobytes(), int(total))
+
+
+@functools.lru_cache(maxsize=CLOSED_FORM_MEMO_ENTRIES)
+def _closed_form(
+    curve_bytes: bytes, edges_bytes: bytes, total: int
+) -> Tuple[np.ndarray, float, float]:
+    curve = np.frombuffer(curve_bytes)
+    edges = np.frombuffer(edges_bytes)
     grid = quantile_grid()
     cdf = np.interp(edges, curve, grid)
     # Uniform draws in (QUANTILE_GRID_MAX, 1) clamp to the last curve value,
@@ -213,6 +237,7 @@ def closed_form_histogram(
     np.clip(probs, 0.0, None, out=probs)
     probs /= probs.sum()
     counts = _largest_remainder(probs * total, total)
+    counts.flags.writeable = False
     mean = float(_trapezoid(curve, grid) + (1.0 - grid[-1]) * curve[-1])
     return counts, mean * total, float(curve[-1])
 

@@ -13,7 +13,8 @@ The simulation composes the other fleet modules:
    per-machine arrays (placed cores, sampled positions), draws its machines'
    latencies by inverse-CDF sampling and returns *mergeable digests*, never
    raw samples.  Shards are recomputed on every run: hashing a shard task
-   into a cache key costs more than sampling the shard;
+   into a cache key costs more than sampling the shard.  The run is one
+   runner scope, so calibration and every stage share one worker pool;
 4. the staged rollout engine advances canary -> wave -> fleet, halting and
    rolling the configuration store back on a guardrail breach.
 
@@ -125,7 +126,8 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
 
     In sampled (hyperscale) mode only ``task.sampled`` machines are drawn;
     the rest contribute :func:`~repro.fleet.model.closed_form_histogram`
-    expected counts from the calibrated row model.
+    expected counts from the calibrated row model, which a worker computes
+    once per distinct curve and quota and then reuses for its later shards.
 
     A fault plan (``task.faults``) is folded in *after* the main draw, so the
     uniform stream layout — and therefore every healthy machine's samples —
@@ -387,8 +389,14 @@ class FleetSimulation:
     def run(self) -> FleetResult:
         from ..runtime.runner import default_runner
 
-        spec = self._spec
         runner = self._runner if self._runner is not None else default_runner()
+        # One worker pool serves calibration and every stage's shards, and
+        # its workers are joined before the run returns or raises.
+        with runner.scope():
+            return self._operate(runner)
+
+    def _operate(self, runner) -> FleetResult:
+        spec = self._spec
         model = FleetModel(spec)
         calibrations = model.calibrate(runner)
         demands = build_demands(spec, calibrations)

@@ -15,6 +15,11 @@ to back.  Three properties the harnesses rely on:
   :class:`~repro.runtime.cache.ResultCache` keyed on the spec hash, so
   different harnesses (the figure scenarios, Figure 10's calibration, the
   benchmarks) reuse each other's runs.
+
+A fan-out builds its worker pool and shuts it down before it returns, unless
+it runs inside :meth:`ExperimentRunner.scope`: every fan-out in a scope
+reuses one pool, whose workers are joined when the scope exits.  A fleet run
+is one scope, so its calibration and every stage's shards fork workers once.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -146,6 +152,10 @@ class ExperimentRunner:
             and "fork" in multiprocessing.get_all_start_methods()
             else None
         )
+        #: The open scope, which shuts its pool down, and that pool, built
+        #: at the scope's first parallel fan-out (see :meth:`scope`).
+        self._scope: Optional[ExitStack] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------ properties
     @property
@@ -159,33 +169,63 @@ class ExperimentRunner:
     def _parallel(self, pending: int) -> bool:
         return pending > 1 and self._max_workers > 1 and self._mp_context is not None
 
+    @contextmanager
+    def scope(self) -> Iterator[None]:
+        """Share one worker pool among every fan-out inside the block.
+
+        The pool is built at the block's first parallel fan-out, with
+        ``max_workers`` workers, and shut down with its workers joined when
+        the block exits, on success or on error, so none outlives it: a
+        parent reading ``RUSAGE_CHILDREN`` afterwards counts every worker,
+        and a later block's workers see the parent as it is then.  A nested
+        scope uses the outer one's pool.
+        """
+        if self._scope is not None:
+            yield
+            return
+        self._scope = ExitStack()
+        try:
+            yield
+        finally:
+            scope, self._scope, self._pool = self._scope, None, None
+            scope.close()
+
     def _fan_out(self, fn: Callable[[Any], Any], payloads: Sequence[Any]) -> List[Any]:
         """The one execution strategy: process pool when it pays, else serial.
 
-        A :class:`BrokenProcessPool` (a worker died mid-batch) is retried on
-        a fresh pool with capped exponential backoff; if every attempt dies
-        the batch runs serially — slower, but it completes, and a worker that
-        crashes deterministically then raises the real error in-process where
-        it is debuggable.
+        The pool is the open scope's; outside a scope the fan-out is a scope
+        of its own, whose pool is sized to the batch.  A
+        :class:`BrokenProcessPool` (a worker died mid-batch) discards the
+        pool and retries on a fresh one with capped exponential backoff; if
+        every attempt dies the batch runs serially — slower, but it
+        completes, and a worker that crashes deterministically then raises
+        the real error in-process where it is debuggable.
         """
         if not self._parallel(len(payloads)):
             return [fn(payload) for payload in payloads]
         workers = min(self._max_workers, len(payloads))
         chunksize = -(-len(payloads) // (workers * self.CHUNKS_PER_WORKER))
-        for attempt in range(self.POOL_ATTEMPTS):
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=workers, mp_context=self._mp_context
-                ) as pool:
-                    return list(pool.map(fn, payloads, chunksize=chunksize))
-            except BrokenProcessPool:
-                self.pool_failures += 1
-                delay = min(
-                    self.POOL_BACKOFF_BASE * (2**attempt), self.POOL_BACKOFF_CAP
-                )
-                if delay > 0:
-                    time.sleep(delay)
-        return [fn(payload) for payload in payloads]
+        pool_workers = self._max_workers if self._scope is not None else workers
+        with self.scope():
+            for attempt in range(self.POOL_ATTEMPTS):
+                if self._pool is None:
+                    self._pool = self._scope.enter_context(
+                        ProcessPoolExecutor(
+                            max_workers=pool_workers, mp_context=self._mp_context
+                        )
+                    )
+                try:
+                    return list(self._pool.map(fn, payloads, chunksize=chunksize))
+                except BrokenProcessPool:
+                    self.pool_failures += 1
+                    self._pool = None
+                    self._scope.close()
+                    delay = min(
+                        self.POOL_BACKOFF_BASE * (2**attempt), self.POOL_BACKOFF_CAP
+                    )
+                    if delay > 0:
+                        time.sleep(delay)
+            return [fn(payload) for payload in payloads]
 
     # --------------------------------------------------------------- mapping
     def map(self, fn: Callable[..., Any], items: Sequence[tuple]) -> List[Any]:
@@ -195,7 +235,8 @@ class ExperimentRunner:
         value picklable.  This is a plain ordered fan-out for work that is
         not a simulation spec (the fleet's shards): every payload runs, no
         key is computed, nothing is cached, and every result is its own
-        object.
+        object.  Inside :meth:`scope` it runs on the scope's pool, so a
+        fleet run's stages fork no workers of their own.
         """
         return self._fan_out(_call, [(fn, tuple(args)) for args in items])
 

@@ -1,7 +1,10 @@
-"""Tests for the fleet model: specs, load curves, sharding and calibration."""
+"""Tests for the fleet model: specs, load curves, sharding, calibration and
+the closed-form row histogram."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.config.schema import FleetSpec, MachineGroupSpec, PlacementSpec, RolloutSpec
 from repro.config.validation import validate_fleet
@@ -10,10 +13,14 @@ from repro.fleet.model import (
     QUANTILE_GRID_MAX,
     QUANTILE_POINTS,
     FleetModel,
+    _largest_remainder,
+    _trapezoid,
+    closed_form_histogram,
     interpolate_mode,
     quantile_grid,
 )
 from repro.fleet.scenarios import default_groups, stage_fractions
+from repro.metrics.latency import LatencyDigest
 from repro.simulation.randomness import stable_seed
 
 from fleet_testing import make_tiny_fleet_spec
@@ -270,3 +277,86 @@ class TestDerivedGroupLoadCurves:
         assert model.load_at(shifted, 0.0) == pytest.approx(group.trough_qps)
         renamed = dataclasses.replace(group, name="not-in-the-fleet")
         assert model.load_at(renamed, 0.0) == model.load_at(group, 0.0)
+
+
+def reference_closed_form_histogram(curve, edges, total):
+    """``closed_form_histogram``'s body before it was memoised, verbatim."""
+    grid = quantile_grid()
+    cdf = np.interp(edges, curve, grid)
+    # Uniform draws in (QUANTILE_GRID_MAX, 1) clamp to the last curve value,
+    # so the CDF saturates at 1.0 there (np.interp stops at the grid's 0.999).
+    cdf = np.where(edges >= curve[-1], 1.0, cdf)
+    probs = np.empty(edges.size + 1, dtype=np.float64)
+    probs[0] = cdf[0]
+    probs[1:-1] = np.diff(cdf)
+    probs[-1] = 1.0 - cdf[-1]
+    np.clip(probs, 0.0, None, out=probs)
+    probs /= probs.sum()
+    counts = _largest_remainder(probs * total, total)
+    mean = float(_trapezoid(curve, grid) + (1.0 - grid[-1]) * curve[-1])
+    return counts, mean * total, float(curve[-1])
+
+
+@st.composite
+def quantile_curves(draw):
+    """A non-decreasing latency curve (seconds) on the quantile grid."""
+    start = draw(st.floats(1e-5, 0.05))
+    steps = draw(
+        arrays(np.float64, QUANTILE_POINTS - 1, elements=st.floats(0.0, 0.01))
+    )
+    return start + np.concatenate(([0.0], np.cumsum(steps)))
+
+
+QUOTAS = st.integers(1, 100_000)
+
+
+class TestClosedFormHistogram:
+    edges = LatencyDigest().edges
+
+    @settings(max_examples=60)
+    @given(curve=quantile_curves(), total=QUOTAS)
+    def test_counts_are_a_full_non_negative_quota(self, curve, total):
+        counts, _, _ = closed_form_histogram(curve, self.edges, total)
+        assert counts.shape == (self.edges.size + 1,)
+        assert np.all(counts >= 0)
+        assert int(counts.sum()) == total
+
+    @settings(max_examples=60)
+    @given(curve=quantile_curves(), total=QUOTAS)
+    def test_sum_is_the_quota_times_the_curve_mean(self, curve, total):
+        grid = quantile_grid()
+        trapezoid = float(np.sum((curve[1:] + curve[:-1]) / 2.0 * np.diff(grid)))
+        tail = (1.0 - QUANTILE_GRID_MAX) * curve[-1]
+        _, total_sum, maximum = closed_form_histogram(curve, self.edges, total)
+        assert total_sum == pytest.approx(total * (trapezoid + tail), rel=1e-12)
+        assert maximum == curve[-1]
+
+    @settings(max_examples=60)
+    @given(curve=quantile_curves(), total=QUOTAS)
+    def test_memoised_result_is_the_reference_bit_for_bit(self, curve, total):
+        counts, total_sum, maximum = closed_form_histogram(curve, self.edges, total)
+        want_counts, want_sum, want_max = reference_closed_form_histogram(
+            curve, self.edges, total
+        )
+        assert counts.dtype == want_counts.dtype
+        assert np.array_equal(counts, want_counts)
+        assert total_sum.hex() == want_sum.hex()
+        assert maximum.hex() == want_max.hex()
+
+    def test_counts_are_read_only(self):
+        curve = np.linspace(0.001, 0.02, QUANTILE_POINTS)
+        counts, _, _ = closed_form_histogram(curve, self.edges, 1000)
+        with pytest.raises(ValueError):
+            counts[0] = 1
+
+    def test_memo_is_keyed_on_content_not_identity(self):
+        curve = np.linspace(0.002, 0.03, QUANTILE_POINTS)
+        first, _, _ = closed_form_histogram(curve.copy(), self.edges, 4096)
+        equal, _, _ = closed_form_histogram(curve.copy(), self.edges, 4096)
+        assert equal is first
+        nudged = curve.copy()
+        nudged[64] = np.nextafter(nudged[64], np.inf)
+        apart, _, _ = closed_form_histogram(nudged, self.edges, 4096)
+        assert apart is not first
+        other_quota, _, _ = closed_form_histogram(curve.copy(), self.edges, 4097)
+        assert other_quota is not first

@@ -1,4 +1,5 @@
-"""Crash-hardened runtime: pool-failure retries and cache quarantine.
+"""Crash-hardened runtime: pool-failure retries, the pool's lifetime and
+cache quarantine.
 
 Failing-before regressions for the robustness PR: a worker process dying
 mid-batch (OOM-killed, segfaulted numpy, container eviction) used to
@@ -8,16 +9,26 @@ re-written, so a flaky filesystem could loop forever re-reading bad bytes.
 Now the pool is rebuilt with capped exponential backoff (degrading to serial
 execution as the last resort) and corrupt entries are quarantined on disk —
 renamed, never re-read, preserved for post-mortems.
+
+A fleet run is one runner scope: its calibration and every stage share one
+pool, whose workers are joined before the run returns or raises.
 """
 
+import multiprocessing
 import pickle
 
+import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 import repro.runtime.runner as runner_module
+from repro.errors import ExperimentError
 from repro.experiments import scenarios
+from repro.fleet.simulate import FleetSimulation
+from repro.reporting.rows import rows_to_json
 from repro.runtime import ExperimentRunner, ExperimentTask, ResultCache
 from repro.runtime.spec_hash import spec_hash, versioned_namespace
+
+from fleet_testing import make_tiny_fleet_spec
 
 #: Captured before any monkeypatching so FlakyPoolFactory can build real pools.
 REAL_PROCESS_POOL = runner_module.ProcessPoolExecutor
@@ -94,6 +105,94 @@ class TestPoolCrashRecovery:
         )[0]
         _, outcomes = self.run_tasks(monkeypatch, AlwaysBrokenPool, tasks=1)
         assert outcomes[0].result.summary() == healthy.result.summary()
+
+
+def small_sampled_fleet(**overrides):
+    return make_tiny_fleet_spec(
+        machines=600, sample_fraction=0.25, min_sampled_machines=128, **overrides
+    )
+
+
+def live_workers():
+    """The child processes alive now; each is then given 10 s to exit, so a
+    leaked worker fails the test instead of outliving it."""
+    alive = multiprocessing.active_children()
+    for child in alive:
+        child.join(timeout=10.0)
+    return alive
+
+
+class TestOnePoolPerFleetRun:
+    @pytest.fixture(scope="class")
+    def cold_run(self):
+        """A cold 2-worker sampled fleet run with every pool and fan-out
+        counted: (pools built, batch size per fan-out, workers alive after)."""
+        factory = FlakyPoolFactory(failures=0)
+        runner = ExperimentRunner(max_workers=2, cache=ResultCache())
+        fan_outs = []
+        fan_out = runner._fan_out
+
+        def counting_fan_out(fn, payloads):
+            fan_outs.append(len(payloads))
+            return fan_out(fn, payloads)
+
+        with pytest.MonkeyPatch.context() as patcher:
+            patcher.setattr(runner_module, "ProcessPoolExecutor", factory)
+            patcher.setattr(runner, "_fan_out", counting_fan_out)
+            FleetSimulation(small_sampled_fleet(), runner=runner).run()
+            alive = live_workers()
+        return factory.built, fan_outs, alive
+
+    def test_calibration_and_every_stage_share_one_pool(self, cold_run):
+        built, fan_outs, _ = cold_run
+        # Calibration, the bake and two stages: four parallel fan-outs.
+        assert len(fan_outs) == 4 and min(fan_outs) > 1
+        assert built == 1
+
+    def test_no_worker_outlives_the_run(self, cold_run):
+        _, _, alive = cold_run
+        assert alive == []
+
+    def test_no_worker_outlives_a_run_that_raises(self, monkeypatch):
+        factory = FlakyPoolFactory(failures=0)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", factory)
+        spec = make_tiny_fleet_spec(
+            calibration_qps=(0.5, 1.0), calibration_duration=0.2, calibration_warmup=0.1
+        )
+        runner = ExperimentRunner(max_workers=2, cache=ResultCache())
+        with pytest.raises(ExperimentError, match="produced no latency samples"):
+            FleetSimulation(spec, runner=runner).run()
+        assert factory.built == 1  # the calibration ran on a pool
+        assert live_workers() == []
+
+    def test_batches_outside_a_scope_build_a_pool_each(self, monkeypatch):
+        factory = FlakyPoolFactory(failures=0)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", factory)
+        runner = ExperimentRunner(max_workers=2, cache=ResultCache())
+        for seeds in ((1, 2), (3, 4)):
+            runner.run_batch([ExperimentTask(tiny_spec(seed=seed)) for seed in seeds])
+        assert factory.built == 2
+        assert live_workers() == []
+        with runner.scope():
+            for seeds in ((5, 6), (7, 8)):
+                runner.run_batch([ExperimentTask(tiny_spec(seed=seed)) for seed in seeds])
+        assert factory.built == 3
+        assert live_workers() == []
+
+    def test_a_broken_pool_is_rebuilt_inside_the_run(self, monkeypatch):
+        cache = ResultCache()
+        serial = FleetSimulation(
+            small_sampled_fleet(), runner=ExperimentRunner(max_workers=1, cache=cache)
+        ).run()
+        factory = FlakyPoolFactory(failures=1)
+        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", factory)
+        runner = ExperimentRunner(max_workers=2, cache=cache)
+        runner.POOL_BACKOFF_BASE = 0.0
+        flaky = FleetSimulation(small_sampled_fleet(), runner=runner).run()
+        assert runner.pool_failures == 1
+        assert factory.built == 2  # the broken pool and its one replacement
+        assert rows_to_json(flaky.rows()) == rows_to_json(serial.rows())
+        assert live_workers() == []
 
 
 class TestCacheQuarantine:
