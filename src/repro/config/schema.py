@@ -24,7 +24,6 @@ from ..units import GIB, MB, micros, millis
 __all__ = [
     "DiskSpec",
     "VolumeSpec",
-    "NicSpec",
     "MachineSpec",
     "SchedulerSpec",
     "IndexServeSpec",
@@ -42,7 +41,6 @@ __all__ = [
     "OracleControlSpec",
     "IoThrottleSpec",
     "MemoryGuardSpec",
-    "NetworkThrottleSpec",
     "PerfIsoSpec",
     "DiurnalSpec",
     "BurstySpec",
@@ -65,14 +63,6 @@ __all__ = [
     "CampaignSpec",
 ]
 
-#: Field metadata marking a spec field as hash-transparent while it equals
-#: its default.  Must stay in sync with
-#: :data:`repro.runtime.spec_hash.OMIT_IF_DEFAULT` (a string literal here to
-#: avoid importing the runtime package at schema-load time): specs that never
-#: set the field keep the exact content hash they had before the field
-#: existed, so pinned goldens survive schema growth.
-_HASH_OMIT_IF_DEFAULT = {"repro_hash_omit_if_default": True}
-
 #: Tenant kinds a fleet machine group may run as its harvested secondary.
 SECONDARY_KINDS = ("cpu_bully", "disk_bully", "hdfs", "ml_training")
 
@@ -88,7 +78,6 @@ class DiskSpec:
     """
 
     kind: str = "ssd"
-    capacity_bytes: int = 500 * GIB
     base_latency: float = micros(80)
     bandwidth_bytes_per_s: float = 450 * MB
     max_queue_depth: int = 32
@@ -118,22 +107,6 @@ class VolumeSpec:
             raise ConfigError(f"volume {self.name!r} stripe must be >= 4 KiB")
 
 
-@dataclass(frozen=True)
-class NicSpec:
-    """Network interface card.
-
-    Inert: no modelled tenant sends egress, so nothing is built from these
-    values.  They stay because every spec hash covers them.
-    """
-
-    bandwidth_bytes_per_s: float = 1250 * MB  # 10 GbE
-    base_latency: float = micros(30)
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0:
-            raise ConfigError("NIC bandwidth must be positive")
-
-
 def _default_ssd_volume() -> VolumeSpec:
     return VolumeSpec(name="ssd", disk=DiskSpec(kind="ssd"), count=4)
 
@@ -143,7 +116,6 @@ def _default_hdd_volume() -> VolumeSpec:
         name="hdd",
         disk=DiskSpec(
             kind="hdd",
-            capacity_bytes=2048 * GIB,
             base_latency=millis(6.0),
             bandwidth_bytes_per_s=160 * MB,
             max_queue_depth=8,
@@ -162,7 +134,6 @@ class MachineSpec:
     memory_bytes: int = 128 * GIB
     ssd_volume: VolumeSpec = field(default_factory=_default_ssd_volume)
     hdd_volume: VolumeSpec = field(default_factory=_default_hdd_volume)
-    nic: NicSpec = field(default_factory=NicSpec)
 
     def __post_init__(self) -> None:
         if self.sockets < 1 or self.cores_per_socket < 1 or self.threads_per_core < 1:
@@ -196,14 +167,13 @@ class SchedulerSpec:
     quantum: float = millis(120)
     context_switch_cost: float = micros(5)
     rate_interval: float = millis(100)
-    wakeup_latency: float = micros(5)
     smt_slowdown: float = 0.90
     placement: str = "per_core"
 
     def __post_init__(self) -> None:
         if self.quantum <= 0:
             raise ConfigError("scheduler quantum must be positive")
-        if self.context_switch_cost < 0 or self.wakeup_latency < 0:
+        if self.context_switch_cost < 0:
             raise ConfigError("scheduler overheads must be >= 0")
         if self.rate_interval <= 0:
             raise ConfigError("rate enforcement interval must be positive")
@@ -249,9 +219,6 @@ class IndexServeSpec:
     memory_footprint_bytes: int = 110 * GIB
     #: Bytes written to the (HDD) log volume per query (asynchronous).
     log_bytes_per_query: int = 2 * 1024
-    #: Response payload size.  Inert: the response's egress is not
-    #: simulated; the field stays because every spec hash covers it.
-    response_bytes: int = 16 * 1024
     #: Adaptive parallelism: when the number of in-flight queries exceeds
     #: ``adaptive_threshold`` the service splits the largest index-lookup
     #: chunks across extra workers (target-driven parallelism in the style of
@@ -611,23 +578,6 @@ class MemoryGuardSpec:
 
 
 @dataclass(frozen=True)
-class NetworkThrottleSpec:
-    """Egress network throttling of the secondary (Section 3.2).
-
-    Inert: no modelled secondary sends egress, so the controller runs no
-    network throttle.  The fields stay because every spec hash covers them.
-    """
-
-    enabled: bool = True
-    secondary_bandwidth_limit: float = 100 * MB
-    low_priority: bool = True
-
-    def __post_init__(self) -> None:
-        if self.secondary_bandwidth_limit <= 0:
-            raise ConfigError("secondary egress bandwidth limit must be positive")
-
-
-@dataclass(frozen=True)
 class PerfIsoSpec:
     """Top-level PerfIso service configuration (Section 4)."""
 
@@ -644,7 +594,6 @@ class PerfIsoSpec:
     oracle: OracleControlSpec = field(default_factory=OracleControlSpec)
     io_throttle: IoThrottleSpec = field(default_factory=IoThrottleSpec)
     memory_guard: MemoryGuardSpec = field(default_factory=MemoryGuardSpec)
-    network_throttle: NetworkThrottleSpec = field(default_factory=NetworkThrottleSpec)
     #: How often the controller polls the idle-core mask.
     poll_interval: float = millis(1)
     #: Whether the controller starts enabled (the "kill switch" of Section 4.2).
@@ -821,9 +770,9 @@ class TraceSpec:
 class WorkloadSpec:
     """Open-loop query workload replayed against the primary (Section 5.3).
 
-    With no arrival model set, arrivals are stationary at ``qps`` (Poisson or
-    uniform).  Setting exactly one of ``diurnal``/``bursty``/``flash_crowd``/
-    ``trace`` makes the arrival process time-varying: the rate follows the
+    Arrivals are Poisson.  With no arrival model set, their rate is the
+    constant ``qps``.  Setting exactly one of ``diurnal``/``bursty``/
+    ``flash_crowd``/``trace`` makes the rate time-varying: it follows the
     model and ``qps`` remains only the nominal label reported in results.
     """
 
@@ -832,7 +781,6 @@ class WorkloadSpec:
     warmup: float = 1.0
     #: Number of distinct queries in the synthetic trace.
     trace_queries: int = 50_000
-    arrival_process: str = "poisson"
     diurnal: Optional[DiurnalSpec] = None
     bursty: Optional[BurstySpec] = None
     flash_crowd: Optional[FlashCrowdSpec] = None
@@ -843,17 +791,11 @@ class WorkloadSpec:
             raise ConfigError("qps must be positive")
         if self.duration <= 0 or self.warmup < 0:
             raise ConfigError("duration must be > 0 and warmup >= 0")
-        if self.arrival_process not in ("poisson", "uniform"):
-            raise ConfigError("arrival_process must be 'poisson' or 'uniform'")
         models = self._set_models()
         if len(models) > 1:
             raise ConfigError(
                 "a workload may set at most one arrival model, got "
                 f"{[kind for kind, _ in models]}"
-            )
-        if models and self.arrival_process != "poisson":
-            raise ConfigError(
-                "time-varying arrival models require arrival_process='poisson'"
             )
 
     def _set_models(self) -> Tuple[Tuple[str, object], ...]:
@@ -1326,12 +1268,8 @@ class FleetSpec:
     #: ``sample_fraction``.
     min_sampled_machines: int = 256
     seed: int = 7
-    #: Optional deterministic fault plan.  Hash-transparent while unset, so a
-    #: fault-free fleet hashes (and therefore caches) exactly as before the
-    #: fault subsystem existed.
-    faults: Optional[FaultPlanSpec] = field(
-        default=None, metadata=_HASH_OMIT_IF_DEFAULT
-    )
+    #: Optional deterministic fault plan.
+    faults: Optional[FaultPlanSpec] = None
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -1385,12 +1323,8 @@ class ExperimentSpec:
     #: different sizes, or CPU bully + disk bully + ML training at once).
     extra_secondaries: Tuple[SecondaryJobSpec, ...] = ()
     seed: int = 1
-    #: Optional deterministic fault plan.  Hash-transparent while unset: a
-    #: spec without faults keeps the exact content hash it had before the
-    #: fault subsystem existed (pinned by the golden suite).
-    faults: Optional[FaultPlanSpec] = field(
-        default=None, metadata=_HASH_OMIT_IF_DEFAULT
-    )
+    #: Optional deterministic fault plan.
+    faults: Optional[FaultPlanSpec] = None
 
     def replace(self, **changes) -> "ExperimentSpec":
         """Return a copy with ``changes`` applied (thin dataclasses.replace wrapper)."""

@@ -78,12 +78,11 @@ class Scenario:
 
     ``axes`` maps builder keyword arguments to their default value grids; the
     cartesian product of the grids is the scenario's variant matrix.  A
-    scenario without axes has exactly one variant.  ``tier`` records which
-    pytest tier the scenario's regression test lives in (``fast`` scenarios
-    are cheap enough for the inner loop; ``slow`` ones run nightly).
-    ``kind`` selects the execution engine: ``"experiment"`` builders return
-    an :class:`~repro.config.schema.ExperimentSpec` run on the single-machine
-    simulator; ``"cluster"`` builders return a
+    scenario without axes has exactly one variant.  Each experiment has one
+    entry: a second entry over a builder must add specs no other entry
+    builds.  ``kind`` selects the execution engine: ``"experiment"`` builders
+    return an :class:`~repro.config.schema.ExperimentSpec` run on the
+    single-machine simulator; ``"cluster"`` builders return a
     :class:`~repro.config.schema.ClusterScenario` run by
     :class:`~repro.cluster.simulated.SimulatedCluster` (both through the
     runner's cached batches); ``"fleet"`` builders return a
@@ -96,12 +95,9 @@ class Scenario:
     builder: Callable[..., Any]
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     tags: Tuple[str, ...] = ()
-    tier: str = "fast"
     kind: str = "experiment"
 
     def __post_init__(self) -> None:
-        if self.tier not in ("fast", "slow"):
-            raise ConfigError(f"scenario tier must be 'fast' or 'slow', got {self.tier!r}")
         if self.kind not in _VALIDATORS:
             raise ConfigError(
                 f"scenario kind must be one of {', '.join(_VALIDATORS)}, got {self.kind!r}"
@@ -150,8 +146,14 @@ class Scenario:
                     f"scenario {self.name!r} has no axis {axis!r} "
                     f"(axes: {list(known) or 'none'})"
                 )
+        parameters = inspect.signature(self.builder).parameters
         return tuple(
-            (axis, self._check_values(axis, tuple(grid[axis])) if axis in grid else values)
+            (
+                axis,
+                self._check_values(axis, _like_default(parameters[axis].default, grid[axis]))
+                if axis in grid
+                else values,
+            )
             for axis, values in self.axes
         )
 
@@ -240,6 +242,17 @@ class MatrixResult:
         return rows
 
 
+def _like_default(default: Any, values: Sequence[Any]) -> Tuple[Any, ...]:
+    """Grid values, with an int given for a float parameter made a float.
+
+    ``--grid qps=2000`` must build the spec of the ``qps=2000.0`` variant:
+    the spec hash tells the int and the float apart.
+    """
+    if isinstance(default, float):
+        values = [float(v) if isinstance(v, int) and not isinstance(v, bool) else v for v in values]
+    return tuple(values)
+
+
 def _variant_label(name: str, axis_values: Mapping[str, Any]) -> str:
     if not axis_values:
         return name
@@ -267,7 +280,6 @@ def scenario(
     description: str,
     axes: Optional[Mapping[str, Sequence[Any]]] = None,
     tags: Iterable[str] = (),
-    tier: str = "fast",
     kind: str = "experiment",
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Decorator registering a builder function as a named scenario.
@@ -284,7 +296,6 @@ def scenario(
                 builder=builder,
                 axes=tuple((axis, tuple(values)) for axis, values in (axes or {}).items()),
                 tags=tuple(tags),
-                tier=tier,
                 kind=kind,
             )
         )
@@ -407,7 +418,6 @@ def _catalog_table() -> str:
             {
                 "scenario": item.name,
                 "kind": item.kind,
-                "tier": item.tier,
                 "variants": item.variant_count(),
                 "axes": axes or "-",
                 "tags": ",".join(item.tags) or "-",
@@ -415,7 +425,7 @@ def _catalog_table() -> str:
             }
         )
     return format_table(
-        rows, columns=["scenario", "kind", "tier", "variants", "axes", "tags", "description"]
+        rows, columns=["scenario", "kind", "variants", "axes", "tags", "description"]
     )
 
 

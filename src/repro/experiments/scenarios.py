@@ -67,13 +67,11 @@ __all__ = [
     "DIURNAL_PHASES",
     "base_spec",
     "standalone",
-    "standalone_peak",
     "no_isolation",
     "blind_isolation",
     "static_cores",
     "cpu_cycles",
     "disk_bound_with_throttling",
-    "policy_showdown",
     "burst_storm",
     "diurnal",
     "adaptive_parallelism_off",
@@ -87,10 +85,7 @@ __all__ = [
     "diurnal_cycle",
     "diurnal_trough_reclamation",
     "flash_crowd_blind_isolation",
-    "flash_crowd_no_isolation",
     "bursty_blind_isolation",
-    "bursty_no_isolation",
-    "replayed_trace_showdown",
     "replayed_trace_standalone",
     "bursty_replay_trace",
     "diurnal_replay_trace",
@@ -156,21 +151,6 @@ def standalone(
     seed: int = 1,
 ) -> ExperimentSpec:
     """IndexServe running alone (the baseline of Section 6.1.1)."""
-    return base_spec(qps=qps, duration=duration, warmup=warmup, seed=seed)
-
-
-@matrix.scenario(
-    "standalone-peak",
-    "IndexServe alone at provisioned peak load",
-    tags=("paper", "baseline"),
-)
-def standalone_peak(
-    qps: float = PEAK_LOAD_QPS,
-    duration: float = 10.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-) -> ExperimentSpec:
-    """IndexServe running alone at the provisioned peak (4,000 QPS)."""
     return base_spec(qps=qps, duration=duration, warmup=warmup, seed=seed)
 
 
@@ -302,33 +282,10 @@ def disk_bound_with_throttling(
 
 # ------------------------------------------------------------------- ablations
 @matrix.scenario(
-    "policy-showdown",
-    "Every CPU policy against the same high bully at average load (Figure 8)",
-    axes={"policy": ("none", "blind", "static_cores", "cpu_cycles")},
-    tags=("paper", "comparison"),
-)
-def policy_showdown(
-    policy: str = "blind",
-    bully_threads: int = HIGH_BULLY_THREADS,
-    qps: float = AVERAGE_LOAD_QPS,
-    duration: float = 10.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-) -> ExperimentSpec:
-    """One spec per isolation policy, all else equal (the Figure 8 matchup)."""
-    spec = base_spec(qps=qps, duration=duration, warmup=warmup, seed=seed)
-    perfiso = None if policy == "none" else PerfIsoSpec(cpu_policy=policy)
-    return dataclasses.replace(
-        spec, cpu_bully=CpuBullySpec(threads=bully_threads), perfiso=perfiso
-    )
-
-
-@matrix.scenario(
     "burst-storm",
     "Load surges above provisioned peak under blind isolation",
     axes={"surge_qps": (4000.0, 5000.0, 6000.0)},
     tags=("stress",),
-    tier="slow",
 )
 def burst_storm(
     surge_qps: float = 5000.0,
@@ -473,7 +430,6 @@ def mixed_bully(
     "full-house",
     "CPU bully + disk bully + HDFS + ML training colocated at once",
     tags=("multi-secondary", "stress"),
-    tier="slow",
 )
 def full_house(
     qps: float = AVERAGE_LOAD_QPS,
@@ -530,7 +486,6 @@ def dual_cpu_bully(
     "N independent small CPU bullies arriving as separate jobs",
     axes={"num_bullies": (2, 4, 8)},
     tags=("multi-secondary", "stress"),
-    tier="slow",
 )
 def bully_storm(
     num_bullies: int = 4,
@@ -750,29 +705,6 @@ def flash_crowd_blind_isolation(
 
 
 @matrix.scenario(
-    "flash-crowd-no-isolation",
-    "The same flash crowd with the bully unrestricted (the blind spot)",
-    tags=("stress", "trace-driven"),
-)
-def flash_crowd_no_isolation(
-    spike_qps: float = 6000.0,
-    base_qps: float = AVERAGE_LOAD_QPS,
-    duration: float = 10.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-) -> ExperimentSpec:
-    """Ablation twin of ``flash-crowd-blind-isolation`` without PerfIso."""
-    spec = flash_crowd_blind_isolation(
-        spike_qps=spike_qps,
-        base_qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-    )
-    return dataclasses.replace(spec, perfiso=None)
-
-
-@matrix.scenario(
     "bursty-blind-isolation",
     "Markov-modulated burst traffic under blind isolation with a high bully",
     axes={"burst_qps": (PEAK_LOAD_QPS, 6000.0)},
@@ -792,54 +724,6 @@ def bursty_blind_isolation(
         seed=seed,
         cpu_bully=CpuBullySpec(threads=HIGH_BULLY_THREADS),
         perfiso=_blind_perfiso(buffer_cores),
-    )
-
-
-@matrix.scenario(
-    "bursty-no-isolation",
-    "The same burst traffic with the bully unrestricted",
-    tags=("stress", "trace-driven"),
-)
-def bursty_no_isolation(
-    burst_qps: float = 6000.0,
-    base_qps: float = AVERAGE_LOAD_QPS,
-    duration: float = 10.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-) -> ExperimentSpec:
-    """Ablation twin of ``bursty-blind-isolation`` without PerfIso."""
-    spec = bursty_blind_isolation(
-        burst_qps=burst_qps,
-        base_qps=base_qps,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-    )
-    return dataclasses.replace(spec, perfiso=None)
-
-
-@matrix.scenario(
-    "replayed-trace-showdown",
-    "Every CPU policy replaying the identical recorded burst trace",
-    axes={"policy": ("none", "blind", "static_cores", "cpu_cycles")},
-    tags=("comparison", "trace-driven"),
-)
-def replayed_trace_showdown(
-    policy: str = "blind",
-    base_qps: float = AVERAGE_LOAD_QPS,
-    burst_qps: float = 6000.0,
-    bully_threads: int = HIGH_BULLY_THREADS,
-    duration: float = 10.0,
-    warmup: float = 1.0,
-    seed: int = 1,
-) -> ExperimentSpec:
-    """Figure 8 rerun on recorded traffic: same trace file, four policies."""
-    perfiso = None if policy == "none" else PerfIsoSpec(cpu_policy=policy)
-    return ExperimentSpec(
-        workload=_shaped_workload("trace", base_qps, burst_qps, duration, warmup),
-        seed=seed,
-        cpu_bully=CpuBullySpec(threads=bully_threads),
-        perfiso=perfiso,
     )
 
 
@@ -887,7 +771,6 @@ SHOWDOWN_WORKLOADS = ("diurnal", "bursty", "flash_crowd", "trace")
     "Every dynamic CPU controller raced across the trace-driven workloads",
     axes={"workload": SHOWDOWN_WORKLOADS, "policy": CONTROLLER_POLICIES},
     tags=("comparison", "trace-driven", "controller"),
-    tier="slow",
 )
 def controller_showdown(
     policy: str = "blind",
@@ -1135,7 +1018,8 @@ def cluster_run(
 # ------------------------------------------------------------- derived views
 # Wider sweeps and 2-D grids over the builders above.  Registered explicitly
 # (not via decorators) because they reuse a builder that already anchors a
-# scenario.
+# scenario.  Each adds specs no other entry builds; a subset of another
+# entry's grid is that entry run with ``--grid``.
 matrix.register(
     matrix.Scenario(
         name="bully-sweep",
@@ -1143,7 +1027,6 @@ matrix.register(
         builder=no_isolation,
         axes=(("bully_threads", (8, 16, 24, 32, 40, 48)),),
         tags=("sweep",),
-        tier="slow",
     )
 )
 matrix.register(
@@ -1153,7 +1036,6 @@ matrix.register(
         builder=blind_isolation,
         axes=(("buffer_cores", (2, 4, 6, 8, 12, 16)),),
         tags=("sweep",),
-        tier="slow",
     )
 )
 matrix.register(
@@ -1163,7 +1045,6 @@ matrix.register(
         builder=standalone,
         axes=(("qps", (500.0, 1000.0, 2000.0, 3000.0, 4000.0)),),
         tags=("sweep", "baseline"),
-        tier="slow",
     )
 )
 matrix.register(
@@ -1173,20 +1054,6 @@ matrix.register(
         builder=blind_isolation,
         axes=(("qps", (1000.0, 2000.0, 3000.0, 4000.0)),),
         tags=("sweep",),
-        tier="slow",
-    )
-)
-matrix.register(
-    matrix.Scenario(
-        name="colocation-grid",
-        description="2-D grid: load level x bully intensity, no isolation",
-        builder=no_isolation,
-        axes=(
-            ("qps", (AVERAGE_LOAD_QPS, PEAK_LOAD_QPS)),
-            ("bully_threads", (MID_BULLY_THREADS, HIGH_BULLY_THREADS)),
-        ),
-        tags=("sweep", "grid"),
-        tier="slow",
     )
 )
 matrix.register(
@@ -1196,7 +1063,6 @@ matrix.register(
         builder=flash_crowd_blind_isolation,
         axes=(("buffer_cores", (2, 4, 8, 12)),),
         tags=("sweep", "trace-driven"),
-        tier="slow",
     )
 )
 matrix.register(
@@ -1209,29 +1075,6 @@ matrix.register(
             ("buffer_cores", (4, 8)),
         ),
         tags=("sweep", "grid", "trace-driven"),
-        tier="slow",
-    )
-)
-matrix.register(
-    matrix.Scenario(
-        name="controller-arena",
-        description="The dynamic challengers vs blind vs nothing on a flash crowd",
-        builder=controller_showdown,
-        axes=(("policy", ("blind", "pid", "mpc", "utilization", "oracle", "none")),),
-        tags=("comparison", "trace-driven", "controller"),
-    )
-)
-matrix.register(
-    matrix.Scenario(
-        name="buffer-load-grid",
-        description="2-D grid: buffer size x load level under blind isolation",
-        builder=blind_isolation,
-        axes=(
-            ("buffer_cores", (4, 8)),
-            ("qps", (AVERAGE_LOAD_QPS, PEAK_LOAD_QPS)),
-        ),
-        tags=("sweep", "grid"),
-        tier="slow",
     )
 )
 
@@ -1252,10 +1095,9 @@ for _name, _description, _axes in (
      (("run", ("standalone", "blind-8")),)),
 ):
     matrix.register(matrix.Scenario(
-        _name, _description, figure_run, _axes, tags=("paper", "figure"), tier="slow"
+        _name, _description, figure_run, _axes, tags=("paper", "figure")
     ))
 matrix.register(matrix.Scenario(
     "fig9", "Cluster latency per layer (standalone / CPU-bound / disk-bound secondary)",
-    cluster_run, (("run", tuple(_CLUSTER_RUNS)),), tags=("paper", "figure"), tier="slow",
-    kind="cluster",
+    cluster_run, (("run", tuple(_CLUSTER_RUNS)),), tags=("paper", "figure"), kind="cluster",
 ))

@@ -149,7 +149,6 @@ def default_fleet_spec(
     "Canary -> wave -> fleet PerfIso rollout over a heterogeneous fleet",
     axes={"machines": (600, 2000)},
     tags=("fleet", "production"),
-    tier="slow",
     kind="fleet",
 )
 def fleet_staged_rollout(machines: int = 2000, stages: int = 3, seed: int = 7) -> FleetSpec:
@@ -162,7 +161,6 @@ def fleet_staged_rollout(machines: int = 2000, stages: int = 3, seed: int = 7) -
     "First/best/worst-fit secondary placement over the same fleet",
     axes={"strategy": ("first_fit", "best_fit", "worst_fit")},
     tags=("fleet", "placement"),
-    tier="slow",
     kind="fleet",
 )
 def fleet_placement_strategies(
@@ -177,7 +175,6 @@ def fleet_placement_strategies(
     "Big-bang versus progressively staged rollouts of the same change",
     axes={"stages": (1, 2, 4)},
     tags=("fleet", "rollout"),
-    tier="slow",
     kind="fleet",
 )
 def fleet_rollout_stages(stages: int = 3, machines: int = 400, seed: int = 7) -> FleetSpec:
@@ -189,7 +186,6 @@ def fleet_rollout_stages(stages: int = 3, machines: int = 400, seed: int = 7) ->
     "fleet-guardrail-breach",
     "An unprotected (no-isolation) rollout the SLO guardrail must halt",
     tags=("fleet", "guardrail"),
-    tier="fast",
     kind="fleet",
 )
 def fleet_guardrail_breach(machines: int = 48, seed: int = 7) -> FleetSpec:
@@ -227,7 +223,6 @@ def fleet_guardrail_breach(machines: int = 48, seed: int = 7) -> FleetSpec:
     "Phase-aligned versus phase-spread diurnal load across the rows",
     axes={"phase_spread": (0.0, 0.65)},
     tags=("fleet", "production"),
-    tier="slow",
     kind="fleet",
 )
 def fleet_diurnal_skew(phase_spread: float = 0.65, machines: int = 300, seed: int = 7) -> FleetSpec:
@@ -240,7 +235,6 @@ def fleet_diurnal_skew(phase_spread: float = 0.65, machines: int = 300, seed: in
     "Sampled hyperscale staged rollout: tens of thousands of machines in minutes",
     axes={"machines": (10_000, 50_000)},
     tags=("fleet", "hyperscale"),
-    tier="slow",
     kind="fleet",
 )
 def fleet_hyperscale(machines: int = 50_000, stages: int = 3, seed: int = 7) -> FleetSpec:
@@ -272,7 +266,6 @@ def fleet_hyperscale(machines: int = 50_000, stages: int = 3, seed: int = 7) -> 
     "fleet-chaos-rollout",
     "A healthy rollout surviving machine crashes, a controller crash and flaky pushes",
     tags=("fleet", "chaos"),
-    tier="fast",
     kind="fleet",
 )
 def fleet_chaos_rollout(machines: int = 48, seed: int = 7) -> FleetSpec:
@@ -314,7 +307,6 @@ matrix.register(
         builder=fleet_staged_rollout,
         axes=(("machines", (650, 2000, 5000)),),
         tags=("fleet", "sweep"),
-        tier="slow",
         kind="fleet",
     )
 )

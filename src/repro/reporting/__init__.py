@@ -14,10 +14,10 @@ This package is the reporting layer that run results flow through:
 The ``python -m repro.reporting`` CLI fronts all of it::
 
     # run a 5-seed replicate sweep, emit a bundle, print the CI table
-    python -m repro.reporting --scenario policy-showdown --seeds 5
+    python -m repro.reporting --scenario fig8 --seeds 5
 
     # validate any bundle (schema version, digests, row counts)
-    python -m repro.reporting --validate bundles/policy-showdown
+    python -m repro.reporting --validate bundles/fig8
 """
 
 from __future__ import annotations

@@ -26,20 +26,11 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "OMIT_IF_DEFAULT",
     "canonical_encoding",
     "source_digest",
     "spec_hash",
     "versioned_namespace",
 ]
-
-#: Field-metadata flag: a dataclass field declared with
-#: ``field(default=None, metadata={OMIT_IF_DEFAULT: True})`` is left out of
-#: the canonical encoding while it still equals its declared default.  This
-#: lets a spec grow a new optional sub-spec without changing the hash of any
-#: configuration that does not use it — pinned goldens stay byte-identical —
-#: while any non-default value participates in the digest as usual.
-OMIT_IF_DEFAULT = "repro_hash_omit_if_default"
 
 
 def package_digest(package: Path) -> str:
@@ -73,17 +64,20 @@ def versioned_namespace(tag: str) -> str:
 
 
 def _encode(value: Any) -> Any:
-    """Convert a configuration value into a canonical JSON-serialisable form."""
+    """Convert a configuration value into a canonical JSON-serialisable form.
+
+    A dataclass field whose value is ``None`` is left out of the encoding.
+    One class always has the same fields, so a left-out field cannot be
+    confused with any value it could be set to, and a spec that grows a new
+    optional sub-spec keeps the hash of every configuration that leaves it
+    unset.
+    """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            f.name: _encode(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if not (
-                f.metadata.get(OMIT_IF_DEFAULT)
-                and f.default is not dataclasses.MISSING
-                and getattr(value, f.name) == f.default
-            )
-        }
+        fields = {}
+        for f in dataclasses.fields(value):
+            field_value = getattr(value, f.name)
+            if field_value is not None:
+                fields[f.name] = _encode(field_value)
         return {"__dataclass__": type(value).__qualname__, "fields": fields}
     if isinstance(value, Enum):
         return {"__enum__": type(value).__qualname__, "value": _encode(value.value)}

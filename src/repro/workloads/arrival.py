@@ -43,7 +43,7 @@ MIN_RATE = 1e-9
 
 
 class OpenLoopClient:
-    """Open-loop (Poisson or uniform) query submitter at ``model``'s rate.
+    """Open-loop Poisson query submitter at ``model``'s rate.
 
     The arrival process is a piecewise-constant-rate process: every arrival
     reads ``model.rate_at(now)`` once, which is accurate as long as the rate
@@ -69,12 +69,7 @@ class OpenLoopClient:
         self._end_time = workload.total_time
         self._idle_recheck = workload.duration / 256.0
         self._submit = submit
-        # A uniform client draws nothing from its stream.
-        self._gaps = (
-            BatchedDraws(rng.standard_exponential)
-            if workload.arrival_process == "poisson"
-            else None
-        )
+        self._gaps = BatchedDraws(rng.standard_exponential)
         self.submitted = 0
 
     def start(self) -> None:
@@ -85,9 +80,7 @@ class OpenLoopClient:
     def _pace(self, rate: float) -> None:
         """Schedule the next arrival at ``rate``, or a recheck if it is idle."""
         if rate > 0.0:
-            gap = 1.0 / max(MIN_RATE, float(rate))
-            if self._gaps is not None:
-                gap = self._gaps.next() * gap
+            gap = self._gaps.next() * (1.0 / max(MIN_RATE, float(rate)))
             self._engine.schedule(gap, self._arrive, priority=EventPriority.TENANT)
         else:
             self._engine.schedule(self._idle_recheck, self._recheck, priority=EventPriority.TENANT)

@@ -1,7 +1,5 @@
 """Tests for the event-driven cluster simulation (small configurations)."""
 
-import dataclasses
-
 import pytest
 
 from repro.cluster.simulated import ClusterScenario, SimulatedCluster
@@ -93,12 +91,3 @@ class TestNodeSpec:
         node = sc.diurnal_cycle(duration=0.6, warmup=0.2, seed=3)
         with pytest.raises(ConfigError, match="constant-rate"):
             SimulatedCluster(tiny_scenario(node))
-
-    def test_node_arrival_process_drives_the_cluster_client(self):
-        node = sc.standalone(**NODE)
-        uniform_node = node.replace(
-            workload=dataclasses.replace(node.workload, arrival_process="uniform")
-        )
-        poisson = SimulatedCluster(tiny_scenario(node)).run().summary()
-        uniform = SimulatedCluster(tiny_scenario(uniform_node)).run().summary()
-        assert uniform != poisson

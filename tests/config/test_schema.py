@@ -16,8 +16,6 @@ from repro.config.schema import (
     IoThrottleSpec,
     MachineSpec,
     MemoryGuardSpec,
-    NetworkThrottleSpec,
-    NicSpec,
     PerfIsoSpec,
     SchedulerSpec,
     StaticCoreSpec,
@@ -65,10 +63,6 @@ class TestDiskAndVolume:
     def test_volume_stripe_floor(self):
         with pytest.raises(ConfigError):
             VolumeSpec(name="v", disk=DiskSpec(), stripe_bytes=1024)
-
-    def test_nic_bandwidth_positive(self):
-        with pytest.raises(ConfigError):
-            NicSpec(bandwidth_bytes_per_s=0)
 
 
 class TestSchedulerSpec:
@@ -153,10 +147,6 @@ class TestPerfIsoSpecs:
         with pytest.raises(ConfigError):
             MemoryGuardSpec(check_interval=0)
 
-    def test_network_throttle_limit(self):
-        with pytest.raises(ConfigError):
-            NetworkThrottleSpec(secondary_bandwidth_limit=0)
-
     def test_poll_interval_positive(self):
         with pytest.raises(ConfigError):
             PerfIsoSpec(poll_interval=0)
@@ -166,10 +156,6 @@ class TestWorkloadAndCluster:
     def test_workload_total_time(self):
         spec = WorkloadSpec(qps=100, duration=5, warmup=1)
         assert spec.total_time == 6
-
-    def test_workload_rejects_bad_process(self):
-        with pytest.raises(ConfigError):
-            WorkloadSpec(arrival_process="bursty")
 
     def test_cluster_counts(self):
         spec = ClusterSpec()

@@ -57,20 +57,20 @@ CASES = {
     "flash-crowd-blind": lambda: sc.flash_crowd_blind_isolation(
         spike_qps=1500.0, base_qps=500.0, **SHORT
     ),
-    "flash-crowd-none": lambda: sc.flash_crowd_no_isolation(
-        spike_qps=1500.0, base_qps=500.0, **SHORT
+    "flash-crowd-none": lambda: sc.controller_showdown(
+        policy="none", workload="flash_crowd", base_qps=500.0, peak_qps=1500.0, **SHORT
     ),
     "bursty-blind": lambda: sc.bursty_blind_isolation(
         burst_qps=1500.0, base_qps=500.0, **SHORT
     ),
-    "bursty-none": lambda: sc.bursty_no_isolation(
-        burst_qps=1500.0, base_qps=500.0, **SHORT
+    "bursty-none": lambda: sc.controller_showdown(
+        policy="none", workload="bursty", base_qps=500.0, peak_qps=1500.0, **SHORT
     ),
-    "trace-showdown-blind": lambda: sc.replayed_trace_showdown(
-        policy="blind", base_qps=500.0, burst_qps=1500.0, **SHORT
+    "trace-showdown-blind": lambda: sc.controller_showdown(
+        policy="blind", workload="trace", base_qps=500.0, peak_qps=1500.0, **SHORT
     ),
-    "trace-showdown-none": lambda: sc.replayed_trace_showdown(
-        policy="none", base_qps=500.0, burst_qps=1500.0, **SHORT
+    "trace-showdown-none": lambda: sc.controller_showdown(
+        policy="none", workload="trace", base_qps=500.0, peak_qps=1500.0, **SHORT
     ),
     "trace-standalone": lambda: sc.replayed_trace_standalone(
         peak_qps=900.0, trough_qps=300.0, **SHORT

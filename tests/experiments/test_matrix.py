@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import parse_grid
 from repro.config.schema import ClusterScenario, ExperimentSpec, FleetSpec, SecondaryJobSpec
 from repro.config.validation import (
     validate_cluster_scenario,
@@ -14,7 +15,7 @@ from repro.errors import ConfigError
 from repro.experiments import matrix
 from repro.experiments import scenarios as sc
 from repro.reporting.bundle import validate_bundle
-from repro.runtime import ExperimentRunner, ResultCache
+from repro.runtime import ExperimentRunner, ResultCache, spec_hash
 
 FAST = dict(qps=500.0, duration=0.5, warmup=0.1, seed=5)
 
@@ -85,8 +86,8 @@ class TestCatalog:
             "diurnal-trough-reclamation",
             "flash-crowd-blind-isolation",
             "bursty-blind-isolation",
-            "replayed-trace-showdown",
             "replayed-trace-standalone",
+            "controller-showdown",
         } <= names
         # Every trace-driven variant carries a time-varying arrival model.
         for scenario in trace_driven:
@@ -96,7 +97,6 @@ class TestCatalog:
     def test_every_scenario_has_description_and_tier(self):
         for scenario in matrix.iter_scenarios():
             assert scenario.description
-            assert scenario.tier in ("fast", "slow")
 
     def test_paper_core_scenarios_are_registered(self):
         names = set(matrix.scenario_names())
@@ -107,6 +107,39 @@ class TestCatalog:
             "static-cores",
             "cpu-cycles",
         } <= names
+
+    def test_no_entry_re_derives_another_entrys_specs(self):
+        """Each experiment is defined once, at the catalog defaults.
+
+        A builder that no figure uses must produce a spec that no other such
+        builder produces, and an entry that is neither the first registered
+        over its builder nor a figure must have a spec no other entry has.
+        Figures stay exempt: their ``run`` axis reuses the builders above.
+        """
+        matrix.load_catalog()
+        entries = list(matrix._REGISTRY.values())  # registration order
+        specs = {e.name: {spec_hash(v.spec) for v in e.expand()} for e in entries}
+        figure_builders = {e.builder for e in entries if "figure" in e.tags}
+        by_builder = {}
+        for entry in entries:
+            by_builder.setdefault(entry.builder, []).append(entry)
+        produced = {
+            builder: set().union(*(specs[e.name] for e in group))
+            for builder, group in by_builder.items()
+            if builder not in figure_builders
+        }
+        duplicates = []
+        for builder, hashes in produced.items():
+            others = set().union(*(h for other, h in produced.items() if other is not builder))
+            if not hashes - others:
+                duplicates += [e.name for e in by_builder[builder]]
+        for entry in entries:
+            if "figure" in entry.tags or by_builder[entry.builder][0] is entry:
+                continue
+            others = set().union(*(specs[o.name] for o in entries if o is not entry))
+            if not specs[entry.name] - others:
+                duplicates.append(entry.name)
+        assert duplicates == []
 
     def test_duplicate_registration_is_an_error(self):
         with pytest.raises(ConfigError, match="already registered"):
@@ -146,7 +179,10 @@ class TestExpansion:
         assert [v.spec.cpu_bully.threads for v in variants] == [4, 8, 12]
 
     def test_two_dimensional_grid_is_a_cartesian_product(self):
-        variants = matrix.expand("colocation-grid", duration=0.5, warmup=0.1, seed=5)
+        variants = matrix.expand(
+            "fig4", grid={"run": ("mid-secondary", "high-secondary")},
+            duration=0.5, warmup=0.1, seed=5,
+        )
         assert len(variants) == 4
         combos = {(v.spec.workload.qps, v.spec.cpu_bully.threads) for v in variants}
         assert combos == {(2000.0, 24), (2000.0, 48), (4000.0, 24), (4000.0, 48)}
@@ -161,7 +197,10 @@ class TestExpansion:
 
     def test_builder_keywords_are_forwarded(self):
         (variant,) = matrix.expand(
-            "controller-arena", grid={"policy": ("pid",)}, slo_ms=20.0, **FAST
+            "controller-showdown",
+            grid={"workload": ("flash_crowd",), "policy": ("pid",)},
+            slo_ms=20.0,
+            **FAST,
         )
         assert variant.spec.perfiso.pid.slo_p99 == pytest.approx(0.020)
         with pytest.raises(ConfigError, match="unknown common parameter"):
@@ -170,6 +209,14 @@ class TestExpansion:
     def test_repeated_grid_value_is_an_error(self):
         with pytest.raises(ConfigError, match="repeats a value"):
             matrix.expand("no-isolation", grid={"bully_threads": (24, 24)}, **FAST)
+        with pytest.raises(ConfigError, match="repeats a value"):
+            matrix.expand("fig5", grid=parse_grid(["qps=2000,2000.0"]))
+
+    def test_integer_grid_value_hashes_like_the_float_default(self):
+        """``--grid qps=2000`` builds the ``qps=2000.0`` default variant's spec."""
+        (given,) = matrix.expand("fig5", grid=parse_grid(["qps=2000", "run=blind-8"]))
+        (default,) = [v for v in matrix.expand("fig5") if v.label == given.label]
+        assert spec_hash(given.spec) == spec_hash(default.spec)
 
     def test_empty_grid_axis_is_an_error(self):
         with pytest.raises(ConfigError, match="has no values"):

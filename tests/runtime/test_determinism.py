@@ -93,8 +93,8 @@ class TestTraceDrivenDeterminism:
         short = dict(duration=0.8, warmup=0.2, seed=11)
         return [
             sc.bursty_blind_isolation(burst_qps=900.0, base_qps=300.0, **short),
-            sc.replayed_trace_showdown(
-                policy="blind", base_qps=300.0, burst_qps=900.0, **short
+            sc.controller_showdown(
+                policy="blind", workload="trace", base_qps=300.0, peak_qps=900.0, **short
             ),
             sc.diurnal_cycle(
                 phase_offset=0.25, peak_qps=700.0, trough_qps=250.0, **short

@@ -1,11 +1,22 @@
 """Unit tests for the parallel experiment runtime."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from repro.config.schema import ClusterScenario, ClusterSpec
+from repro.config.schema import (
+    ClusterScenario,
+    ClusterSpec,
+    CpuBullySpec,
+    DiskBullySpec,
+    ExperimentSpec,
+    FaultPlanSpec,
+    HdfsSpec,
+    MlTrainingSpec,
+    PerfIsoSpec,
+)
 from repro.experiments import scenarios
 from repro.runtime import (
     ExperimentRunner,
@@ -15,6 +26,7 @@ from repro.runtime import (
     versioned_namespace,
 )
 from repro.runtime import runner as runner_module
+from repro.runtime.spec_hash import canonical_encoding
 
 
 def tiny_spec(seed=5, qps=300.0):
@@ -97,6 +109,33 @@ class TestSpecHash:
         assert spec_hash(ClusterSpec(partitions=np.int64(3))) == spec_hash(
             ClusterSpec(partitions=3)
         )
+
+    def test_unset_fields_are_not_encoded(self):
+        spec = ExperimentSpec()
+        encoded = json.loads(canonical_encoding(spec))["spec"]["fields"]
+        unset = {f.name for f in dataclasses.fields(spec) if getattr(spec, f.name) is None}
+        assert unset and not unset & set(encoded)
+        workload = encoded["workload"]["fields"]
+        assert not {"diurnal", "bursty", "flash_crowd", "trace"} & set(workload)
+
+    def test_setting_any_optional_field_changes_the_hash(self):
+        base = ExperimentSpec()
+        values = {
+            "perfiso": PerfIsoSpec(),
+            "cpu_bully": CpuBullySpec(),
+            "disk_bully": DiskBullySpec(),
+            "hdfs": HdfsSpec(),
+            "ml_training": MlTrainingSpec(),
+            "faults": FaultPlanSpec(),
+        }
+        assert set(values) == {
+            f.name for f in dataclasses.fields(base) if getattr(base, f.name) is None
+        }
+        hashes = {spec_hash(base)} | {
+            spec_hash(dataclasses.replace(base, **{name: value}))
+            for name, value in values.items()
+        }
+        assert len(hashes) == len(values) + 1
 
 
 class TestResultCache:

@@ -26,14 +26,14 @@ class RateCurve(ArrivalModel):
         return self._rate_fn(t)
 
 
-def run_client(trace, model, duration, until, arrival_process="poisson", rng=None):
+def run_client(trace, model, duration, until, rng=None):
     """Run one client over a ``duration``-second workload with no warm-up.
 
     Returns the arrival times and the engine, run to ``until``.
     """
     engine = SimulationEngine()
     arrivals = []
-    workload = WorkloadSpec(duration=duration, warmup=0.0, arrival_process=arrival_process)
+    workload = WorkloadSpec(duration=duration, warmup=0.0)
     client = OpenLoopClient(
         engine,
         trace,
@@ -54,26 +54,6 @@ class TestOpenLoopClient:
         assert len(arrivals) == pytest.approx(1000, rel=0.15)
         # The run ended: the client left nothing scheduled.
         assert engine.pending_events == 0
-
-    def test_uniform_arrivals_are_evenly_spaced(self, trace):
-        arrivals, _ = run_client(
-            trace, ConstantArrival(100.0), duration=1.0, until=1.5, arrival_process="uniform"
-        )
-        gaps = np.diff(arrivals)
-        assert np.allclose(gaps, 0.01)
-
-    def test_uniform_client_draws_nothing(self, trace):
-        rng = np.random.default_rng(3)
-        arrivals, _ = run_client(
-            trace,
-            ConstantArrival(100.0),
-            duration=1.0,
-            until=1.5,
-            arrival_process="uniform",
-            rng=rng,
-        )
-        assert len(arrivals) > 0
-        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
     def test_open_loop_ignores_server_speed(self, trace):
         """Arrivals keep coming even if the 'server' never responds."""
@@ -102,8 +82,6 @@ class TestOpenLoopClient:
             WorkloadSpec(qps=0)
         with pytest.raises(ConfigError):
             WorkloadSpec(duration=0)
-        with pytest.raises(ConfigError):
-            WorkloadSpec(arrival_process="weird")
 
 
 class TestVariableRateClient:

@@ -172,10 +172,6 @@ class TestWorkloadSpecArrival:
         with pytest.raises(ConfigError):
             WorkloadSpec(diurnal=DiurnalSpec(), bursty=BurstySpec())
 
-    def test_models_require_poisson_arrivals(self):
-        with pytest.raises(ConfigError):
-            WorkloadSpec(diurnal=DiurnalSpec(), arrival_process="uniform")
-
     def test_arrival_kind_reporting(self):
         assert WorkloadSpec().arrival_kind == "constant"
         assert WorkloadSpec(trace=TraceSpec(1.0, (5.0,))).arrival_kind == "trace"
