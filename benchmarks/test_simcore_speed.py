@@ -154,7 +154,7 @@ def test_disabled_faults_zero_overhead():
     """The fault-injection seam must be free when no faults are declared.
 
     Paired legs run the same fig8 blind-isolation scenario with
-    ``faults=None`` and with an explicit all-disabled :class:`FaultPlanSpec`
+    ``faults=None`` and with an explicit empty :class:`FaultPlanSpec`
     — both must take the no-injector fast path, execute the identical event
     count, and (under the perf guard) agree on kernel throughput within
     paired-measurement noise.  This is the events/s face of the subsystem's

@@ -46,10 +46,7 @@ WARMUP = 0.5
 
 
 def build_spec() -> ExperimentSpec:
-    perfiso = PerfIsoSpec(
-        cpu_policy="blind",
-        blind=BlindIsolationSpec(buffer_cores=8),
-    )
+    perfiso = PerfIsoSpec(cpu=BlindIsolationSpec(buffer_cores=8))
     return ExperimentSpec(
         workload=WorkloadSpec(qps=QPS, duration=DURATION, warmup=WARMUP),
         perfiso=perfiso,

@@ -2,7 +2,10 @@
 
 Every ``python -m repro.*`` entry point (matrix, fleet, showdown, workloads,
 reporting) builds its parser from the canonical fragments below, so the same
-flag means the same thing everywhere:
+flag means the same thing wherever it is accepted.  ``matrix``, ``fleet`` and
+``showdown`` take all six; ``reporting`` takes ``--workers``, ``--seed``,
+``--bundle`` and ``--out``; ``workloads`` takes ``--seed`` and ``--bundle``,
+and its own ``--out PATH`` names the trace file it writes:
 
 * ``--workers N`` — worker process count (0/1 forces serial; results are
   byte-identical at any value).

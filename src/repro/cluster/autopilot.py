@@ -2,8 +2,8 @@
 
 The real PerfIso is deployed as an Autopilot-managed service, and Autopilot
 ships cluster-wide configuration files to every machine.  This module keeps
-only that configuration store: the fleet's staged rollout publishes, fetches
-and rolls back PerfIso specs through it.  A crashed controller is recovered
+only that configuration store: the fleet's staged rollout publishes and
+rolls back PerfIso specs through it.  A crashed controller is recovered
 by the fault injector (:mod:`repro.faults.injector`), not here.
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..config.loader import dump_json, load_json
-from ..config.schema import PerfIsoSpec
 from ..errors import ClusterError, UnknownVersionError
 
 __all__ = ["ConfigStore"]
@@ -21,9 +19,8 @@ __all__ = ["ConfigStore"]
 class ConfigStore:
     """Cluster-wide configuration files, keyed by file name and versioned.
 
-    Configurations are stored as JSON text (exactly what would be shipped to
-    machines), so the store also validates that every spec round-trips through
-    the serialisation layer.
+    A version is the spec object that was published: specs are frozen, so
+    the store keeps exactly what was shipped to machines.
 
     Every ``publish`` appends a new immutable version and makes it active;
     the full history is retained so a staged rollout can roll back to the
@@ -32,7 +29,7 @@ class ConfigStore:
     """
 
     def __init__(self) -> None:
-        self._versions: Dict[str, List[str]] = {}
+        self._versions: Dict[str, List[object]] = {}
         self._active: Dict[str, int] = {}
         self.pushes = 0
 
@@ -43,24 +40,21 @@ class ConfigStore:
         published version becomes the active one.
         """
         history = self._versions.setdefault(name, [])
-        history.append(dump_json(spec))
+        history.append(spec)
         version = len(history)
         self._active[name] = version
         self.pushes += 1
         return version
 
-    def fetch(self, name: str, cls: type) -> object:
+    def fetch(self, name: str) -> object:
         """Return the *active* version of a configuration file."""
-        return self.fetch_version(name, self.active_version(name), cls)
+        return self.fetch_version(name, self.active_version(name))
 
-    def fetch_version(self, name: str, version: int, cls: type) -> object:
+    def fetch_version(self, name: str, version: int) -> object:
         history = self._require(name)
         if not 1 <= version <= len(history):
             raise UnknownVersionError(name, version, range(1, len(history) + 1))
-        return load_json(cls, history[version - 1])
-
-    def fetch_perfiso(self, name: str = "perfiso.json") -> PerfIsoSpec:
-        return self.fetch(name, PerfIsoSpec)
+        return history[version - 1]
 
     def active_version(self, name: str) -> int:
         self._require(name)
@@ -83,7 +77,7 @@ class ConfigStore:
     def files(self) -> List[str]:
         return sorted(self._versions)
 
-    def _require(self, name: str) -> List[str]:
+    def _require(self, name: str) -> List[object]:
         if name not in self._versions:
             raise ClusterError(f"no configuration file named {name!r}")
         return self._versions[name]

@@ -1,6 +1,9 @@
-"""Typed configuration schema, JSON loader, and cross-field validation."""
+"""Typed configuration schema, trace files, and cross-field validation.
 
-from .loader import dump_json, from_dict, load_json, to_dict
+Specs are frozen dataclasses built in Python: the experiment catalog and
+the fleet build them, and the runtime hashes them as cache keys.
+"""
+
 from .schema import (
     BlindIsolationSpec,
     BurstySpec,
@@ -51,10 +54,6 @@ __all__ = [
     "TraceSpec",
     "VolumeSpec",
     "WorkloadSpec",
-    "dump_json",
-    "from_dict",
-    "load_json",
-    "to_dict",
     "dump_trace_text",
     "load_trace_file",
     "parse_trace_text",

@@ -407,13 +407,12 @@ class PidControlSpec:
     """PID controller on windowed-P99 error (a feedback challenger).
 
     The control error is the *relative* SLO slack ``(slo_p99 - p99) / slo_p99``
-    over a sliding latency window: positive slack grows the secondary, an SLO
+    over a sliding latency window, with the set point
+    :attr:`PerfIsoSpec.slo_p99`: positive slack grows the secondary, an SLO
     breach shrinks it.  The output is a core delta, clamped to ``max_step``
     per poll and to the band ``[min_secondary_cores, total - reserve_cores]``.
     """
 
-    #: The served-latency objective the loop regulates to.
-    slo_p99: float = millis(15)
     #: Length of the sliding latency window the P99 is computed over (seconds).
     window: float = 0.25
     kp: float = 6.0
@@ -428,8 +427,6 @@ class PidControlSpec:
     reserve_cores: int = 2
 
     def __post_init__(self) -> None:
-        if self.slo_p99 <= 0:
-            raise ConfigError("pid slo_p99 must be positive")
         if self.window <= 0:
             raise ConfigError("pid latency window must be positive")
         if self.integral_limit < 0:
@@ -577,21 +574,35 @@ class MemoryGuardSpec:
             raise ConfigError("check_interval must be positive")
 
 
+#: Every CPU policy by name, in showdown order: the paper's four ('blind',
+#: 'static_cores', 'cpu_cycles', 'none') and the challenger controllers
+#: ('pid', 'mpc', 'utilization', 'oracle').  Each name maps to the spec
+#: class that configures it, and 'none' (no restriction) to ``None``.
+CPU_POLICIES = {
+    "blind": BlindIsolationSpec,
+    "static_cores": StaticCoreSpec,
+    "cpu_cycles": CpuCycleSpec,
+    "none": None,
+    "pid": PidControlSpec,
+    "mpc": MpcControlSpec,
+    "utilization": UtilizationTargetSpec,
+    "oracle": OracleControlSpec,
+}
+
+
 @dataclass(frozen=True)
 class PerfIsoSpec:
-    """Top-level PerfIso service configuration (Section 4)."""
+    """Top-level PerfIso service configuration (Section 4).
 
-    #: Which CPU policy to run: one of :data:`VALID_POLICIES` — the paper's
-    #: four ('blind', 'static_cores', 'cpu_cycles', 'none') plus the
-    #: challenger controllers ('pid', 'mpc', 'utilization', 'oracle').
-    cpu_policy: str = "blind"
-    blind: BlindIsolationSpec = field(default_factory=BlindIsolationSpec)
-    static_cores: StaticCoreSpec = field(default_factory=StaticCoreSpec)
-    cpu_cycles: CpuCycleSpec = field(default_factory=CpuCycleSpec)
-    pid: PidControlSpec = field(default_factory=PidControlSpec)
-    mpc: MpcControlSpec = field(default_factory=MpcControlSpec)
-    utilization: UtilizationTargetSpec = field(default_factory=UtilizationTargetSpec)
-    oracle: OracleControlSpec = field(default_factory=OracleControlSpec)
+    ``cpu`` is the one CPU policy the machine runs, given by its spec: an
+    instance of one of the classes in :data:`CPU_POLICIES`, or ``None`` for
+    the unrestricted ``none`` policy.
+    """
+
+    cpu: Optional[object] = field(default_factory=BlindIsolationSpec)
+    #: The served-latency objective: the PID policy's set point, and the SLO
+    #: that telemetry reports every run against.
+    slo_p99: float = millis(15)
     io_throttle: IoThrottleSpec = field(default_factory=IoThrottleSpec)
     memory_guard: MemoryGuardSpec = field(default_factory=MemoryGuardSpec)
     #: How often the controller polls the idle-core mask.
@@ -599,22 +610,14 @@ class PerfIsoSpec:
     #: Whether the controller starts enabled (the "kill switch" of Section 4.2).
     enabled: bool = True
 
-    VALID_POLICIES = (
-        "blind",
-        "static_cores",
-        "cpu_cycles",
-        "none",
-        "pid",
-        "mpc",
-        "utilization",
-        "oracle",
-    )
-
     def __post_init__(self) -> None:
-        if self.cpu_policy not in self.VALID_POLICIES:
+        if self.cpu is not None and type(self.cpu) not in CPU_POLICIES.values():
             raise ConfigError(
-                f"cpu_policy must be one of {self.VALID_POLICIES}, got {self.cpu_policy!r}"
+                "cpu must be None or a spec of one of the CPU policies "
+                f"{tuple(CPU_POLICIES)}, got {type(self.cpu).__name__}"
             )
+        if not self.slo_p99 > 0:
+            raise ConfigError("slo_p99 must be positive")
         if not self.poll_interval > 0:
             raise ConfigError("poll_interval must be positive")
 
@@ -918,25 +921,21 @@ class MachineFaultSpec:
     ``mean_downtime`` seconds, all from the named ``"faults"`` random stream
     keyed by ``(seed, group, machine index)`` — so the schedule is a pure
     function of the spec and byte-identical at any worker count or shard
-    partition.  A rate of ``0.0`` disables machine faults entirely.
+    partition.
     """
 
-    crash_rate_per_hour: float = 0.0
+    crash_rate_per_hour: float
     mean_downtime: float = 120.0
     #: Cap on crash episodes drawn per machine (keeps schedules bounded).
     max_crashes: int = 4
 
     def __post_init__(self) -> None:
-        if self.crash_rate_per_hour < 0:
-            raise ConfigError("crash_rate_per_hour must be >= 0")
+        if not self.crash_rate_per_hour > 0:
+            raise ConfigError("crash_rate_per_hour must be positive")
         if self.mean_downtime <= 0:
             raise ConfigError("mean_downtime must be positive")
         if self.max_crashes < 1:
             raise ConfigError("max_crashes must be >= 1")
-
-    @property
-    def enabled(self) -> bool:
-        return self.crash_rate_per_hour > 0.0
 
 
 @dataclass(frozen=True)
@@ -947,25 +946,22 @@ class DegradedCoreSpec:
     speed during ``[start, start + duration)``.  Across a fleet,
     ``fraction_of_machines`` of each group (chosen deterministically from the
     faults stream) straggle during the window; the rest run at full speed.
-    ``duration == 0`` disables the fault.
     """
 
+    duration: float
     slowdown: float = 1.5
     start: float = 0.0
-    duration: float = 0.0
     fraction_of_machines: float = 0.1
 
     def __post_init__(self) -> None:
+        if not self.duration > 0:
+            raise ConfigError("degraded-core window duration must be positive")
         if self.slowdown < 1.0:
             raise ConfigError("degraded-core slowdown must be >= 1.0")
-        if self.start < 0 or self.duration < 0:
-            raise ConfigError("degraded-core window start/duration must be >= 0")
+        if self.start < 0:
+            raise ConfigError("degraded-core window start must be >= 0")
         if not 0.0 < self.fraction_of_machines <= 1.0:
             raise ConfigError("fraction_of_machines must be in (0, 1]")
-
-    @property
-    def enabled(self) -> bool:
-        return self.duration > 0.0
 
     @property
     def end(self) -> float:
@@ -980,27 +976,25 @@ class TelemetryFaultSpec:
     (``windowed_p99`` and ``forecast_peak_qps``) either go ``"missing"``
     (read as ``None``, as if the metrics pipeline dropped the feed) or are
     ``"frozen"`` at the value last seen before the window opened (a stale
-    cache that keeps serving).  ``duration == 0`` disables the fault.
+    cache that keeps serving).
     """
 
+    duration: float
     mode: str = "missing"
     start: float = 0.0
-    duration: float = 0.0
 
     VALID_MODES = ("missing", "frozen")
 
     def __post_init__(self) -> None:
+        if not self.duration > 0:
+            raise ConfigError("telemetry fault duration must be positive")
         if self.mode not in self.VALID_MODES:
             raise ConfigError(
                 f"telemetry fault mode must be one of {self.VALID_MODES}, "
                 f"got {self.mode!r}"
             )
-        if self.start < 0 or self.duration < 0:
-            raise ConfigError("telemetry fault start/duration must be >= 0")
-
-    @property
-    def enabled(self) -> bool:
-        return self.duration > 0.0
+        if self.start < 0:
+            raise ConfigError("telemetry fault start must be >= 0")
 
     @property
     def end(self) -> float:
@@ -1017,24 +1011,20 @@ class ControllerCrashSpec:
     hands it the last checkpoint (``restore_state``).  In a fleet
     rollout the crash lands in whatever stage covers simulated time ``at``:
     that stage's guardrail digest is lost, the guardrail fails safe and the
-    stage retries with backoff.  ``at == 0`` disables the fault.
+    stage retries with backoff.
     """
 
-    at: float = 0.0
+    at: float
     recovery_delay: float = 0.05
     checkpoint_interval: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.at < 0:
-            raise ConfigError("controller crash time must be >= 0")
+        if not self.at > 0:
+            raise ConfigError("controller crash time must be positive")
         if self.recovery_delay <= 0:
             raise ConfigError("controller recovery_delay must be positive")
         if self.checkpoint_interval <= 0:
             raise ConfigError("controller checkpoint_interval must be positive")
-
-    @property
-    def enabled(self) -> bool:
-        return self.at > 0.0
 
 
 @dataclass(frozen=True)
@@ -1045,31 +1035,27 @@ class ConfigPushFaultSpec:
     ``failure_rate`` (drawn from the faults stream, so the failure pattern is
     deterministic per spec), up to ``max_failures`` injected failures in
     total.  The rollout retries failed pushes with capped backoff.
-    ``failure_rate == 0`` disables the fault.
     """
 
-    failure_rate: float = 0.0
+    failure_rate: float
     max_failures: int = 8
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.failure_rate <= 1.0:
-            raise ConfigError("config-push failure_rate must be in [0, 1]")
+        if not 0.0 < self.failure_rate <= 1.0:
+            raise ConfigError("config-push failure_rate must be in (0, 1]")
         if self.max_failures < 1:
             raise ConfigError("config-push max_failures must be >= 1")
-
-    @property
-    def enabled(self) -> bool:
-        return self.failure_rate > 0.0
 
 
 @dataclass(frozen=True)
 class FaultPlanSpec:
     """A deterministic fault timeline for one experiment or fleet run.
 
-    Every sub-plan is optional; an unset (or all-disabled) plan is a no-op
-    and produces byte-identical results to a spec with no fault plan at all.
-    Fault schedules draw exclusively from the named ``"faults"`` random
-    stream, so enabling faults cannot perturb any other component's draws.
+    Every sub-plan is optional, and a set sub-plan injects its fault; an
+    empty plan is a no-op and produces byte-identical results to a spec with
+    no fault plan at all.  Fault schedules draw exclusively from the named
+    ``"faults"`` random stream, so enabling faults cannot perturb any other
+    component's draws.
     """
 
     machines: Optional[MachineFaultSpec] = None
@@ -1080,13 +1066,16 @@ class FaultPlanSpec:
 
     @property
     def is_noop(self) -> bool:
-        """True when no sub-plan would inject anything."""
-        return not (
-            (self.machines is not None and self.machines.enabled)
-            or (self.degraded is not None and self.degraded.enabled)
-            or (self.telemetry is not None and self.telemetry.enabled)
-            or (self.controller_crash is not None and self.controller_crash.enabled)
-            or (self.config_push is not None and self.config_push.enabled)
+        """True when no sub-plan is set."""
+        return all(
+            sub is None
+            for sub in (
+                self.machines,
+                self.degraded,
+                self.telemetry,
+                self.controller_crash,
+                self.config_push,
+            )
         )
 
 
@@ -1212,9 +1201,9 @@ class RolloutSpec:
             previous = fraction
         if self.stage_fractions[-1] != 1.0:
             raise ConfigError("the final rollout stage must cover the whole fleet")
-        if self.target_policy not in PerfIsoSpec.VALID_POLICIES:
+        if self.target_policy not in CPU_POLICIES:
             raise ConfigError(
-                f"target_policy must be one of {PerfIsoSpec.VALID_POLICIES}, "
+                f"target_policy must be one of {tuple(CPU_POLICIES)}, "
                 f"got {self.target_policy!r}"
             )
         if self.guardrail_p99_multiplier < 1.0:

@@ -10,7 +10,19 @@ RAM, buffer cores must leave at least one core for the primary).
 from __future__ import annotations
 
 from ..errors import ConfigError
-from .schema import ClusterScenario, ClusterSpec, ExperimentSpec, FaultPlanSpec, FleetSpec
+from .schema import (
+    BlindIsolationSpec,
+    ClusterScenario,
+    ClusterSpec,
+    ExperimentSpec,
+    FaultPlanSpec,
+    FleetSpec,
+    MpcControlSpec,
+    OracleControlSpec,
+    PidControlSpec,
+    StaticCoreSpec,
+    UtilizationTargetSpec,
+)
 
 __all__ = [
     "validate_experiment",
@@ -29,25 +41,25 @@ def validate_fault_plan(plan: FaultPlanSpec, horizon: float, context: str) -> No
     nothing.  ``context`` names the owning spec in error messages.
     """
     degraded = plan.degraded
-    if degraded is not None and degraded.enabled and degraded.start >= horizon:
+    if degraded is not None and degraded.start >= horizon:
         raise ConfigError(
             f"{context}: degraded-core window starts at {degraded.start} s but the "
             f"run ends at {horizon} s; the fault would never fire"
         )
     telemetry = plan.telemetry
-    if telemetry is not None and telemetry.enabled and telemetry.start >= horizon:
+    if telemetry is not None and telemetry.start >= horizon:
         raise ConfigError(
             f"{context}: telemetry fault window starts at {telemetry.start} s but "
             f"the run ends at {horizon} s; the fault would never fire"
         )
     crash = plan.controller_crash
-    if crash is not None and crash.enabled and crash.at >= horizon:
+    if crash is not None and crash.at >= horizon:
         raise ConfigError(
             f"{context}: controller crash at {crash.at} s is past the end of the "
             f"run ({horizon} s); the fault would never fire"
         )
     machines = plan.machines
-    if machines is not None and machines.enabled and machines.mean_downtime >= horizon:
+    if machines is not None and machines.mean_downtime >= horizon:
         raise ConfigError(
             f"{context}: mean machine downtime ({machines.mean_downtime} s) is at "
             f"least the whole run ({horizon} s); a crashed machine would never "
@@ -74,44 +86,45 @@ def validate_experiment(spec: ExperimentSpec) -> None:
 
     if spec.perfiso is not None:
         perfiso = spec.perfiso
-        if perfiso.cpu_policy == "blind":
-            if perfiso.blind.buffer_cores >= cores:
+        cpu = perfiso.cpu
+        if isinstance(cpu, BlindIsolationSpec):
+            if cpu.buffer_cores >= cores:
                 raise ConfigError(
-                    f"buffer_cores ({perfiso.blind.buffer_cores}) must be smaller than the "
+                    f"buffer_cores ({cpu.buffer_cores}) must be smaller than the "
                     f"machine's logical core count ({cores})"
                 )
-            if perfiso.blind.min_secondary_cores > cores - perfiso.blind.buffer_cores:
+            if cpu.min_secondary_cores > cores - cpu.buffer_cores:
                 raise ConfigError(
                     "min_secondary_cores cannot exceed cores remaining after the buffer"
                 )
-        if perfiso.cpu_policy == "static_cores":
-            if perfiso.static_cores.secondary_cores > cores:
+        if isinstance(cpu, StaticCoreSpec):
+            if cpu.secondary_cores > cores:
                 raise ConfigError(
-                    f"static secondary core allocation ({perfiso.static_cores.secondary_cores}) "
+                    f"static secondary core allocation ({cpu.secondary_cores}) "
                     f"exceeds machine core count ({cores})"
                 )
-        if perfiso.cpu_policy in ("pid", "utilization"):
-            sub = perfiso.pid if perfiso.cpu_policy == "pid" else perfiso.utilization
-            if sub.reserve_cores >= cores:
+        if isinstance(cpu, (PidControlSpec, UtilizationTargetSpec)):
+            name = "pid" if isinstance(cpu, PidControlSpec) else "utilization"
+            if cpu.reserve_cores >= cores:
                 raise ConfigError(
-                    f"{perfiso.cpu_policy} reserve_cores ({sub.reserve_cores}) must be "
+                    f"{name} reserve_cores ({cpu.reserve_cores}) must be "
                     f"smaller than the machine's logical core count ({cores})"
                 )
-            if sub.min_secondary_cores > cores - sub.reserve_cores:
+            if cpu.min_secondary_cores > cores - cpu.reserve_cores:
                 raise ConfigError(
-                    f"{perfiso.cpu_policy} min_secondary_cores cannot exceed cores "
+                    f"{name} min_secondary_cores cannot exceed cores "
                     "remaining after the reserve"
                 )
-        if perfiso.cpu_policy in ("mpc", "oracle"):
-            sub = perfiso.mpc if perfiso.cpu_policy == "mpc" else perfiso.oracle
-            if sub.headroom_cores >= cores:
+        if isinstance(cpu, (MpcControlSpec, OracleControlSpec)):
+            name = "mpc" if isinstance(cpu, MpcControlSpec) else "oracle"
+            if cpu.headroom_cores >= cores:
                 raise ConfigError(
-                    f"{perfiso.cpu_policy} headroom_cores ({sub.headroom_cores}) must be "
+                    f"{name} headroom_cores ({cpu.headroom_cores}) must be "
                     f"smaller than the machine's logical core count ({cores})"
                 )
-            if sub.min_secondary_cores > cores:
+            if cpu.min_secondary_cores > cores:
                 raise ConfigError(
-                    f"{perfiso.cpu_policy} min_secondary_cores ({sub.min_secondary_cores}) "
+                    f"{name} min_secondary_cores ({cpu.min_secondary_cores}) "
                     f"exceeds machine core count ({cores})"
                 )
         if perfiso.poll_interval > spec.workload.duration:
@@ -153,21 +166,17 @@ def validate_experiment(spec: ExperimentSpec) -> None:
         )
 
     if spec.faults is not None:
-        if spec.faults.machines is not None and spec.faults.machines.enabled:
+        if spec.faults.machines is not None:
             raise ConfigError(
                 "machine crash/restart faults apply to fleet specs; a "
                 "single-machine experiment has no fleet to fail over to"
             )
-        if spec.faults.config_push is not None and spec.faults.config_push.enabled:
+        if spec.faults.config_push is not None:
             raise ConfigError(
                 "config-push faults apply to fleet rollouts; a single-machine "
                 "experiment performs no configuration pushes"
             )
-        if (
-            spec.faults.controller_crash is not None
-            and spec.faults.controller_crash.enabled
-            and spec.perfiso is None
-        ):
+        if spec.faults.controller_crash is not None and spec.perfiso is None:
             raise ConfigError(
                 "a controller-crash fault needs a PerfIso controller to crash "
                 "(spec.perfiso is None)"

@@ -184,7 +184,7 @@ class PerfIsoController:
         """Serialisable controller state: the checkpoint crash recovery restores."""
         return {
             "enabled": self._enabled,
-            "cpu_policy": self._spec.cpu_policy,
+            "cpu_policy": self._policy.name,
             "current_core_count": self._current_core_count,
             "cpu_rate": self._job.cpu_rate_fraction,
             "updates_applied": self.updates_applied,
@@ -201,10 +201,10 @@ class PerfIsoController:
         restored verbatim, then future polls follow the configured policy.
         """
         snapshot_policy = state.get("cpu_policy")
-        if snapshot_policy is not None and snapshot_policy != self._spec.cpu_policy:
+        if snapshot_policy is not None and snapshot_policy != self._policy.name:
             warnings.warn(
                 f"controller snapshot was taken under cpu_policy={snapshot_policy!r} "
-                f"but this instance is configured for {self._spec.cpu_policy!r}; "
+                f"but this instance is configured for {self._policy.name!r}; "
                 "restoring the snapshot allocation, then following the configured "
                 "policy",
                 RuntimeWarning,

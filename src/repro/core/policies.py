@@ -236,8 +236,9 @@ class PidPolicy(CpuIsolationPolicy):
     name = "pid"
     uses_latency = True
 
-    def __init__(self, spec: PidControlSpec) -> None:
+    def __init__(self, spec: PidControlSpec, slo_p99: float) -> None:
         self._spec = spec
+        self._slo_p99 = slo_p99
         self._integral = 0.0
         self._previous_error: Optional[float] = None
 
@@ -255,7 +256,7 @@ class PidPolicy(CpuIsolationPolicy):
         current = observation.current_core_count
         if current is None:
             current = self.max_secondary(observation.total_cores)
-        error = (spec.slo_p99 - p99) / spec.slo_p99
+        error = (self._slo_p99 - p99) / self._slo_p99
         dt = observation.poll_interval
         if dt > 0:
             self._integral += error * dt
@@ -372,32 +373,35 @@ class OraclePolicy(ModelPredictivePolicy):
         return max(self._spec.lookahead, poll_interval)
 
 
-_POLICY_CLASSES: Dict[str, Type[CpuIsolationPolicy]] = {
-    "blind": BlindIsolationPolicy,
-    "static_cores": StaticCoresPolicy,
-    "cpu_cycles": CpuCyclesPolicy,
-    "none": NoIsolationPolicy,
-    "pid": PidPolicy,
-    "mpc": ModelPredictivePolicy,
-    "utilization": UtilizationTargetPolicy,
-    "oracle": OraclePolicy,
+#: The policy class configured by each type of :attr:`PerfIsoSpec.cpu` value.
+_POLICY_CLASSES: Dict[type, Type[CpuIsolationPolicy]] = {
+    BlindIsolationSpec: BlindIsolationPolicy,
+    StaticCoreSpec: StaticCoresPolicy,
+    CpuCycleSpec: CpuCyclesPolicy,
+    type(None): NoIsolationPolicy,
+    PidControlSpec: PidPolicy,
+    MpcControlSpec: ModelPredictivePolicy,
+    UtilizationTargetSpec: UtilizationTargetPolicy,
+    OracleControlSpec: OraclePolicy,
 }
 
 
-def policy_class(cpu_policy: str) -> Type[CpuIsolationPolicy]:
-    """The policy class named by ``cpu_policy`` (for capability inspection)."""
+def policy_class(cpu) -> Type[CpuIsolationPolicy]:
+    """The policy class configured by ``cpu``, a :attr:`PerfIsoSpec.cpu`
+    value (for capability inspection)."""
     try:
-        return _POLICY_CLASSES[cpu_policy]
+        return _POLICY_CLASSES[type(cpu)]
     except KeyError:
-        raise IsolationError(f"unknown cpu policy {cpu_policy!r}") from None
+        raise IsolationError(
+            f"no cpu policy is configured by a {type(cpu).__name__}"
+        ) from None
 
 
 def policy_from_spec(spec) -> CpuIsolationPolicy:
-    """Build the configured policy from a :class:`~repro.config.schema.PerfIsoSpec`.
-
-    Every policy but ``none`` takes the sub-spec field named after it.
-    """
-    name = spec.cpu_policy
-    if name == "none":
+    """Build the configured policy from a :class:`~repro.config.schema.PerfIsoSpec`."""
+    cpu = spec.cpu
+    if cpu is None:
         return NoIsolationPolicy()
-    return policy_class(name)(getattr(spec, name))
+    if isinstance(cpu, PidControlSpec):
+        return PidPolicy(cpu, spec.slo_p99)
+    return policy_class(cpu)(cpu)

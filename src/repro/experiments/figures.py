@@ -123,17 +123,17 @@ def _load_sweep_rows(runs: Runs, level=None) -> List[Dict[str, object]]:
 
 
 def _buffer_level(spec) -> Tuple[str, Dict[str, object]]:
-    cores = spec.perfiso.blind.buffer_cores
+    cores = spec.perfiso.cpu.buffer_cores
     return f"blind-{cores}-buffers", {"buffer_cores": cores}
 
 
 def _core_level(spec) -> Tuple[str, Dict[str, object]]:
-    cores = spec.perfiso.static_cores.secondary_cores
+    cores = spec.perfiso.cpu.secondary_cores
     return f"{cores}-cores", {"secondary_cores": cores}
 
 
 def _cycle_level(spec) -> Tuple[str, Dict[str, object]]:
-    fraction = spec.perfiso.cpu_cycles.cpu_fraction
+    fraction = spec.perfiso.cpu.cpu_fraction
     return f"{int(fraction * 100)}%-cycles", {"cpu_fraction_pct": fraction * 100.0}
 
 

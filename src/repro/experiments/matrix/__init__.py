@@ -545,9 +545,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # mistakes, not run failures: reject the whole invocation (exit 2)
         # before running anything rather than burning a batch on a typo.
         fmt, out_path = resolve_output(args.out)
-        parse_grid(args.grid)
+        grid = parse_grid(args.grid)
         for name in names:
-            get_scenario(name)
+            get_scenario(name).variant_count(grid)
         if args.profile:
             from ...telemetry.profiling import run_profiled
 

@@ -22,6 +22,7 @@ from functools import partial
 from typing import Optional
 
 from ..config.schema import (
+    CPU_POLICIES,
     BlindIsolationSpec,
     BurstySpec,
     ClusterScenario,
@@ -131,11 +132,7 @@ def base_spec(
 
 def _blind_perfiso(buffer_cores: int = 8, io_throttle: Optional[IoThrottleSpec] = None) -> PerfIsoSpec:
     kwargs = {"io_throttle": io_throttle} if io_throttle is not None else {}
-    return PerfIsoSpec(
-        cpu_policy="blind",
-        blind=BlindIsolationSpec(buffer_cores=buffer_cores),
-        **kwargs,
-    )
+    return PerfIsoSpec(cpu=BlindIsolationSpec(buffer_cores=buffer_cores), **kwargs)
 
 
 # ------------------------------------------------------------------ paper core
@@ -210,10 +207,7 @@ def static_cores(
 ) -> ExperimentSpec:
     """Static core restriction of the secondary (Section 6.1.4)."""
     spec = base_spec(qps=qps, duration=duration, warmup=warmup, seed=seed)
-    perfiso = PerfIsoSpec(
-        cpu_policy="static_cores",
-        static_cores=StaticCoreSpec(secondary_cores=secondary_cores),
-    )
+    perfiso = PerfIsoSpec(cpu=StaticCoreSpec(secondary_cores=secondary_cores))
     return dataclasses.replace(
         spec, cpu_bully=CpuBullySpec(threads=bully_threads), perfiso=perfiso
     )
@@ -235,10 +229,7 @@ def cpu_cycles(
 ) -> ExperimentSpec:
     """Static CPU cycle (duty-cycle) restriction of the secondary (Section 6.1.4)."""
     spec = base_spec(qps=qps, duration=duration, warmup=warmup, seed=seed)
-    perfiso = PerfIsoSpec(
-        cpu_policy="cpu_cycles",
-        cpu_cycles=CpuCycleSpec(cpu_fraction=cpu_fraction),
-    )
+    perfiso = PerfIsoSpec(cpu=CpuCycleSpec(cpu_fraction=cpu_fraction))
     return dataclasses.replace(
         spec, cpu_bully=CpuBullySpec(threads=bully_threads), perfiso=perfiso
     )
@@ -751,16 +742,7 @@ def replayed_trace_standalone(
 
 # ------------------------------------------------------- controller showdown
 #: Every registered CPU policy, legacy and challenger, in showdown order.
-CONTROLLER_POLICIES = (
-    "blind",
-    "static_cores",
-    "cpu_cycles",
-    "none",
-    "pid",
-    "mpc",
-    "utilization",
-    "oracle",
-)
+CONTROLLER_POLICIES = tuple(CPU_POLICIES)
 
 #: The PR-5 trace-driven workload shapes the controllers are raced across.
 SHOWDOWN_WORKLOADS = ("diurnal", "bursty", "flash_crowd", "trace")
@@ -789,8 +771,9 @@ def controller_showdown(
     Every cell at one workload shape shares the identical seed, trace and
     bully, so the only degree of freedom is the CPU policy — the controllers
     see the same traffic and their rankings are attributable to the policy
-    alone.  ``slo_ms`` feeds both the PID controller's set point and the
-    showdown harness's pass/fail column.  ``faults`` is injected as given,
+    alone.  ``slo_ms`` is the cell's ``PerfIsoSpec.slo_p99``: the PID
+    controller's set point and telemetry's SLO, and the showdown harness's
+    pass/fail column.  ``faults`` is injected as given,
     except that the ``"none"`` policy has no controller to crash, so its
     cells drop any ``controller_crash`` entry.
     """
@@ -799,10 +782,7 @@ def controller_showdown(
     perfiso = (
         None
         if policy == "none"
-        else PerfIsoSpec(
-            cpu_policy=policy,
-            pid=PidControlSpec(slo_p99=slo_ms / 1000.0),
-        )
+        else PerfIsoSpec(cpu=CPU_POLICIES[policy](), slo_p99=slo_ms / 1000.0)
     )
     if perfiso is None and faults is not None and faults.controller_crash is not None:
         faults = dataclasses.replace(faults, controller_crash=None)
@@ -880,9 +860,7 @@ def chaos_telemetry_dropout(
     answering).  The window covers 30%..60% of the measured run.
     """
     spec = base_spec(qps=qps, duration=duration, warmup=warmup, seed=seed)
-    perfiso = PerfIsoSpec(
-        cpu_policy="pid", pid=PidControlSpec(slo_p99=slo_ms / 1000.0)
-    )
+    perfiso = PerfIsoSpec(cpu=PidControlSpec(), slo_p99=slo_ms / 1000.0)
     faults = FaultPlanSpec(
         telemetry=TelemetryFaultSpec(
             mode=mode, start=warmup + 0.3 * duration, duration=0.3 * duration

@@ -133,8 +133,8 @@ class MachineAssembly:
         # sliding P99 window; the collector tees every served sample into it.
         # For every other policy the collector runs its unchanged hot path.
         latency_window = None
-        if spec.perfiso is not None and policy_class(spec.perfiso.cpu_policy).uses_latency:
-            latency_window = SlidingLatencyWindow(window=spec.perfiso.pid.window)
+        if spec.perfiso is not None and policy_class(spec.perfiso.cpu).uses_latency:
+            latency_window = SlidingLatencyWindow(window=spec.perfiso.cpu.window)
         self.latency_window = latency_window
         # Telemetry without a latency-feedback policy reads its windowed P99
         # straight off the collector's sample buffer at probe time (see
@@ -159,15 +159,11 @@ class MachineAssembly:
 
         secondaries = self.secondaries = _build_secondaries(kernel, spec, streams)
 
-        # An all-disabled fault plan is exactly no plan: nothing is wrapped,
-        # nothing is scheduled, and the run is byte-identical to a faultless
-        # spec (fault schedules draw only from the reserved "faults" stream).
+        # An empty fault plan is exactly no plan: nothing is wrapped, nothing
+        # is scheduled, and the run is byte-identical to a faultless spec
+        # (fault schedules draw only from the reserved "faults" stream).
         faults = spec.faults if spec.faults is not None and not spec.faults.is_noop else None
-        telemetry_fault = (
-            faults.telemetry
-            if faults is not None and faults.telemetry is not None and faults.telemetry.enabled
-            else None
-        )
+        telemetry_fault = faults.telemetry if faults is not None else None
         latency_proxy: Optional[DegradedSignal] = None
         forecast_proxy: Optional[DegradedSignal] = None
 

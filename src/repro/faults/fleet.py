@@ -83,7 +83,7 @@ class FleetFaultTimeline:
         machines = plan.machines
         degraded = plan.degraded
         for group in spec.groups:
-            if machines is not None and machines.enabled:
+            if machines is not None:
                 for index in range(group.machines):
                     episodes = machine_crash_episodes(
                         machines,
@@ -94,7 +94,7 @@ class FleetFaultTimeline:
                     )
                     if episodes:
                         self._episodes[(group.name, index)] = episodes
-            if degraded is not None and degraded.enabled:
+            if degraded is not None:
                 self._degraded[group.name] = frozenset(
                     index
                     for index in range(group.machines)
@@ -141,7 +141,7 @@ class FleetFaultTimeline:
         degraded_spec = self._plan.degraded
         degraded_positions: Tuple[int, ...] = ()
         degraded_buckets: Tuple[int, ...] = ()
-        if degraded_spec is not None and degraded_spec.enabled:
+        if degraded_spec is not None:
             degraded_buckets = tuple(
                 bucket
                 for bucket in range(buckets)

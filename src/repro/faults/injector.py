@@ -6,7 +6,8 @@ declared times, each acting through a seam the healthy path already has —
 the scheduler's dispatch-rate factor for degraded cores, the controller's
 telemetry attachment for dropout/staleness, and the controller's own
 ``stop()``/``start()``/``restore_state()`` lifecycle for crash recovery.
-A disabled plan schedules nothing, so the zero-fault path is untouched.
+An unset sub-plan schedules nothing, so an empty plan leaves the
+zero-fault path untouched.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ class SingleMachineFaultInjector:
 
     # ------------------------------------------------------------- lifecycle
     def install(self) -> None:
-        """Schedule every enabled fault's events on the engine."""
+        """Schedule every set fault's events on the engine."""
         degraded = self._plan.degraded
-        if degraded is not None and degraded.enabled:
+        if degraded is not None:
             self._engine.schedule_at(
                 degraded.start,
                 self._degrade_start,
@@ -99,7 +100,7 @@ class SingleMachineFaultInjector:
                 degraded.end, self._degrade_end, priority=EventPriority.KERNEL
             )
         telemetry = self._plan.telemetry
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             # KERNEL priority: the mode flips before any same-instant
             # controller poll observes, so the window boundary is crisp.
             self._engine.schedule_at(
@@ -111,7 +112,7 @@ class SingleMachineFaultInjector:
                 telemetry.end, self._telemetry_end, priority=EventPriority.KERNEL
             )
         crash = self._plan.controller_crash
-        if crash is not None and crash.enabled and self._controller is not None:
+        if crash is not None and self._controller is not None:
             # Periodic checkpoints up to the crash: recovery restores the
             # *last checkpoint*, not the state at the instant of the crash.
             tick = crash.checkpoint_interval

@@ -70,7 +70,7 @@ def machine_crash_episodes(
     Episodes are half-open intervals and may extend past ``horizon``; callers
     clamp as needed.  An empty tuple means the machine never crashes.
     """
-    if not spec.enabled or horizon <= 0.0:
+    if horizon <= 0.0:
         return ()
     rng = fault_rng("machine-crash", seed, group, machine_index)
     mean_gap = 3600.0 / spec.crash_rate_per_hour
@@ -94,7 +94,5 @@ def machine_is_degraded(
     An independent Bernoulli(``fraction_of_machines``) draw per machine from
     its own fault stream: deterministic per spec, independent of sharding.
     """
-    if not spec.enabled:
-        return False
     rng = fault_rng("degraded-core", seed, group, machine_index)
     return bool(rng.random() < spec.fraction_of_machines)

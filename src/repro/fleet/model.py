@@ -25,6 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from ..config.schema import (
+    CPU_POLICIES,
     BlindIsolationSpec,
     CpuBullySpec,
     DiskBullySpec,
@@ -52,6 +53,7 @@ __all__ = [
     "blend_curve",
     "mode_scalars",
     "closed_form_histogram",
+    "target_perfiso",
 ]
 
 #: ``np.trapz`` was renamed in NumPy 2.0; support both (deps pin >= 1.24).
@@ -256,6 +258,18 @@ def _secondary_fields(group: MachineGroupSpec) -> Dict[str, object]:
     return {group.secondary: spec}
 
 
+def target_perfiso(policy: str, group: MachineGroupSpec) -> PerfIsoSpec:
+    """The PerfIso config a rollout of CPU policy ``policy`` ships to
+    ``group``: blind isolation keeps the group's buffer cores, and every
+    other policy takes its defaults."""
+    if policy == "blind":
+        cpu = BlindIsolationSpec(buffer_cores=group.buffer_cores)
+    else:
+        cpu_class = CPU_POLICIES[policy]
+        cpu = cpu_class() if cpu_class is not None else None
+    return PerfIsoSpec(cpu=cpu)
+
+
 class FleetModel:
     """Machine naming, sharding, load curves and calibration for one fleet."""
 
@@ -336,13 +350,7 @@ class FleetModel:
         if mode == BASELINE:
             return base
         policy = self._spec.rollout.target_policy
-        if policy == "none":
-            perfiso = None
-        else:
-            perfiso = PerfIsoSpec(
-                cpu_policy=policy,
-                blind=BlindIsolationSpec(buffer_cores=group.buffer_cores),
-            )
+        perfiso = None if policy == "none" else target_perfiso(policy, group)
         return dataclasses.replace(base, perfiso=perfiso, **_secondary_fields(group))
 
     def mode_calibration(

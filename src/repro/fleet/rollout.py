@@ -4,9 +4,10 @@ PerfIso reached tens of thousands of machines the way every config change
 does in production: a small canary first, progressively wider waves, and an
 automatic halt-and-rollback whenever the tail-latency guardrail trips.  The
 engine below drives the versioned :class:`~repro.cluster.autopilot.ConfigStore`
-— it publishes the baseline and target configurations as explicit versions,
-records a decision per stage, and on a guardrail breach restores the exact
-baseline version for every file it touched.
+— it publishes the baseline and target PerfIso specs as explicit versions
+(each version is the frozen spec object that was published), records a
+decision per stage, and on a guardrail breach restores the exact baseline
+version for every file it touched.
 """
 
 from __future__ import annotations

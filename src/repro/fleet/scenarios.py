@@ -189,7 +189,7 @@ def fleet_rollout_stages(stages: int = 3, machines: int = 400, seed: int = 7) ->
     kind="fleet",
 )
 def fleet_guardrail_breach(machines: int = 48, seed: int = 7) -> FleetSpec:
-    """Ships cpu_policy='none' under a tight guardrail: the canary must fail.
+    """Ships the 'none' CPU policy under a tight guardrail: the canary must fail.
 
     Every row harvests an unrestricted 48-thread CPU bully — the paper's
     worst case — so the colocated tail collapses and the rollout halts at

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..cluster.autopilot import ConfigStore
-from ..config.schema import FleetSpec, PerfIsoSpec, BlindIsolationSpec
+from ..config.schema import FaultPlanSpec, FleetSpec, PerfIsoSpec
 from ..config.validation import validate_fleet
 from ..faults.fleet import FaultyConfigStore, FleetFaultTimeline, ShardFaultPlan
 from ..metrics.latency import LatencyDigest
@@ -49,6 +49,7 @@ from .model import (
     mode_curve_matrix,
     mode_scalars,
     quantile_grid,
+    target_perfiso,
 )
 from .placement import plan_placement
 from .rollout import StagedRollout
@@ -378,10 +379,7 @@ class FleetSimulation:
         entries: Dict[str, Tuple[PerfIsoSpec, PerfIsoSpec]] = {}
         for group in self._spec.groups:
             baseline = PerfIsoSpec(enabled=False)
-            target = PerfIsoSpec(
-                cpu_policy=self._spec.rollout.target_policy,
-                blind=BlindIsolationSpec(buffer_cores=group.buffer_cores),
-            )
+            target = target_perfiso(self._spec.rollout.target_policy, group)
             entries[f"perfiso-{group.name}.json"] = (baseline, target)
         return entries
 
@@ -402,33 +400,18 @@ class FleetSimulation:
         demands = build_demands(spec, calibrations)
 
         # ---------------------------------------------------- fault timeline
-        # An absent or all-disabled plan leaves every path below untouched:
-        # no timeline, no store wrapper, no pending crash — byte-identical
-        # to a spec with no fault plan at all.
-        fault_plan = (
-            spec.faults if spec.faults is not None and not spec.faults.is_noop else None
-        )
+        # An unset sub-plan leaves its path below untouched (no timeline, no
+        # store wrapper, no pending crash), so an absent or empty plan is
+        # byte-identical to a spec with no fault plan at all.
+        fault_plan = spec.faults if spec.faults is not None else FaultPlanSpec()
         timeline: Optional[FleetFaultTimeline] = None
-        if fault_plan is not None and (
-            (fault_plan.machines is not None and fault_plan.machines.enabled)
-            or (fault_plan.degraded is not None and fault_plan.degraded.enabled)
-        ):
+        if fault_plan.machines is not None or fault_plan.degraded is not None:
             timeline = FleetFaultTimeline(fault_plan, spec)
         self.fault_timeline = timeline
         store = self.config_store
-        if (
-            fault_plan is not None
-            and fault_plan.config_push is not None
-            and fault_plan.config_push.enabled
-        ):
+        if fault_plan.config_push is not None:
             store = FaultyConfigStore(store, fault_plan.config_push, seed=spec.seed)
-        crash_spec = (
-            fault_plan.controller_crash
-            if fault_plan is not None
-            and fault_plan.controller_crash is not None
-            and fault_plan.controller_crash.enabled
-            else None
-        )
+        crash_spec = fault_plan.controller_crash
         crash_pending = crash_spec is not None
 
         rollout = StagedRollout(store, spec.rollout, self._config_entries())

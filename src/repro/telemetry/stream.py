@@ -315,7 +315,7 @@ class TelemetrySession:
         arrival_model = node.arrival_model
         latency_window = node.latency_window
         total_cores = kernel.logical_cores
-        slo_ms = spec.perfiso.pid.slo_p99 * 1e3 if spec.perfiso is not None else None
+        slo_ms = spec.perfiso.slo_p99 * 1e3 if spec.perfiso is not None else None
         if controller is not None:
             controller.attach_tracer(self.tracer(lambda: engine.now))
 

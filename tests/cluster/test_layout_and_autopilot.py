@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.autopilot import ConfigStore
 from repro.cluster.layout import ClusterLayout
-from repro.config.schema import ClusterSpec, PerfIsoSpec
+from repro.config.schema import ClusterSpec, CpuCycleSpec, PerfIsoSpec, StaticCoreSpec
 from repro.errors import ClusterError, UnknownVersionError
 
 
@@ -36,44 +36,44 @@ class TestClusterLayout:
 class TestConfigStore:
     def test_publish_and_fetch(self):
         store = ConfigStore()
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="static_cores"))
-        fetched = store.fetch_perfiso()
-        assert fetched.cpu_policy == "static_cores"
+        published = PerfIsoSpec(cpu=StaticCoreSpec())
+        store.publish("perfiso.json", published)
+        assert store.fetch("perfiso.json") is published
         assert store.files() == ["perfiso.json"]
 
     def test_missing_file_rejected(self):
         with pytest.raises(ClusterError):
-            ConfigStore().fetch_perfiso()
+            ConfigStore().fetch("perfiso.json")
 
     def test_republish_overwrites(self):
         store = ConfigStore()
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="none"))
-        assert store.fetch_perfiso().cpu_policy == "none"
+        store.publish("perfiso.json", PerfIsoSpec())
+        store.publish("perfiso.json", PerfIsoSpec(cpu=None))
+        assert store.fetch("perfiso.json").cpu is None
         assert store.pushes == 2
 
 
 class TestConfigStoreVersions:
     def test_publish_returns_increasing_versions(self):
         store = ConfigStore()
-        assert store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind")) == 1
-        assert store.publish("perfiso.json", PerfIsoSpec(cpu_policy="none")) == 2
+        assert store.publish("perfiso.json", PerfIsoSpec()) == 1
+        assert store.publish("perfiso.json", PerfIsoSpec(cpu=None)) == 2
         assert store.active_version("perfiso.json") == 2
 
     def test_fetch_version_returns_exact_historical_spec(self):
         store = ConfigStore()
-        original = PerfIsoSpec(cpu_policy="static_cores")
+        original = PerfIsoSpec(cpu=StaticCoreSpec())
         store.publish("perfiso.json", original)
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
-        assert store.fetch_version("perfiso.json", 1, PerfIsoSpec) == original
+        store.publish("perfiso.json", PerfIsoSpec())
+        assert store.fetch_version("perfiso.json", 1) == original
 
     def test_rollback_restores_prior_version(self):
         store = ConfigStore()
-        original = PerfIsoSpec(cpu_policy="blind", enabled=False)
+        original = PerfIsoSpec(enabled=False)
         store.publish("perfiso.json", original)
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
+        store.publish("perfiso.json", PerfIsoSpec())
         assert store.rollback("perfiso.json") == 1
-        assert store.fetch_perfiso() == original
+        assert store.fetch("perfiso.json") == original
         # Rolling back is a push (machines re-fetch the file).
         assert store.pushes == 3
 
@@ -81,12 +81,12 @@ class TestConfigStoreVersions:
         store = ConfigStore()
         original = PerfIsoSpec(enabled=False)
         store.publish("perfiso.json", original)
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="cpu_cycles"))
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="none"))
+        store.publish("perfiso.json", PerfIsoSpec(cpu=CpuCycleSpec()))
+        store.publish("perfiso.json", PerfIsoSpec(cpu=None))
         assert store.rollback("perfiso.json", 1) == 1
-        assert store.fetch_perfiso() == original
+        assert store.fetch("perfiso.json") == original
         # History is never rewritten: the newer versions are still there.
-        assert store.fetch_version("perfiso.json", 3, PerfIsoSpec).cpu_policy == "none"
+        assert store.fetch_version("perfiso.json", 3).cpu is None
 
     def test_rollback_bounds_checked(self):
         store = ConfigStore()
@@ -102,18 +102,18 @@ class TestConfigStoreVersions:
         store = ConfigStore()
         store.publish("perfiso.json", PerfIsoSpec())
         with pytest.raises(ClusterError):
-            store.fetch_version("perfiso.json", 0, PerfIsoSpec)
+            store.fetch_version("perfiso.json", 0)
         with pytest.raises(ClusterError):
-            store.fetch_version("perfiso.json", 2, PerfIsoSpec)
+            store.fetch_version("perfiso.json", 2)
 
     def test_unknown_version_error_names_the_available_versions(self):
         """Recovery code (rollouts rolling back through churn) needs to see
         what versions *do* exist, so the dedicated error carries them."""
         store = ConfigStore()
         store.publish("perfiso.json", PerfIsoSpec())
-        store.publish("perfiso.json", PerfIsoSpec(cpu_policy="blind"))
+        store.publish("perfiso.json", PerfIsoSpec(enabled=False))
         with pytest.raises(UnknownVersionError) as excinfo:
-            store.fetch_version("perfiso.json", 9, PerfIsoSpec)
+            store.fetch_version("perfiso.json", 9)
         error = excinfo.value
         assert error.name == "perfiso.json"
         assert error.version == 9

@@ -48,7 +48,7 @@ class TestSimulatedCluster:
 
     def test_colocated_cluster_with_perfiso_runs(self):
         node = sc.standalone(**NODE).replace(
-            perfiso=PerfIsoSpec(cpu_policy="blind"), cpu_bully=CpuBullySpec(threads=48)
+            perfiso=PerfIsoSpec(), cpu_bully=CpuBullySpec(threads=48)
         )
         scenario = tiny_scenario(node)
         cluster = SimulatedCluster(scenario, name="colocated")

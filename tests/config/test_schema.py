@@ -1,28 +1,35 @@
 """Tests for the configuration schema."""
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.config.schema import (
     BlindIsolationSpec,
     ClusterSpec,
+    ConfigPushFaultSpec,
+    ControllerCrashSpec,
     CpuBullySpec,
     CpuCycleSpec,
+    DegradedCoreSpec,
     DiskSpec,
     ExperimentSpec,
     HdfsSpec,
     IndexServeSpec,
     IoThrottleSpec,
+    MachineFaultSpec,
     MachineSpec,
     MemoryGuardSpec,
     PerfIsoSpec,
     SchedulerSpec,
     StaticCoreSpec,
+    TelemetryFaultSpec,
     VolumeSpec,
     WorkloadSpec,
 )
 from repro.errors import ConfigError
+from repro.runtime.spec_hash import canonical_encoding
 
 
 class TestMachineSpec:
@@ -118,7 +125,15 @@ class TestTenantSpecs:
 class TestPerfIsoSpecs:
     def test_policy_must_be_known(self):
         with pytest.raises(ConfigError):
-            PerfIsoSpec(cpu_policy="magic")
+            PerfIsoSpec(cpu=CpuBullySpec())
+
+    def test_every_setting_is_one_the_run_reads(self):
+        """A PerfIso spec encodes the one CPU policy it runs, not a sub-spec
+        for every policy it could run."""
+        fields = json.loads(canonical_encoding(PerfIsoSpec()))["spec"]["fields"]
+        assert sorted(fields) == sorted(
+            ["cpu", "slo_p99", "io_throttle", "memory_guard", "poll_interval", "enabled"]
+        )
 
     def test_blind_buffer_non_negative(self):
         with pytest.raises(ConfigError):
@@ -150,6 +165,32 @@ class TestPerfIsoSpecs:
     def test_poll_interval_positive(self):
         with pytest.raises(ConfigError):
             PerfIsoSpec(poll_interval=0)
+
+    def test_nan_poll_interval_rejected(self):
+        # A NaN poll interval passes every ``<= 0`` check and would schedule
+        # no controller polls.
+        with pytest.raises(ConfigError, match="poll_interval"):
+            PerfIsoSpec(poll_interval=float("nan"))
+
+
+class TestFaultSpecs:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda value: MachineFaultSpec(crash_rate_per_hour=value),
+            lambda value: DegradedCoreSpec(duration=value),
+            lambda value: TelemetryFaultSpec(duration=value),
+            lambda value: ControllerCrashSpec(at=value),
+            lambda value: ConfigPushFaultSpec(failure_rate=value),
+        ],
+        ids=["machines", "degraded", "telemetry", "controller_crash", "config_push"],
+    )
+    def test_a_set_fault_is_on(self, build):
+        """Each sub-spec's old disabling value is rejected: leaving the
+        sub-spec unset is the one way to leave its fault off."""
+        build(1.0)
+        with pytest.raises(ConfigError):
+            build(0.0)
 
 
 class TestWorkloadAndCluster:

@@ -30,7 +30,7 @@ class TestValidateExperiment:
 
     def test_buffer_cannot_cover_whole_machine(self):
         spec = ExperimentSpec(
-            perfiso=PerfIsoSpec(cpu_policy="blind", blind=BlindIsolationSpec(buffer_cores=48))
+            perfiso=PerfIsoSpec(cpu=BlindIsolationSpec(buffer_cores=48))
         )
         with pytest.raises(ConfigError):
             validate_experiment(spec)
@@ -38,7 +38,7 @@ class TestValidateExperiment:
     def test_static_cores_bounded_by_machine(self):
         spec = ExperimentSpec(
             perfiso=PerfIsoSpec(
-                cpu_policy="static_cores", static_cores=StaticCoreSpec(secondary_cores=64)
+                cpu=StaticCoreSpec(secondary_cores=64)
             )
         )
         with pytest.raises(ConfigError):

@@ -22,8 +22,7 @@ from repro.units import millis
 
 def blind_spec(buffer_cores=2, poll_interval=millis(1)):
     return PerfIsoSpec(
-        cpu_policy="blind",
-        blind=BlindIsolationSpec(buffer_cores=buffer_cores),
+        cpu=BlindIsolationSpec(buffer_cores=buffer_cores),
         poll_interval=poll_interval,
     )
 
@@ -104,7 +103,7 @@ class TestBlindIsolationLoop:
 
 class TestOtherPolicies:
     def test_static_cores_applied(self, engine, kernel):
-        spec = PerfIsoSpec(cpu_policy="static_cores", static_cores=StaticCoreSpec(secondary_cores=2))
+        spec = PerfIsoSpec(cpu=StaticCoreSpec(secondary_cores=2))
         controller = PerfIsoController(kernel, spec)
         bully = CpuBullyTenant(kernel, CpuBullySpec(threads=8, memory_bytes=1024))
         bully.start()
@@ -116,7 +115,7 @@ class TestOtherPolicies:
         assert bully.cpu_seconds() == pytest.approx(horizon * 2, rel=0.1)
 
     def test_cpu_cycles_applied(self, engine, kernel):
-        spec = PerfIsoSpec(cpu_policy="cpu_cycles", cpu_cycles=CpuCycleSpec(cpu_fraction=0.25))
+        spec = PerfIsoSpec(cpu=CpuCycleSpec(cpu_fraction=0.25))
         controller = PerfIsoController(kernel, spec)
         bully = CpuBullyTenant(kernel, CpuBullySpec(threads=8, memory_bytes=1024))
         bully.start()
@@ -128,7 +127,7 @@ class TestOtherPolicies:
         assert controller.job.cpu_rate_fraction == 0.25
 
     def test_none_policy_leaves_secondary_unrestricted(self, engine, kernel):
-        spec = PerfIsoSpec(cpu_policy="none")
+        spec = PerfIsoSpec(cpu=None)
         controller = PerfIsoController(kernel, spec)
         controller.start()
         assert controller.job.cpu_affinity is None
@@ -233,7 +232,7 @@ class TestRestoreUnrestrictedSnapshot:
     """
 
     def test_unrestricted_snapshot_lifts_replacement_restriction(self, engine, kernel):
-        original = PerfIsoController(kernel, PerfIsoSpec(cpu_policy="none"))
+        original = PerfIsoController(kernel, PerfIsoSpec(cpu=None))
         original.start()
         engine.run(until=0.05)
         state = original.state_dict()
@@ -255,7 +254,7 @@ class TestRestoreUnrestrictedSnapshot:
         assert saved >= 1  # the initial restriction genuinely happened
 
     def test_cpu_rate_snapshot_restores_the_rate(self, engine, kernel):
-        spec = PerfIsoSpec(cpu_policy="cpu_cycles", cpu_cycles=CpuCycleSpec(cpu_fraction=0.25))
+        spec = PerfIsoSpec(cpu=CpuCycleSpec(cpu_fraction=0.25))
         original = PerfIsoController(kernel, spec)
         original.start()
         state = original.state_dict()
@@ -286,7 +285,7 @@ class TestRestoreUnrestrictedSnapshot:
         checkpoint, ``stop()`` the crash, and the restarted instance runs
         ``start()`` then ``restore_state()``.
         """
-        original = PerfIsoController(kernel, PerfIsoSpec(cpu_policy="none"))
+        original = PerfIsoController(kernel, PerfIsoSpec(cpu=None))
         original.start()
         engine.run(until=0.05)
         checkpoint = dict(original.state_dict())

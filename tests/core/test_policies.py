@@ -2,14 +2,25 @@
 
 import pytest
 
-from repro.config.schema import BlindIsolationSpec, CpuCycleSpec, PerfIsoSpec, StaticCoreSpec
+from repro.config.schema import (
+    CPU_POLICIES,
+    BlindIsolationSpec,
+    CpuBullySpec,
+    CpuCycleSpec,
+    PerfIsoSpec,
+    StaticCoreSpec,
+)
 from repro.core.policies import (
     AllocationDecision,
     BlindIsolationPolicy,
     ControllerObservation,
     CpuCyclesPolicy,
+    ModelPredictivePolicy,
     NoIsolationPolicy,
+    OraclePolicy,
+    PidPolicy,
     StaticCoresPolicy,
+    UtilizationTargetPolicy,
     policy_class,
     policy_from_spec,
 )
@@ -116,19 +127,33 @@ class TestStaticAndCyclePolicies:
         assert policy.decide(observe(48, 0, None)) is None
 
 
+#: The policy class each CPU policy name builds, in ``CPU_POLICIES`` order.
+EXPECTED_POLICIES = {
+    "blind": BlindIsolationPolicy,
+    "static_cores": StaticCoresPolicy,
+    "cpu_cycles": CpuCyclesPolicy,
+    "none": NoIsolationPolicy,
+    "pid": PidPolicy,
+    "mpc": ModelPredictivePolicy,
+    "utilization": UtilizationTargetPolicy,
+    "oracle": OraclePolicy,
+}
+
+
 class TestBuildPolicy:
-    @pytest.mark.parametrize(
-        "name,expected",
-        [
-            ("blind", BlindIsolationPolicy),
-            ("static_cores", StaticCoresPolicy),
-            ("cpu_cycles", CpuCyclesPolicy),
-            ("none", NoIsolationPolicy),
-        ],
-    )
+    def test_every_policy_name_is_covered(self):
+        assert list(EXPECTED_POLICIES) == list(CPU_POLICIES)
+
+    @pytest.mark.parametrize("name,expected", list(EXPECTED_POLICIES.items()))
     def test_known_policies(self, name, expected):
-        assert isinstance(policy_from_spec(PerfIsoSpec(cpu_policy=name)), expected)
+        """The policy built from each name's spec is that policy, and reports
+        that name."""
+        spec_class = CPU_POLICIES[name]
+        cpu = spec_class() if spec_class is not None else None
+        policy = policy_from_spec(PerfIsoSpec(cpu=cpu))
+        assert type(policy) is expected
+        assert policy.name == name
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(IsolationError):
-            policy_class("quantum")
+            policy_class(CpuBullySpec())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config.schema import BlindIsolationSpec, CpuCycleSpec
 from repro.config.validation import validate_experiment
 from repro.errors import ConfigError
 from repro.experiments import figures
@@ -32,14 +33,13 @@ class TestScenarioBuilders:
 
     def test_blind_isolation_config(self):
         spec = sc.blind_isolation(buffer_cores=4, bully_threads=24)
-        assert spec.perfiso.cpu_policy == "blind"
-        assert spec.perfiso.blind.buffer_cores == 4
+        assert spec.perfiso.cpu == BlindIsolationSpec(buffer_cores=4)
         assert spec.cpu_bully.threads == 24
 
     def test_cycles_config(self):
         spec = sc.cpu_cycles(0.45)
-        assert spec.perfiso.cpu_policy == "cpu_cycles"
-        assert spec.perfiso.cpu_cycles.cpu_fraction == pytest.approx(0.45)
+        assert isinstance(spec.perfiso.cpu, CpuCycleSpec)
+        assert spec.perfiso.cpu.cpu_fraction == pytest.approx(0.45)
 
     def test_disk_bound_scenario_has_io_tenants(self):
         spec = sc.disk_bound_with_throttling()

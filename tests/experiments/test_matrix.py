@@ -61,7 +61,7 @@ class TestCatalog:
             assert variant.spec.node.hdfs is not None  # HDFS runs on every machine
         standalone, cpu_bound, disk_bound = (v.spec.node for v in variants)
         assert standalone.perfiso is None and standalone.cpu_bully is None
-        assert cpu_bound.perfiso.blind.buffer_cores == 8 and cpu_bound.cpu_bully is not None
+        assert cpu_bound.perfiso.cpu.buffer_cores == 8 and cpu_bound.cpu_bully is not None
         assert disk_bound.disk_bully is not None
         assert disk_bound.perfiso.io_throttle is not None
 
@@ -202,7 +202,7 @@ class TestExpansion:
             slo_ms=20.0,
             **FAST,
         )
-        assert variant.spec.perfiso.pid.slo_p99 == pytest.approx(0.020)
+        assert variant.spec.perfiso.slo_p99 == pytest.approx(0.020)
         with pytest.raises(ConfigError, match="unknown common parameter"):
             matrix.expand("standalone", slo_ms=20.0)
 
@@ -388,6 +388,16 @@ class TestCli:
     def test_bad_grid_syntax_exits_nonzero(self, capsys):
         assert matrix.main(["--run", "no-isolation", "--grid", "oops"]) == 2
         assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, reason",
+        [("bogus=1", "has no axis 'bogus'"), ("qps=2000,2000.0", "repeats a value")],
+    )
+    def test_grid_the_scenario_rejects_exits_2_before_any_run(self, grid, reason, capsys):
+        assert matrix.main(["--run", "fig5", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert reason in captured.err
 
 
 class TestCliFailureIsolation:

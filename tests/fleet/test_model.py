@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.config.schema import FleetSpec, MachineGroupSpec, PlacementSpec, RolloutSpec
+from repro.config.schema import (
+    BlindIsolationSpec,
+    FleetSpec,
+    MachineGroupSpec,
+    PlacementSpec,
+    RolloutSpec,
+    StaticCoreSpec,
+)
 from repro.config.validation import validate_fleet
 from repro.errors import ConfigError, ExperimentError
 from repro.fleet.model import (
@@ -188,10 +195,9 @@ class TestCalibrationSpecs:
 
     def test_target_policy_shapes_the_colocated_perfiso(self):
         blind = self._spec_for(self._group(buffer_cores=6), policy="blind")
-        assert blind.perfiso.cpu_policy == "blind"
-        assert blind.perfiso.blind.buffer_cores == 6
+        assert blind.perfiso.cpu == BlindIsolationSpec(buffer_cores=6)
         static = self._spec_for(self._group(), policy="static_cores")
-        assert static.perfiso.cpu_policy == "static_cores"
+        assert static.perfiso.cpu == StaticCoreSpec()
         none = self._spec_for(self._group(), policy="none")
         assert none.perfiso is None
 

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.cluster.autopilot import ConfigStore
-from repro.config.schema import PerfIsoSpec, RolloutSpec
+from repro.config.schema import CpuCycleSpec, PerfIsoSpec, RolloutSpec, StaticCoreSpec
 from repro.errors import ClusterError
 from repro.fleet.rollout import GuardrailMonitor, StagedRollout
 
 BASELINE = PerfIsoSpec(enabled=False)
-TARGET = PerfIsoSpec(cpu_policy="blind")
+TARGET = PerfIsoSpec()
 
 
 def make_rollout(store=None, **rollout_kwargs):
@@ -57,7 +57,7 @@ class TestStagedRollout:
         for name in ("perfiso-a.json", "perfiso-b.json"):
             assert engine.baseline_version(name) == 1
             assert engine.store.active_version(name) == 2
-            assert engine.store.fetch_perfiso(name) == TARGET
+            assert engine.store.fetch(name) == TARGET
 
     def test_begin_twice_rejected(self):
         engine = make_rollout()
@@ -74,23 +74,23 @@ class TestStagedRollout:
         engine.finish()
         assert engine.status == "completed"
         for name in ("perfiso-a.json", "perfiso-b.json"):
-            assert engine.store.fetch_perfiso(name) == TARGET
+            assert engine.store.fetch(name) == TARGET
 
     def test_breach_halts_and_restores_exact_baseline_version(self):
         store = ConfigStore()
         # Unrelated history before the rollout: the baseline version the
         # rollout must restore is NOT simply "the previous version".
-        store.publish("perfiso-a.json", PerfIsoSpec(cpu_policy="cpu_cycles"))
+        store.publish("perfiso-a.json", PerfIsoSpec(cpu=CpuCycleSpec()))
         engine = make_rollout(store=store)
         engine.begin()
         # More noise after begin(): a hotfix push to one file.
-        store.publish("perfiso-a.json", PerfIsoSpec(cpu_policy="static_cores"))
+        store.publish("perfiso-a.json", PerfIsoSpec(cpu=StaticCoreSpec()))
         decision = engine.record_stage("stage-1", 0.02, p99_ratio=9.0)
         assert decision.breached and decision.action == "halt"
         assert engine.status == "halted"
         # Both files are back at the exact version begin() captured.
-        assert store.fetch_perfiso("perfiso-a.json") == BASELINE
-        assert store.fetch_perfiso("perfiso-b.json") == BASELINE
+        assert store.fetch("perfiso-a.json") == BASELINE
+        assert store.fetch("perfiso-b.json") == BASELINE
         assert store.active_version("perfiso-a.json") == engine.baseline_version("perfiso-a.json")
 
     def test_no_stage_recording_after_halt(self):

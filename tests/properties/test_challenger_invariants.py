@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.config.schema import (
     MpcControlSpec,
     OracleControlSpec,
+    PerfIsoSpec,
     PidControlSpec,
     UtilizationTargetSpec,
 )
@@ -27,6 +28,9 @@ from repro.core.policies import (
     PidPolicy,
     UtilizationTargetPolicy,
 )
+
+#: The PID set point: PerfIso's default SLO.
+SLO_P99 = PerfIsoSpec().slo_p99
 
 
 @st.composite
@@ -110,7 +114,7 @@ class TestDecisionBounds:
     @given(spec=pid_specs(), obs=observations(with_latency=True))
     @settings(max_examples=300, deadline=None)
     def test_pid_decisions_bounded(self, spec, obs):
-        policy = PidPolicy(spec)
+        policy = PidPolicy(spec, SLO_P99)
         assert policy.initial_decision(obs.total_cores).core_count == policy.max_secondary(
             obs.total_cores
         )
@@ -145,7 +149,7 @@ class TestDecisionBounds:
             current_core_count=obs.current_core_count,
             poll_interval=obs.poll_interval,
         )
-        assert PidPolicy(PidControlSpec()).decide(blind_obs) is None
+        assert PidPolicy(PidControlSpec(), SLO_P99).decide(blind_obs) is None
         assert ModelPredictivePolicy(MpcControlSpec()).decide(blind_obs) is None
         assert OraclePolicy(OracleControlSpec()).decide(blind_obs) is None
 
@@ -158,7 +162,7 @@ class TestDeterminism:
     @settings(max_examples=100, deadline=None)
     def test_pid_deterministic_over_observation_streams(self, spec, stream):
         """PID is stateful, but the state is a pure function of the stream."""
-        a, b = PidPolicy(spec), PidPolicy(spec)
+        a, b = PidPolicy(spec, SLO_P99), PidPolicy(spec, SLO_P99)
         assert [a.decide(obs) for obs in stream] == [b.decide(obs) for obs in stream]
 
     @given(

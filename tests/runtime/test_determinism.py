@@ -29,7 +29,7 @@ def _specs():
         workload=workload,
         seed=11,
         cpu_bully=CpuBullySpec(threads=8),
-        perfiso=PerfIsoSpec(cpu_policy="blind", blind=BlindIsolationSpec(buffer_cores=4)),
+        perfiso=PerfIsoSpec(cpu=BlindIsolationSpec(buffer_cores=4)),
     )
     return [plain, isolated]
 

@@ -28,7 +28,7 @@ def _specs():
         workload=workload,
         seed=11,
         cpu_bully=CpuBullySpec(threads=8),
-        perfiso=PerfIsoSpec(cpu_policy="blind", blind=BlindIsolationSpec(buffer_cores=4)),
+        perfiso=PerfIsoSpec(cpu=BlindIsolationSpec(buffer_cores=4)),
     )
     return {"plain": plain, "isolated": isolated}
 
@@ -139,3 +139,20 @@ def test_snapshot_keys_sorted_then_slo_ratio(tmp_path, name):
             with_ratio += 1
         assert list(metrics) == expected
     assert with_ratio > 0 if spec.perfiso is not None else with_ratio == 0
+
+
+def test_slo_is_the_perfiso_slo_under_every_policy(tmp_path):
+    """Telemetry reports ``PerfIsoSpec.slo_p99`` whatever the CPU policy: a
+    blind showdown cell at a 12 ms SLO streams ``latency.slo_ms == 12``."""
+    from repro.experiments.scenarios import controller_showdown
+
+    spec = controller_showdown(
+        "blind", base_qps=500.0, peak_qps=1500.0, slo_ms=12.0,
+        duration=0.3, warmup=0.1, seed=5,
+    )
+    path = tmp_path / "stream.jsonl"
+    with TelemetrySession.to_path(str(path), source="test") as session:
+        SingleMachineExperiment(spec).run(telemetry=session)
+    snapshots = [r["metrics"] for r in read_records(str(path)) if r["type"] == "snapshot"]
+    assert snapshots
+    assert all(metrics["latency.slo_ms"] == 12.0 for metrics in snapshots)
