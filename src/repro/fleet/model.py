@@ -349,8 +349,10 @@ class FleetModel:
         )
         if mode == BASELINE:
             return base
-        policy = self._spec.rollout.target_policy
-        perfiso = None if policy == "none" else target_perfiso(policy, group)
+        # The colocated mode runs the PerfIso config the rollout ships; for
+        # the ``none`` policy that is still PerfIso, with its I/O throttle
+        # and memory guard on and no CPU policy.
+        perfiso = target_perfiso(self._spec.rollout.target_policy, group)
         return dataclasses.replace(base, perfiso=perfiso, **_secondary_fields(group))
 
     def mode_calibration(

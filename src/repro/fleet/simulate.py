@@ -11,10 +11,13 @@ The simulation composes the other fleet modules:
 3. machine groups are cut into fixed-size shards and fanned out through
    ``ExperimentRunner.map`` — each shard carries slices of its group's
    per-machine arrays (placed cores, sampled positions), draws its machines'
-   latencies by inverse-CDF sampling and returns *mergeable digests*, never
-   raw samples.  Shards are recomputed on every run: hashing a shard task
-   into a cache key costs more than sampling the shard.  The run is one
-   runner scope, so calibration and every stage share one worker pool;
+   latencies by inverse-CDF sampling and returns one *count block* over the
+   digest grid (baseline and colocated, per bucket, trimmed to the cells
+   the shard occupies) with its sums and maxima, never raw samples.  The
+   parent adds the blocks up in task order and builds one digest per group,
+   mode and bucket.  Shards are recomputed on every run: hashing a shard
+   task into a cache key costs more than sampling the shard.  The run is
+   one runner scope, so calibration and every stage share one worker pool;
 4. the staged rollout engine advances canary -> wave -> fleet, halting and
    rolling the configuration store back on a guardrail breach.
 
@@ -28,19 +31,22 @@ from __future__ import annotations
 import math
 from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..cluster.autopilot import ConfigStore
 from ..config.schema import FaultPlanSpec, FleetSpec, PerfIsoSpec
 from ..config.validation import validate_fleet
+from ..errors import ExperimentError
 from ..faults.fleet import FaultyConfigStore, FleetFaultTimeline, ShardFaultPlan
 from ..metrics.latency import LatencyDigest
 from ..simulation.randomness import stable_seed
 from ..units import to_millis
 from .accounting import FleetResult, StageAccount
 from .model import (
+    BASELINE,
+    COLOCATED,
     FleetModel,
     GroupCalibration,
     ModeCalibration,
@@ -99,14 +105,29 @@ class FleetShardTask:
 
 @dataclass
 class FleetShardResult:
-    """Mergeable per-bucket summaries plus exact accounting tallies."""
+    """One shard's latency counts, as one block, plus exact accounting tallies.
+
+    ``counts[mode, bucket]`` (mode 0 is baseline, 1 colocated) holds cells
+    ``first_cell`` to ``first_cell + span`` of that mode-bucket's
+    :class:`~repro.metrics.latency.LatencyDigest` count vector.  The span
+    covers every cell the shard occupies, so every cell outside it is zero;
+    a shard with no samples has span 0.  ``sums`` and ``maxima`` are the
+    matching sample sums and maxima, each folded from its contributions by
+    :meth:`~repro.metrics.latency.LatencyDigest.add_counts`'s rule (a
+    contribution with no counts adds nothing).
+    """
 
     group: str
     stage: str
     shard_index: int
     machines: int
-    baseline_digests: List[LatencyDigest]
-    colocated_digests: List[LatencyDigest]
+    first_cell: int
+    #: int64, shaped ``(2, buckets, span)``.
+    counts: np.ndarray
+    #: float64, shaped ``(2, buckets)``.
+    sums: np.ndarray
+    #: float64, shaped ``(2, buckets)``.
+    maxima: np.ndarray
     reclaimed_core_hours: float
     #: Machine-hours of batch work completed, normalised to one machine
     #: running its secondary at the full calibrated rate for one hour (tenant
@@ -121,9 +142,10 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
     ``(buckets, machines, samples)`` block: every uniform for the shard is
     drawn in one call (in the exact stream order the historical per-bucket
     loop consumed, so exact mode stays byte-identical to it), inverse-CDF
-    mapped per bucket, then binned into per-bucket
-    :class:`~repro.metrics.latency.LatencyDigest`\\ s through one batched
-    ``searchsorted``/``bincount`` pass and the ``add_counts`` fast path.
+    mapped per bucket, then binned into one ``(2, buckets, cells)`` count
+    block over the :class:`~repro.metrics.latency.LatencyDigest` grid
+    through one batched ``searchsorted``/``bincount`` pass per mode.  The
+    result carries only the block's occupied cells.
 
     In sampled (hyperscale) mode only ``task.sampled`` machines are drawn;
     the rest contribute :func:`~repro.fleet.model.closed_form_histogram`
@@ -133,10 +155,16 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
     A fault plan (``task.faults``) is folded in *after* the main draw, so the
     uniform stream layout — and therefore every healthy machine's samples —
     is identical with and without faults: down machines' samples are excluded
-    from the per-bucket digests (and the closed-form totals count only up
+    from the per-bucket counts (and the closed-form totals count only up
     machines), degraded machines' samples are scaled by the slowdown during
     the degraded buckets (unsampled degraded machines contribute the closed
     form of the slowed curve), and down machines earn no batch capacity.
+
+    Each contribution's sum and maximum fold into ``sums`` and ``maxima`` in
+    the order a digest's :meth:`~repro.metrics.latency.LatencyDigest.add_counts`
+    calls would take them (drawn samples, then the closed form), and only
+    when its counts are non-zero, so a digest rebuilt from one row is bit
+    for bit the digest the same contributions would have built.
     """
     machines = len(task.placed_cores)
     buckets = len(task.loads)
@@ -189,11 +217,12 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
     split = modes[0][1].size * modes[0][2]
     mode_uniforms = (flat[:, :split], flat[:, split:])
 
-    per_mode_digests: Tuple[List[LatencyDigest], List[LatencyDigest]] = ([], [])
+    counts = np.zeros((2, buckets, cells), dtype=np.int64)
+    sums = np.zeros((2, buckets), dtype=np.float64)
+    maxima = np.zeros((2, buckets), dtype=np.float64)
     for which, (calibration, index, per_machine, class_all) in enumerate(modes):
         curves = bucket_curves[which]
         drawn = index.size
-        drawn_alive: Optional[np.ndarray] = None
         if drawn:
             samples = np.empty((buckets, drawn, per_machine), dtype=np.float64)
             uniforms = mode_uniforms[which].reshape(buckets, drawn, per_machine)
@@ -209,73 +238,63 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
                 block = samples.reshape(buckets, -1)
                 indices = np.searchsorted(edges, block, side="right")
                 offsets = (np.arange(buckets) * cells)[:, None]
-                counts = np.bincount(
+                counts[which] = np.bincount(
                     (indices + offsets).ravel(), minlength=buckets * cells
                 ).reshape(buckets, cells)
-                sums = block.sum(axis=1)
-                maxima = block.max(axis=1)
+                sums[which] += block.sum(axis=1)
+                np.maximum(maxima[which], block.max(axis=1), out=maxima[which])
             else:
                 # Crash episodes: bin per bucket so each bucket's down
-                # machines contribute nothing to its digest.
-                counts = np.zeros((buckets, cells), dtype=np.int64)
-                sums = np.zeros(buckets, dtype=np.float64)
-                maxima = np.zeros(buckets, dtype=np.float64)
-                drawn_alive = np.zeros(buckets, dtype=np.intp)
+                # machines contribute nothing to its counts.
                 for bucket in range(buckets):
                     keep = np.ones(drawn, dtype=bool)
                     keep[np.flatnonzero(np.isin(index, down_arrays[bucket]))] = False
                     block = samples[bucket][keep].ravel()
-                    drawn_alive[bucket] = block.size
                     if block.size:
-                        counts[bucket] = np.bincount(
+                        counts[which, bucket] = np.bincount(
                             np.searchsorted(edges, block, side="right"), minlength=cells
                         )
-                        sums[bucket] = block.sum()
-                        maxima[bucket] = block.max()
+                        sums[which, bucket] += block.sum()
+                        maxima[which, bucket] = max(maxima[which, bucket], block.max())
         unsampled = class_all.size - drawn
-        unsampled_positions = (
-            np.setdiff1d(class_all, index) if faults is not None and unsampled else None
-        )
+        if not unsampled:
+            continue
+        if faults is None:
+            rows, totals, peaks = zip(
+                *(closed_form_histogram(curve, edges, unsampled * per_machine) for curve in curves)
+            )
+            counts[which] += np.stack(rows)
+            sums[which] += totals
+            np.maximum(maxima[which], peaks, out=maxima[which])
+            continue
+        unsampled_positions = np.setdiff1d(class_all, index)
         for bucket in range(buckets):
-            digest = LatencyDigest()
-            if drawn and (drawn_alive is None or drawn_alive[bucket]):
-                digest.add_counts(
-                    counts[bucket], float(sums[bucket]), float(maxima[bucket])
-                )
-            if unsampled:
-                if faults is None:
-                    closed_counts, closed_sum, closed_max = closed_form_histogram(
-                        curves[bucket], edges, unsampled * per_machine
-                    )
-                    digest.add_counts(closed_counts, closed_sum, closed_max)
-                else:
-                    # Closed-form correction: only *up* unsampled machines
-                    # contribute, degraded ones through the slowed curve.
-                    up = unsampled_positions[
-                        ~np.isin(unsampled_positions, down_arrays[bucket])
-                    ]
-                    straggling = (
-                        int(np.isin(up, degraded_array).sum())
-                        if bucket in degraded_bucket_set
-                        else 0
-                    )
-                    healthy = up.size - straggling
-                    if healthy:
-                        digest.add_counts(
-                            *closed_form_histogram(
-                                curves[bucket], edges, healthy * per_machine
-                            )
-                        )
-                    if straggling:
-                        digest.add_counts(
-                            *closed_form_histogram(
-                                curves[bucket] * faults.slowdown,
-                                edges,
-                                straggling * per_machine,
-                            )
-                        )
-            per_mode_digests[which].append(digest)
-    baseline_digests, colocated_digests = per_mode_digests
+            # Closed-form correction: only *up* unsampled machines
+            # contribute, degraded ones through the slowed curve.
+            up = unsampled_positions[~np.isin(unsampled_positions, down_arrays[bucket])]
+            straggling = (
+                int(np.isin(up, degraded_array).sum()) if bucket in degraded_bucket_set else 0
+            )
+            for curve, quota in (
+                (curves[bucket], up.size - straggling),
+                (curves[bucket] * faults.slowdown, straggling),
+            ):
+                if quota:
+                    row, total, peak = closed_form_histogram(curve, edges, quota * per_machine)
+                    counts[which, bucket] += row
+                    sums[which, bucket] += total
+                    maxima[which, bucket] = max(maxima[which, bucket], peak)
+
+    # The result carries only the occupied cells.
+    occupied = np.flatnonzero(counts.any(axis=(0, 1)))
+    first_cell = int(occupied[0]) if occupied.size else 0
+    stop_cell = int(occupied[-1]) + 1 if occupied.size else 0
+    counts = np.ascontiguousarray(counts[:, :, first_cell:stop_cell])
+    if np.any(counts < 0) or np.any(maxima < 0.0):
+        raise ExperimentError(
+            f"shard {task.group}/{task.stage}/{task.shard_index} binned a negative "
+            "count or latency"
+        )
 
     # Capacity accounting is exact for every machine regardless of sampling:
     # it depends only on placed cores and the calibrated CPU fractions.
@@ -300,11 +319,53 @@ def _simulate_shard(task: FleetShardTask) -> FleetShardResult:
         stage=task.stage,
         shard_index=task.shard_index,
         machines=machines,
-        baseline_digests=baseline_digests,
-        colocated_digests=colocated_digests,
+        first_cell=first_cell,
+        counts=counts,
+        sums=sums,
+        maxima=maxima,
         reclaimed_core_hours=reclaimed,
         batch_machine_hours=progress,
     )
+
+
+def _merge_shards(
+    shards: Sequence[FleetShardResult], groups: Sequence[str], buckets: int
+) -> Dict[str, Dict[str, List[LatencyDigest]]]:
+    """Merge shard results, in task order, into one digest per group, mode
+    and bucket.
+
+    Each shard adds into its group's totals with one slice add per array:
+    its sums add in task order, as digest merges would, and its maxima fold
+    in with ``np.maximum``.  Only the merged rows become digests, each
+    through :meth:`~repro.metrics.latency.LatencyDigest.add_counts`, which
+    validates it.
+    """
+    cells = LatencyDigest().counts_size
+    totals = {
+        group: (
+            np.zeros((2, buckets, cells), dtype=np.int64),
+            np.zeros((2, buckets), dtype=np.float64),
+            np.zeros((2, buckets), dtype=np.float64),
+        )
+        for group in groups
+    }
+    for shard in shards:
+        counts, sums, maxima = totals[shard.group]
+        stop_cell = shard.first_cell + shard.counts.shape[2]
+        counts[:, :, shard.first_cell : stop_cell] += shard.counts
+        sums += shard.sums
+        np.maximum(maxima, shard.maxima, out=maxima)
+    merged: Dict[str, Dict[str, List[LatencyDigest]]] = {}
+    for group, (counts, sums, maxima) in totals.items():
+        merged[group] = {}
+        for which, mode in enumerate((BASELINE, COLOCATED)):
+            digests = []
+            for bucket in range(buckets):
+                digest = LatencyDigest()
+                digest.add_counts(counts[which, bucket], sums[which, bucket], maxima[which, bucket])
+                digests.append(digest)
+            merged[group][mode] = digests
+    return merged
 
 
 def build_demands(spec: FleetSpec, calibrations: Dict[str, GroupCalibration]) -> np.ndarray:
@@ -438,7 +499,7 @@ class FleetSimulation:
         def run_buckets(
             stage: str, buckets: int, placed: Dict[str, np.ndarray]
         ) -> Tuple[Dict[str, Dict[str, List[LatencyDigest]]], float, float]:
-            """Fan one stage's shards out and merge their digests per bucket.
+            """Fan one stage's shards out and merge their counts per bucket.
 
             ``placed`` maps each group to its placed cores per machine
             position; every shard task carries slices of that array and of
@@ -534,19 +595,10 @@ class FleetSimulation:
                 shard_results = runner.map(_simulate_shard, [(task,) for task in tasks])
             start_bucket = bucket_cursor
             bucket_cursor += buckets
-            merged: Dict[str, Dict[str, List[LatencyDigest]]] = {
-                group.name: {
-                    "baseline": [LatencyDigest() for _ in range(buckets)],
-                    "colocated": [LatencyDigest() for _ in range(buckets)],
-                }
-                for group in spec.groups
-            }
+            merged = _merge_shards(shard_results, [group.name for group in spec.groups], buckets)
             reclaimed = 0.0
             progress = 0.0
             for shard in shard_results:
-                for bucket in range(buckets):
-                    merged[shard.group]["baseline"][bucket].merge(shard.baseline_digests[bucket])
-                    merged[shard.group]["colocated"][bucket].merge(shard.colocated_digests[bucket])
                 reclaimed += shard.reclaimed_core_hours
                 progress += shard.batch_machine_hours
                 result.machine_buckets += shard.machines * buckets

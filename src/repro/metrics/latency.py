@@ -277,9 +277,11 @@ class LatencyDigest:
 
     The bin edges are a pure function of the ``(bins, lowest, highest)``
     grid, so every digest on one grid shares a single read-only edges array:
-    a digest costs one count vector, and pickling it (every fleet shard
-    result crosses a process boundary) sends its counts and accumulators
-    but not its edges, which the receiving process looks up again.
+    a digest costs one count vector, and pickling it sends its counts and
+    accumulators but not its edges, which the receiving process looks up
+    again.  Fleet shards do not send digests at all: each returns one count
+    block over this grid, and the parent builds the merged digests from it
+    through :meth:`add_counts`.
     """
 
     DEFAULT_BINS = 512

@@ -1,6 +1,8 @@
 """Tests for the fleet model: specs, load curves, sharding, calibration and
 the closed-form row histogram."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from repro.config.schema import (
     BlindIsolationSpec,
     FleetSpec,
     MachineGroupSpec,
+    PerfIsoSpec,
     PlacementSpec,
     RolloutSpec,
     StaticCoreSpec,
@@ -27,6 +30,7 @@ from repro.fleet.model import (
     quantile_grid,
 )
 from repro.fleet.scenarios import default_groups, stage_fractions
+from repro.fleet.simulate import FleetSimulation
 from repro.metrics.latency import LatencyDigest
 from repro.simulation.randomness import stable_seed
 
@@ -198,8 +202,31 @@ class TestCalibrationSpecs:
         assert blind.perfiso.cpu == BlindIsolationSpec(buffer_cores=6)
         static = self._spec_for(self._group(), policy="static_cores")
         assert static.perfiso.cpu == StaticCoreSpec()
+        # ``none`` ships PerfIso without a CPU policy (its I/O throttle and
+        # memory guard stay on), and the colocated mode calibrates that.
         none = self._spec_for(self._group(), policy="none")
-        assert none.perfiso is None
+        assert none.perfiso == PerfIsoSpec(cpu=None)
+        assert none.perfiso.io_throttle.enabled and none.perfiso.memory_guard.enabled
+
+    def test_disk_bound_none_rollout_ships_the_config_it_calibrated(self, fleet_runner):
+        """A disk-bound group is where PerfIso without a CPU policy differs
+        from no PerfIso at all: the target the rollout publishes, read back
+        from the config store, is the colocated calibration's PerfIso."""
+        group = self._group(name="disk", secondary="disk_bully")
+        tiny = make_tiny_fleet_spec()
+        spec = tiny.replace(
+            groups=(group,),
+            rollout=dataclasses.replace(
+                tiny.rollout, target_policy="none", guardrail_p99_multiplier=100.0
+            ),
+        )
+        simulation = FleetSimulation(spec, runner=fleet_runner)
+        assert simulation.run().status == "completed"
+        published = simulation.config_store.fetch("perfiso-disk.json")
+        model = FleetModel(spec)
+        for point in range(len(spec.calibration_qps)):
+            assert model.calibration_spec(group, "colocated", point).perfiso == published
+        assert published.cpu is None and published.io_throttle.enabled
 
     def test_baseline_mode_has_no_secondary_or_perfiso(self):
         group = self._group(secondary="cpu_bully")

@@ -1,6 +1,7 @@
 """End-to-end fleet simulation tests: determinism, accounting, guardrails."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.config.schema import (
     RolloutSpec,
 )
 from repro.experiments import matrix
+from repro.faults.fleet import ShardFaultPlan
 from repro.fleet.model import (
     ModeCalibration,
     interpolate_mode,
@@ -20,6 +22,7 @@ from repro.fleet.model import (
 from repro.fleet.simulate import (
     FleetShardTask,
     FleetSimulation,
+    _merge_shards,
     _simulate_shard,
     build_demands,
     sampled_positions,
@@ -236,6 +239,59 @@ def historical_shard(task: FleetShardTask):
     return baseline_digests, colocated_digests, reclaimed, progress
 
 
+def per_bucket_digests(task: FleetShardTask):
+    """The per-bucket (baseline, colocated) digests of one shard, built the
+    way the worker built them before it returned one count block: per
+    bucket and mode, the drawn samples of the machines that are up go in
+    through ``add``, then the closed form of the unsampled up machines
+    (healthy, then straggling) through ``add_counts``.
+
+    Unlike :func:`historical_shard`, this covers sampled mode and fault
+    plans; it draws the same stream in the same order.
+    """
+    from repro.fleet.model import closed_form_histogram
+    from repro.fleet.simulate import MACHINE_SKEW_SIGMA
+    from repro.simulation.randomness import stable_seed
+
+    machines = len(task.placed_cores)
+    buckets = len(task.loads)
+    rng = np.random.default_rng(
+        stable_seed("fleet-shard", task.seed, task.group, task.stage, task.shard_index)
+    )
+    skew = rng.lognormal(mean=0.0, sigma=MACHINE_SKEW_SIGMA, size=machines)
+    placed = np.asarray(task.placed_cores)
+    sampled = np.arange(machines) if task.sampled is None else np.asarray(task.sampled)
+    faults = task.faults if task.faults is not None else healthy_plan(buckets)
+    edges = LatencyDigest().edges
+    classes = (
+        (task.baseline, np.flatnonzero(placed == 0), task.samples_per_machine),
+        (task.colocated, np.flatnonzero(placed > 0), task.colocated_samples_per_machine),
+    )
+    per_mode = ([], [])
+    for bucket, qps in enumerate(task.loads):
+        down = list(faults.down[bucket])
+        degraded = list(faults.degraded) if bucket in faults.degraded_buckets else []
+        for (calibration, members, per_machine), digests in zip(classes, per_mode):
+            curve, _, _, _ = interpolate_mode(calibration, qps)
+            digest = LatencyDigest()
+            drawn = members[np.isin(members, sampled)]
+            samples = np.interp(
+                rng.random((drawn.size, per_machine)), quantile_grid(), curve
+            ) * skew[drawn][:, None]
+            samples[np.isin(drawn, degraded)] *= faults.slowdown
+            digest.add(samples[~np.isin(drawn, down)].ravel())
+            rest = members[~np.isin(members, sampled) & ~np.isin(members, down)]
+            straggling = int(np.isin(rest, degraded).sum())
+            for closed_curve, count in (
+                (curve, rest.size - straggling),
+                (curve * faults.slowdown, straggling),
+            ):
+                if count:
+                    digest.add_counts(*closed_form_histogram(closed_curve, edges, count * per_machine))
+            digests.append(digest)
+    return per_mode
+
+
 def assert_digests_identical(actual, expected):
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
@@ -244,13 +300,57 @@ def assert_digests_identical(actual, expected):
         assert got._max == want._max
 
 
+def shard_digests(result):
+    """The per-bucket (baseline, colocated) digest lists a shard result's
+    block stands for, each digest rebuilt through ``add_counts``."""
+    full = np.zeros(result.sums.shape + (LatencyDigest().counts_size,), dtype=np.int64)
+    full[:, :, result.first_cell : result.first_cell + result.counts.shape[2]] = result.counts
+    per_mode = ([], [])
+    for which, digests in enumerate(per_mode):
+        for bucket in range(full.shape[1]):
+            digest = LatencyDigest()
+            digest.add_counts(
+                full[which, bucket], result.sums[which, bucket], result.maxima[which, bucket]
+            )
+            digests.append(digest)
+    return per_mode
+
+
+def healthy_plan(buckets=3, **overrides):
+    params = dict(down=((),) * buckets, degraded=(), slowdown=1.0, degraded_buckets=())
+    params.update(overrides)
+    return ShardFaultPlan(**params)
+
+
+#: Pickled size bound of the 256-machine, 3-bucket sampled shard result
+#: (measured 5,481 bytes), with headroom for the pickle protocol's framing.
+PICKLED_BOUND = 8_000
+
+#: Shard kinds that take each branch of the worker: exact and sampled draws,
+#: crash episodes (drawn and unsampled machines down), degraded machines
+#: (drawn and unsampled stragglers) and a shard whose every machine is down.
+SHARD_KINDS = {
+    "exact": dict(),
+    "sampled": dict(sampled=(0, 3, 4)),
+    "crash-episode": dict(
+        sampled=(0, 3, 4), faults=healthy_plan(down=((1, 3), (), (0, 2, 4, 5)))
+    ),
+    "degraded": dict(
+        sampled=(0, 3, 4),
+        faults=healthy_plan(degraded=(2, 3, 6), slowdown=2.0, degraded_buckets=(1, 2)),
+    ),
+    "all-down": dict(faults=healthy_plan(down=(tuple(range(8)),) * 3)),
+}
+
+
 class TestVectorisedShard:
     def test_exact_mode_is_byte_identical_to_the_historical_loop(self):
         task = make_shard_task()
         result = _simulate_shard(task)
         baseline, colocated, reclaimed, progress = historical_shard(task)
-        assert_digests_identical(result.baseline_digests, baseline)
-        assert_digests_identical(result.colocated_digests, colocated)
+        got_baseline, got_colocated = shard_digests(result)
+        assert_digests_identical(got_baseline, baseline)
+        assert_digests_identical(got_colocated, colocated)
         assert result.reclaimed_core_hours == reclaimed
         assert result.batch_machine_hours == progress
 
@@ -258,8 +358,9 @@ class TestVectorisedShard:
         task = make_shard_task(placed_cores=(0,) * 6)
         result = _simulate_shard(task)
         baseline, colocated, reclaimed, progress = historical_shard(task)
-        assert_digests_identical(result.baseline_digests, baseline)
-        assert_digests_identical(result.colocated_digests, colocated)
+        got_baseline, got_colocated = shard_digests(result)
+        assert_digests_identical(got_baseline, baseline)
+        assert_digests_identical(got_colocated, colocated)
         assert result.reclaimed_core_hours == reclaimed == 0.0
         assert result.batch_machine_hours == progress == 0.0
 
@@ -267,12 +368,12 @@ class TestVectorisedShard:
         """Every machine-bucket still contributes exactly its sample count:
         unsampled machines pour in their closed-form expected histogram."""
         task = make_shard_task(sampled=(0, 3, 4))  # 2 baseline + 1 colocated
-        result = _simulate_shard(task)
+        baseline_digests, colocated_digests = shard_digests(_simulate_shard(task))
         baseline_machines = sum(1 for c in task.placed_cores if c == 0)
         colocated_machines = len(task.placed_cores) - baseline_machines
-        for digest in result.baseline_digests:
+        for digest in baseline_digests:
             assert digest.count == baseline_machines * task.samples_per_machine
-        for digest in result.colocated_digests:
+        for digest in colocated_digests:
             assert digest.count == colocated_machines * task.colocated_samples_per_machine
 
     def test_sampled_shard_accounting_matches_exact_mode(self):
@@ -289,12 +390,95 @@ class TestVectorisedShard:
         sampled_task = make_shard_task(
             placed_cores=many, sampled=tuple(range(0, 96, 2))
         )
-        exact = _simulate_shard(exact_task)
-        sampled = _simulate_shard(sampled_task)
-        for got, want in zip(sampled.baseline_digests, exact.baseline_digests):
-            assert got.percentile(99.0) == pytest.approx(want.percentile(99.0), rel=0.1)
-        for got, want in zip(sampled.colocated_digests, exact.colocated_digests):
-            assert got.percentile(99.0) == pytest.approx(want.percentile(99.0), rel=0.1)
+        exact = shard_digests(_simulate_shard(exact_task))
+        sampled = shard_digests(_simulate_shard(sampled_task))
+        for got_mode, want_mode in zip(sampled, exact):
+            for got, want in zip(got_mode, want_mode):
+                assert got.percentile(99.0) == pytest.approx(want.percentile(99.0), rel=0.1)
+
+
+class TestShardBlocks:
+    """The one count block per shard, and its merge in the parent."""
+
+    @pytest.mark.parametrize("kind", sorted(SHARD_KINDS))
+    def test_block_merge_equals_merging_per_bucket_digests(self, kind):
+        """Each shard's block rebuilds its old per-bucket digests, and merging
+        the blocks with slice adds gives, bit for bit, the counts, sums and
+        maxima of merging those digests in task order."""
+        groups = ("row-a", "row-b")
+        layouts = ((0, 4, 0, 6, 0, 0, 2, 0), (3, 0, 0, 0, 5, 0, 0, 1), (0,) * 8)
+        tasks = [
+            make_shard_task(
+                group=groups[index % 2],
+                shard_index=index,
+                placed_cores=layouts[index % 3],
+                **SHARD_KINDS[kind],
+            )
+            for index in range(5)
+        ]
+        results = [_simulate_shard(task) for task in tasks]
+        references = [per_bucket_digests(task) for task in tasks]
+        for result, reference in zip(results, references):
+            for got, want in zip(shard_digests(result), reference):
+                assert_digests_identical(got, want)
+        merged = _merge_shards(results, groups, buckets=3)
+        for group in groups:
+            for which, mode in enumerate(("baseline", "colocated")):
+                for bucket in range(3):
+                    want = LatencyDigest()
+                    for task, reference in zip(tasks, references):
+                        if task.group == group:
+                            want.merge(reference[which][bucket])
+                    assert_digests_identical([merged[group][mode][bucket]], [want])
+        if kind == "all-down":
+            assert all(result.counts.shape == (2, 3, 0) for result in results)
+            assert not any(
+                digest.count
+                for modes in merged.values()
+                for digests in modes.values()
+                for digest in digests
+            )
+
+    @pytest.mark.parametrize("kind", ["exact", "sampled", "crash-episode", "degraded"])
+    def test_block_totals_are_the_sample_quotas(self, kind):
+        """Each bucket's block total is its up machines' sample quota, so no
+        sample falls outside the span, and the span is tight: its first and
+        last cells hold samples."""
+        task = make_shard_task(**SHARD_KINDS[kind])
+        result = _simulate_shard(task)
+        placed = np.asarray(task.placed_cores)
+        per_machine = (task.samples_per_machine, task.colocated_samples_per_machine)
+        for bucket in range(3):
+            down = task.faults.down[bucket] if task.faults is not None else ()
+            up = np.ones(placed.size, dtype=bool)
+            up[list(down)] = False
+            for which, members in enumerate((placed == 0, placed > 0)):
+                quota = int(np.count_nonzero(members & up)) * per_machine[which]
+                assert int(result.counts[which, bucket].sum()) == quota
+        assert result.counts[:, :, 0].any() and result.counts[:, :, -1].any()
+
+    def test_every_cell_outside_the_span_is_zero(self):
+        """Against the untrimmed historical digests: the span holds every
+        occupied cell, and the cells the block drops are empty."""
+        task = make_shard_task()
+        result = _simulate_shard(task)
+        baseline, colocated, _, _ = historical_shard(task)
+        span = slice(result.first_cell, result.first_cell + result.counts.shape[2])
+        for which, digests in enumerate((baseline, colocated)):
+            for bucket, digest in enumerate(digests):
+                outside = digest._counts.copy()
+                outside[span] = 0
+                assert not outside.any()
+                assert np.array_equal(digest._counts[span], result.counts[which, bucket])
+
+    def test_sampled_shard_result_pickles_small(self):
+        """A 256-machine, 3-bucket sampled shard result is one trimmed block
+        of 103 cells per row: 5.5 KB pickled, against 25.6 KB for six full
+        digests."""
+        placed = tuple(4 if index % 4 == 0 else 0 for index in range(256))
+        task = make_shard_task(placed_cores=placed, sampled=tuple(range(0, 256, 8)))
+        result = _simulate_shard(task)
+        assert len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)) < PICKLED_BOUND
 
 
 class TestSampledPositions:
@@ -392,28 +576,39 @@ class TestPlacementIntegration:
 class TestSampledHyperscaleMode:
     """Sampled (hyperscale) mode cross-validated against exact mode."""
 
-    @pytest.fixture(scope="class")
-    def mode_pair(self, fleet_runner):
-        exact = make_tiny_fleet_spec(machines=600)
+    @staticmethod
+    def run_pair(runner, seed=7):
+        exact = make_tiny_fleet_spec(machines=600, seed=seed)
         sampled = exact.replace(sample_fraction=0.25, min_sampled_machines=128)
         return (
-            FleetSimulation(exact, runner=fleet_runner).run(),
-            FleetSimulation(sampled, runner=fleet_runner).run(),
+            FleetSimulation(exact, runner=runner).run(),
+            FleetSimulation(sampled, runner=runner).run(),
         )
+
+    @pytest.fixture(scope="class")
+    def mode_pair(self, fleet_runner):
+        return self.run_pair(fleet_runner)
 
     def test_sampled_rollout_reaches_the_same_decisions(self, mode_pair):
         exact, sampled = mode_pair
         assert sampled.status == exact.status == "completed"
         assert [s.decision for s in sampled.stages] == [s.decision for s in exact.stages]
 
-    def test_sampled_p99s_track_exact_mode(self, mode_pair):
-        exact, sampled = mode_pair
-        for got, want in zip(sampled.stages, exact.stages):
-            if want.colocated_p99_ms:
-                assert got.colocated_p99_ms == pytest.approx(
-                    want.colocated_p99_ms, rel=0.1
-                )
-            assert got.baseline_p99_ms == pytest.approx(want.baseline_p99_ms, rel=0.1)
+    def test_sampled_p99s_track_exact_mode(self, fleet_runner):
+        """Over seeds 1-5, every stage P99 of sampled mode falls in the same
+        digest bin as exact mode's, or an adjacent one (a bin is 3.1% wide)."""
+
+        def bin_of(p99_ms):
+            return int(np.searchsorted(LatencyDigest().edges, p99_ms / 1000.0, side="right"))
+
+        for seed in range(1, 6):
+            exact, sampled = self.run_pair(fleet_runner, seed)
+            for got, want in zip(sampled.stages, exact.stages):
+                pairs = [(got.baseline_p99_ms, want.baseline_p99_ms)]
+                if want.colocated_p99_ms:
+                    pairs.append((got.colocated_p99_ms, want.colocated_p99_ms))
+                for got_ms, want_ms in pairs:
+                    assert abs(bin_of(got_ms) - bin_of(want_ms)) <= 1, (seed, got.stage)
 
     def test_sampled_accounting_is_exact(self, mode_pair):
         """Capacity accounting covers every machine even in sampled mode."""
